@@ -29,3 +29,16 @@ def small_world() -> WorldState:
 
 def rng(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+class QuadraticBandit:
+    """Deterministic synthetic task: reward peaks at action[0] = 0.4."""
+
+    action_dim = 8
+    seed_base = 0
+
+    def observation(self):
+        return np.full(6, 0.5)
+
+    def rollout(self, action, seed):
+        return -float((action[0] - 0.4) ** 2)

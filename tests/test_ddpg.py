@@ -19,20 +19,7 @@ from epidemictrl.ddpg import (
 )
 from epidemictrl.neural import mlp_from_widths
 
-from conftest import rng
-
-
-class QuadraticBandit:
-    """Deterministic synthetic task: reward peaks at action[0] = 0.4."""
-
-    action_dim = 8
-    seed_base = 0
-
-    def observation(self):
-        return np.full(6, 0.5)
-
-    def rollout(self, action, seed):
-        return -float((action[0] - 0.4) ** 2)
+from conftest import QuadraticBandit, rng
 
 
 def _hyper(**kw) -> DdpgHyperParams:
