@@ -6,10 +6,8 @@ from .env import (
     EpidemicTask,
     EpisodeTrace,
     ExperimentConfig,
-    RewardWeights,
     economy_reward,
     health_reward,
-    replicate_reward,
     run_episode,
     total_reward,
 )
@@ -36,7 +34,6 @@ __all__ = [
     "ExperimentConfig",
     "InterventionSchedule",
     "ReplayBuffer",
-    "RewardWeights",
     "RngStreams",
     "VaccinationPolicyConfig",
     "VaccineSpec",
@@ -50,7 +47,6 @@ __all__ = [
     "evaluate",
     "health_reward",
     "lockdown_active",
-    "replicate_reward",
     "run_episode",
     "synthesize_population",
     "total_reward",

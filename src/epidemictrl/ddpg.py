@@ -1,10 +1,11 @@
 """Deep deterministic policy gradient learner.
 
-Actor and critic are small dense nets with soft-updated target copies and
-a uniform replay buffer. Episodes here are single steps: the stored done
-flag is always true, so the critic target collapses to the observed
-reward and critic training is pure regression. Exploration adds Gaussian
-noise to the raw action before clamping to [-1, 1].
+Actor and critic are small dense nets trained from a uniform replay
+buffer. An episode here is a single terminal step (the whole schedule is
+one action), so there is no bootstrapped target: the critic regresses
+Q(s, a) on the observed reward, and the actor ascends the critic's value
+of its own action. Exploration adds Gaussian noise to the raw action
+before clamping to [-1, 1].
 
 A task only needs three things: an `observation()` vector (constant per
 experiment), an `action_dim`, and `rollout(action, seed) -> reward`.
@@ -28,8 +29,6 @@ EVAL_SEED_OFFSET = 1_000_000
 @dataclass
 class DdpgHyperParams:
     seed: int = 0
-    discount: float = 0.99
-    tau: float = 5e-3
     expl_noise: float = 0.1
     batch_size: int = 32
     train_iterations: int = 150
@@ -47,14 +46,10 @@ class DdpgHyperParams:
     replay_capacity: int = 10_000
 
     def validate(self) -> None:
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError("tau must lie in (0, 1]")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.burn_in > self.train_iterations:
             raise ValueError("burn_in cannot exceed train_iterations")
-        if not 0.0 <= self.discount <= 1.0:
-            raise ValueError("discount must lie in [0, 1]")
         if self.expl_noise < 0:
             raise ValueError("expl_noise must be nonnegative")
         if self.eval_every < 1 or self.eval_repeats < 1:
@@ -67,14 +62,6 @@ class DdpgHyperParams:
             raise ValueError("replay capacity smaller than one batch")
 
 
-@dataclass(frozen=True)
-class Transition:
-    observation: np.ndarray
-    action: np.ndarray
-    reward: float
-    done: bool = True
-
-
 class ReplayBuffer:
     """Fixed-capacity ring buffer with uniform sampling."""
 
@@ -85,19 +72,17 @@ class ReplayBuffer:
         self.observations = np.zeros((capacity, obs_dim))
         self.actions = np.zeros((capacity, action_dim))
         self.rewards = np.zeros(capacity)
-        self.dones = np.zeros(capacity)
         self.size = 0
         self._next = 0
 
     def __len__(self) -> int:
         return self.size
 
-    def add(self, transition: Transition) -> None:
+    def add(self, observation: np.ndarray, action: np.ndarray, reward: float) -> None:
         i = self._next
-        self.observations[i] = transition.observation
-        self.actions[i] = transition.action
-        self.rewards[i] = transition.reward
-        self.dones[i] = 1.0 if transition.done else 0.0
+        self.observations[i] = observation
+        self.actions[i] = action
+        self.rewards[i] = reward
         self._next = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
@@ -107,19 +92,7 @@ class ReplayBuffer:
                 f"buffer holds {self.size} transitions, need {batch_size}"
             )
         idx = rng.integers(0, self.size, size=batch_size)
-        return (
-            self.observations[idx],
-            self.actions[idx],
-            self.rewards[idx],
-            self.dones[idx],
-        )
-
-
-def soft_update(target: Mlp, online: Mlp, tau: float) -> None:
-    """theta_target <- tau * theta_online + (1 - tau) * theta_target."""
-    for tp, op in zip(target.parameters(), online.parameters()):
-        tp *= 1.0 - tau
-        tp += tau * op
+        return self.observations[idx], self.actions[idx], self.rewards[idx]
 
 
 def select_action(
@@ -136,14 +109,12 @@ def select_action(
 
 
 class ActorCritic:
-    """Online and target networks plus their optimizer states."""
+    """Actor and critic networks plus their optimizer states."""
 
     def __init__(self, actor: Mlp, critic: Mlp, hyper: DdpgHyperParams):
         self.hyper = hyper
         self.actor = actor
         self.critic = critic
-        self.target_actor = actor.copy()
-        self.target_critic = critic.copy()
         self.actor_adam = Adam(actor)
         self.critic_adam = Adam(critic)
 
@@ -179,36 +150,29 @@ class ActorCritic:
     def critic_step(self, batch) -> float:
         """One gradient step of the critic regression; returns its loss.
 
-        Observations are constant within an experiment and episodes are
-        terminal, so the stored observation stands in for the successor
-        state; the (1 - done) mask zeroes the bootstrap term anyway.
+        Every episode is terminal, so the critic target is the reward
+        itself: the loss is mean((Q(s, a) - r)^2). Lillicrap et al. (2015)
+        add target networks to steady a bootstrapped target; with no
+        bootstrap there is nothing for them to steady.
         """
-        obs, actions, rewards, dones = batch
+        obs, actions, rewards = batch
         n = obs.shape[0]
-        hyper = self.hyper
-        next_actions = self.target_actor.forward(obs)
-        q_next = self.target_critic.forward(
-            np.concatenate([obs, next_actions], axis=-1)
-        )[:, 0]
-        targets = rewards + hyper.discount * (1.0 - dones) * q_next
-
         x = np.concatenate([obs, actions], axis=-1)
         q, cache = self.critic.forward_cached(x)
-        residual = q[:, 0] - targets
+        residual = q[:, 0] - rewards
         critic_loss = float(np.mean(residual**2))
         grads, _ = self.critic.backward(cache, (2.0 * residual / n)[:, None])
-        self.critic_adam.update(self.critic, grads, hyper.critic_lr)
+        self.critic_adam.update(self.critic, grads, self.hyper.critic_lr)
         return critic_loss
 
     def train_step(self, batch) -> tuple[float, float]:
-        """One critic regression step, one actor ascent step, soft updates.
+        """One critic regression step, then one actor ascent step.
 
         Returns (critic_loss, actor_objective) where the objective is the
         batch-mean critic value of the actor's own actions.
         """
-        obs, actions, rewards, dones = batch
+        obs = batch[0]
         n = obs.shape[0]
-        hyper = self.hyper
         critic_loss = self.critic_step(batch)
 
         pi, actor_cache = self.actor.forward_cached(obs)
@@ -216,15 +180,8 @@ class ActorCritic:
         actor_objective = float(np.mean(q_pi))
         # Ascend mean Q: descend its negative through the actor.
         actor_grads, _ = self.actor.backward(actor_cache, -dq_da / n)
-        self.actor_adam.update(self.actor, actor_grads, hyper.actor_lr)
-
-        soft_update(self.target_actor, self.actor, hyper.tau)
-        soft_update(self.target_critic, self.critic, hyper.tau)
+        self.actor_adam.update(self.actor, actor_grads, self.hyper.actor_lr)
         return critic_loss, actor_objective
-
-
-def train_step(agent: ActorCritic, batch) -> tuple[float, float]:
-    return agent.train_step(batch)
 
 
 @dataclass
@@ -300,8 +257,6 @@ class TrainResult:
     log: TrainLog
     best_actor: Mlp
     best_eval_mean: float
-    # the random actions tried during burn-in, for learning-signal checks
-    burn_in_actions: list = field(default_factory=list)
 
 
 def evaluate(actor: Mlp, task, repeats: int) -> EvalResult:
@@ -351,12 +306,10 @@ def train(task, hyper: DdpgHyperParams | None = None) -> TrainResult:
 
     best_actor = agent.actor.copy()
     best_eval_mean = -math.inf
-    burn_in_actions: list[np.ndarray] = []
 
     for iteration in range(1, hyper.train_iterations + 1):
         if iteration <= hyper.burn_in:
             action = burn_rng.uniform(-1.0, 1.0, size=action_dim)
-            burn_in_actions.append(action.copy())
         else:
             action = select_action(agent.actor, obs, hyper.expl_noise, noise_rng)
 
@@ -369,7 +322,7 @@ def train(task, hyper: DdpgHyperParams | None = None) -> TrainResult:
                 ]
             )
         )
-        buffer.add(Transition(obs, action, reward))
+        buffer.add(obs, action, reward)
 
         critic_loss = actor_objective = math.nan
         if len(buffer) >= hyper.batch_size:
@@ -394,5 +347,4 @@ def train(task, hyper: DdpgHyperParams | None = None) -> TrainResult:
         log=log,
         best_actor=best_actor,
         best_eval_mean=best_eval_mean,
-        burn_in_actions=burn_in_actions,
     )

@@ -12,7 +12,7 @@ the daily below-poverty-line count, combined as health + kappa * economy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,17 +39,6 @@ OBSERVATION_DIM = 6
 
 
 @dataclass
-class RewardWeights:
-    """Mixing weight between the health and economy penalties."""
-
-    kappa: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.kappa < 0:
-            raise ValueError("kappa must be nonnegative")
-
-
-@dataclass
 class ExperimentConfig:
     """Everything one episode needs: world, disease, economy, vaccines,
     the initial infection share and the reward mix."""
@@ -72,9 +61,6 @@ class ExperimentConfig:
             raise ValueError("initial_infection_fraction must lie in [0, 1]")
         if self.kappa < 0:
             raise ValueError("kappa must be nonnegative")
-
-    def with_population(self, population: int) -> "ExperimentConfig":
-        return replace(self, world=replace(self.world, population_size=population))
 
 
 @dataclass
@@ -184,35 +170,8 @@ def economy_reward(trace: EpisodeTrace) -> float:
     return -(float(series.max()) + float(series.mean()))
 
 
-def total_reward(
-    health: float, economy: float, weights: RewardWeights | float
-) -> float:
-    kappa = weights.kappa if isinstance(weights, RewardWeights) else float(weights)
+def total_reward(health: float, economy: float, kappa: float) -> float:
     return health + kappa * economy
-
-
-def episode_total_reward(
-    config: ExperimentConfig, schedule: InterventionSchedule, seed: int
-) -> float:
-    trace = run_episode(config, schedule, seed)
-    return total_reward(
-        health_reward(trace), economy_reward(trace), config.kappa
-    )
-
-
-def replicate_reward(
-    config: ExperimentConfig,
-    schedule: InterventionSchedule,
-    n: int,
-    seed_base: int,
-) -> float:
-    """Mean episode reward over n runs seeded seed_base .. seed_base+n-1."""
-    if n < 1:
-        raise ValueError("need at least one replicate")
-    rewards = [
-        episode_total_reward(config, schedule, seed_base + i) for i in range(n)
-    ]
-    return float(np.mean(rewards))
 
 
 class EpidemicTask:
@@ -225,20 +184,11 @@ class EpidemicTask:
 
     action_dim = ACTION_DIM
 
-    def __init__(
-        self,
-        config: ExperimentConfig,
-        seed_base: int = 0,
-        reward_scale: float | None = None,
-    ):
+    def __init__(self, config: ExperimentConfig, seed_base: int = 0):
         config.validate()
         self.config = config
         self.seed_base = seed_base
-        self.reward_scale = (
-            reward_scale
-            if reward_scale is not None
-            else 1.0 / config.world.population_size
-        )
+        self.reward_scale = 1.0 / config.world.population_size
         self._obs = observation(config)
 
     def observation(self) -> np.ndarray:
@@ -248,7 +198,8 @@ class EpidemicTask:
         return decode_action(action, horizon_days=self.config.world.episode_days)
 
     def rollout(self, action: np.ndarray, seed: int) -> float:
-        return (
-            episode_total_reward(self.config, self.decode(action), seed)
-            * self.reward_scale
+        trace = run_episode(self.config, self.decode(action), seed)
+        reward = total_reward(
+            health_reward(trace), economy_reward(trace), self.config.kappa
         )
+        return reward * self.reward_scale

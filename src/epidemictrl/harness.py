@@ -224,7 +224,8 @@ def experiment_config(
     The experiment table pins the initial infection share and both vaccine
     specs (dose rates scale with population); the scenario picks kappa.
     A config file may override the world, disease and economy sections and
-    may pin absolute vaccine specs, which are then used unscaled.
+    may pin absolute vaccine specs, which are then used unscaled. The built
+    config is validated; any bad value raises ConfigError.
     """
     if exp_id not in EXPERIMENT_TABLE:
         raise ConfigError(f"experiment id must be 1..4, got {exp_id}")
@@ -232,28 +233,35 @@ def experiment_config(
         raise ConfigError(f"scenario id must be 1..3, got {scenario_id}")
     file_cfg = file_cfg or {}
 
-    world = world_config_from_dict(file_cfg.get("world", {}))
-    if population is None:
-        population = world.population_size if "world" in file_cfg else DEFAULT_POPULATION
-    if episode_days is not None:
-        world = replace(world, episode_days=episode_days)
-    world = replace(world, population_size=population)
+    try:
+        world = world_config_from_dict(file_cfg.get("world", {}))
+        if population is None:
+            population = world.population_size if "world" in file_cfg else DEFAULT_POPULATION
+        if episode_days is not None:
+            world = replace(world, episode_days=episode_days)
+        world = replace(world, population_size=population)
 
-    row = EXPERIMENT_TABLE[exp_id]
-    default_specs = (
-        VaccineSpec(row["v1"][0], scaled_doses(row["v1"][1], population)),
-        VaccineSpec(row["v2"][0], scaled_doses(row["v2"][1], population)),
-    )
-    return ExperimentConfig(
-        world=world,
-        disease=disease_params_from_dict(file_cfg.get("disease", {})),
-        economy=economy_config_from_dict(file_cfg.get("economy", {})),
-        vaccination=vaccination_policy_from_dict(
-            file_cfg.get("vaccination", {}), default_specs
-        ),
-        initial_infection_fraction=row["initial_infection_percent"] / 100.0,
-        kappa=SCENARIO_KAPPA[scenario_id],
-    )
+        row = EXPERIMENT_TABLE[exp_id]
+        default_specs = (
+            VaccineSpec(row["v1"][0], scaled_doses(row["v1"][1], population)),
+            VaccineSpec(row["v2"][0], scaled_doses(row["v2"][1], population)),
+        )
+        config = ExperimentConfig(
+            world=world,
+            disease=disease_params_from_dict(file_cfg.get("disease", {})),
+            economy=economy_config_from_dict(file_cfg.get("economy", {})),
+            vaccination=vaccination_policy_from_dict(
+                file_cfg.get("vaccination", {}), default_specs
+            ),
+            initial_infection_fraction=row["initial_infection_percent"] / 100.0,
+            kappa=SCENARIO_KAPPA[scenario_id],
+        )
+        config.validate()
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid config: {exc}") from exc
+    return config
 
 
 def sanity_config(population: int = 2_000, episode_days: int = 100) -> ExperimentConfig:
@@ -653,7 +661,6 @@ class ExperimentReport:
     summary: dict[str, dict[str, float]]
     rows: list[dict]
     actor: Mlp
-    burn_in_actions: list = None
 
 
 def run_experiment(
@@ -764,15 +771,19 @@ def _kink_margin(net: Mlp, x: np.ndarray) -> float:
 
 
 def parse_seeds(text: str) -> list[int]:
-    """Accept '0..4', '3', or '0,2,5'."""
+    """Accept '0..4', '3', or '0,2,5'; anything naming no seed is an error."""
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo_i, hi_i = int(lo), int(hi)
-        if hi_i < lo_i:
-            raise ConfigError(f"bad seed range {text!r}")
-        return list(range(lo_i, hi_i + 1))
-    return [int(part) for part in text.split(",") if part.strip()]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            seeds = list(range(int(lo), int(hi) + 1))
+        else:
+            seeds = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        seeds = []
+    if not seeds:
+        raise ConfigError(f"bad seed list {text!r}; expected e.g. 0..4, 3 or 0,2,5")
+    return seeds
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -844,6 +855,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_train(args) -> int:
     hyper = DdpgHyperParams(seed=args.seed, train_iterations=args.iterations)
+    try:
+        hyper.validate()
+    except ValueError as exc:
+        raise ConfigError(f"invalid training settings: {exc}") from exc
     report = run_experiment(
         args.experiment,
         args.scenario,
@@ -866,7 +881,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    actor, _ = load_mlp(args.checkpoint)
+    try:
+        actor, _ = load_mlp(args.checkpoint)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot load checkpoint: {exc}") from exc
     config = experiment_config(
         args.experiment, args.scenario, args.population, file_cfg=_load_file_cfg(args)
     )

@@ -191,10 +191,6 @@ class Adam:
             p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
-def adam_update(net: Mlp, grads, state: Adam, lr: float) -> None:
-    state.update(net, grads, lr)
-
-
 def finite_diff_check(net: Mlp, x: np.ndarray, eps: float = 1e-5) -> float:
     """Max relative error between backprop and central differences.
 
@@ -253,9 +249,9 @@ def load_mlp(path) -> tuple[Mlp, dict]:
     """Read a checkpoint back; returns the network and its header."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    newline = raw.index(b"\n")
-    header = json.loads(raw[:newline].decode("utf-8"))
-    if header.get("format") != CHECKPOINT_MAGIC:
+    newline = raw.find(b"\n")
+    header = json.loads(raw[:newline].decode("utf-8")) if newline >= 0 else None
+    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a recognized checkpoint")
     specs = tuple(
         LayerSpec(l["fan_in"], l["fan_out"], l["activation"])

@@ -9,11 +9,9 @@ from epidemictrl.env import (
     EpidemicTask,
     EpisodeTrace,
     ExperimentConfig,
-    RewardWeights,
     economy_reward,
     health_reward,
     observation,
-    replicate_reward,
     run_episode,
     total_reward,
 )
@@ -63,9 +61,7 @@ def test_economy_reward_cases():
 
 
 def test_total_reward_mixing():
-    assert total_reward(-43.33, -200.0, RewardWeights(kappa=5.0)) == pytest.approx(
-        -1043.33
-    )
+    assert total_reward(-43.33, -200.0, 5.0) == pytest.approx(-1043.33)
     assert total_reward(-77.0, -5.0, 0.0) == -77.0
     assert total_reward(-10.0, -10.0, 1.0) == -20.0
 
@@ -80,8 +76,8 @@ def test_total_reward_linear_in_kappa():
 
 
 def test_reward_weights_reject_negative():
-    with pytest.raises(ValueError):
-        RewardWeights(kappa=-0.1)
+    with pytest.raises(ValueError, match="kappa"):
+        ExperimentConfig(kappa=-0.1).validate()
 
 
 @given(
@@ -154,32 +150,6 @@ def test_initial_infection_count_matches_fraction():
     config = _tiny_config(initial_infection_fraction=0.15)
     trace = run_episode(config, empty_schedule(), seed=3)
     assert trace.compartments[0, Compartment.EXPOSED] == 45  # 15% of 300
-
-
-def test_replicate_reward_single_run():
-    config = _tiny_config()
-    sched = empty_schedule()
-    single = replicate_reward(config, sched, 1, seed_base=4)
-    trace = run_episode(config, sched, seed=4)
-    assert single == pytest.approx(
-        total_reward(health_reward(trace), economy_reward(trace), config.kappa)
-    )
-
-
-def test_replicate_reward_degenerate_world_identical_runs():
-    config = _tiny_config(initial_infection_fraction=0.0)
-    r2 = replicate_reward(config, empty_schedule(), 2, seed_base=5)
-    r1 = replicate_reward(config, empty_schedule(), 1, seed_base=5)
-    r1b = replicate_reward(config, empty_schedule(), 1, seed_base=6)
-    assert r2 == pytest.approx((r1 + r1b) / 2)
-
-
-def test_replicate_reward_reproducible():
-    config = _tiny_config()
-    sched = InterventionSchedule((0.0, 10.0), ((0.0, 20.0), (0.0, 20.0), (0.0, 20.0)))
-    assert replicate_reward(config, sched, 2, seed_base=7) == replicate_reward(
-        config, sched, 2, seed_base=7
-    )
 
 
 def test_observation_vector_contents():

@@ -309,3 +309,42 @@ def test_threads_env_fans_out(tmp_path, monkeypatch):
     run = run_baseline(BaselineId.NOL_NOV, config, seeds=[0, 1, 2])
     serial = run_episode(config, empty_schedule(), seed=1)
     assert np.array_equal(run.traces[1].compartments, serial.compartments)
+
+
+@pytest.mark.parametrize(
+    "argv, config, checkpoint",
+    [
+        (["simulate", "--baseline", "NoL_NoV", "--population", "0"], None, None),
+        (
+            ["simulate", "--baseline", "NoL_NoV"],
+            {"world": {"population_size": "10"}},
+            None,
+        ),
+        (["simulate", "--baseline", "NoL_NoV"], {"economy": {"savings_sd": -1}}, None),
+        (["train", "--iterations", "0"], None, None),
+        (["simulate", "--baseline", "NoL_NoV", "--seeds", "x"], None, None),
+        (["evaluate"], None, b""),
+    ],
+    ids=[
+        "population-0",
+        "population-str",
+        "savings-sd-negative",
+        "iterations-0",
+        "seeds-x",
+        "empty-checkpoint",
+    ],
+)
+def test_cli_bad_input_is_one_error_line(tmp_path, capsys, argv, config, checkpoint):
+    argv = [*argv, "--out", str(tmp_path / "out")]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    if checkpoint is not None:
+        path = tmp_path / "actor.ckpt"
+        path.write_bytes(checkpoint)
+        argv += ["--checkpoint", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not (tmp_path / "out").exists()

@@ -10,7 +10,6 @@ from epidemictrl.neural import (
     Adam,
     LayerSpec,
     Mlp,
-    adam_update,
     finite_diff_check,
     load_mlp,
     mlp_from_widths,
@@ -134,7 +133,7 @@ def test_adam_zero_grad_keeps_params():
     before = [p.copy() for p in net.parameters()]
     state = Adam(net)
     grads = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(net.weights, net.biases)]
-    adam_update(net, grads, state, lr=1e-3)
+    state.update(net, grads, lr=1e-3)
     for p, q in zip(net.parameters(), before):
         assert np.array_equal(p, q)
 
@@ -143,7 +142,7 @@ def test_adam_first_step_is_signed_lr():
     net = _identity_net(w=0.0, b=0.0)
     state = Adam(net)
     grads = [(np.array([[0.37]]), np.array([-2.2]))]
-    adam_update(net, grads, state, lr=1e-3)
+    state.update(net, grads, lr=1e-3)
     assert net.weights[0][0, 0] == pytest.approx(-1e-3, rel=1e-6)
     assert net.biases[0][0] == pytest.approx(1e-3, rel=1e-6)
 
@@ -161,7 +160,7 @@ def test_adam_quadratic_convergence():
     for step in range(1, 5001):
         p = net.weights[0][:, 0]
         grad = 2 * scale * (p - target)
-        adam_update(net, [(grad[:, None], np.zeros(1))], state, lr=1e-3)
+        state.update(net, [(grad[:, None], np.zeros(1))], lr=1e-3)
         if np.linalg.norm(2 * scale * (net.weights[0][:, 0] - target)) < 1e-6:
             break
     assert np.linalg.norm(2 * scale * (net.weights[0][:, 0] - target)) < 1e-6
