@@ -60,14 +60,16 @@ TIMED_COMPARTMENTS = (
 #: Compartments that keep an agent home during work phases.
 SYMPTOMATIC_COMPARTMENTS = (Compartment.INFECTED_MILD, Compartment.INFECTED_SEVERE)
 
-DEFAULT_INFECTIOUS = frozenset(
-    {
-        Compartment.ASYMPTOMATIC,
-        Compartment.PRE_SYMPTOMATIC,
-        Compartment.INFECTED_MILD,
-        Compartment.INFECTED_SEVERE,
-    }
+#: Compartments that shed infection.
+INFECTIOUS_COMPARTMENTS = (
+    Compartment.ASYMPTOMATIC,
+    Compartment.PRE_SYMPTOMATIC,
+    Compartment.INFECTED_MILD,
+    Compartment.INFECTED_SEVERE,
 )
+
+INFECTIOUS_LUT = np.zeros(len(Compartment), dtype=bool)
+INFECTIOUS_LUT[list(INFECTIOUS_COMPARTMENTS)] = True
 
 
 @dataclass(frozen=True)
@@ -142,13 +144,15 @@ class DiseaseParams:
     stage_durations: dict[Compartment, tuple[float, float]] = field(
         default_factory=lambda: dict(DEFAULT_STAGE_DURATIONS)
     )
-    infectious_set: frozenset[Compartment] = DEFAULT_INFECTIOUS
 
     def __post_init__(self) -> None:
         if self.beta_base < 0:
             raise ValueError("beta_base must be nonnegative")
         if len(self.age_bands) != 10:
             raise ValueError("age_bands must cover ages 0-99 in ten decade bands")
+        untimed = sorted(c.name for c in set(self.stage_durations) - set(TIMED_COMPARTMENTS))
+        if untimed:
+            raise ValueError(f"stage durations given for untimed {untimed}")
         for comp in TIMED_COMPARTMENTS:
             if comp not in self.stage_durations:
                 raise ValueError(f"missing stage duration for {comp.name}")
@@ -168,8 +172,6 @@ class DiseaseParams:
         self.band_death_given_hospitalized = np.array(
             [b.death_given_hospitalized for b in self.age_bands]
         )
-        self.infectious_lut = np.zeros(len(Compartment), dtype=bool)
-        self.infectious_lut[[int(c) for c in self.infectious_set]] = True
         self._duration_mu_sigma = {
             comp: lognormal_underlying(*self.stage_durations[comp])
             for comp in TIMED_COMPARTMENTS
@@ -260,7 +262,7 @@ def exposure_step(
     comp = world.compartment
     loc = world.location_of
 
-    infectious = params.infectious_lut[comp]
+    infectious = INFECTIOUS_LUT[comp]
     if not infectious.any() or params.beta_base == 0.0:
         return 0
 

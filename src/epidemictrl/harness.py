@@ -21,16 +21,19 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 from xml.sax.saxutils import escape
 
 import numpy as np
 
 from .ddpg import DdpgHyperParams, TrainLog, evaluate, train
-from .economy import EconomyConfig
 from .env import (
+    ACTION_DIM,
+    OBSERVATION_DIM,
     EpidemicTask,
     EpisodeTrace,
     ExperimentConfig,
@@ -39,7 +42,6 @@ from .env import (
     run_episode,
     total_reward,
 )
-from .epidemic import AgeBandRates, Compartment, DiseaseParams, TIMED_COMPARTMENTS
 from .interventions import (
     InterventionSchedule,
     VaccinationPolicyConfig,
@@ -116,82 +118,85 @@ def baseline_schedule(
 
 
 # ---------------------------------------------------------------------------
-# Config file ingestion (strict: unknown keys are rejected at every level).
+# Config files. The format is the config dataclasses themselves: a nested
+# dataclass is an object keyed by field name, a tuple is a list, and a
+# Compartment-keyed dict uses lowercase member names. Reading is strict:
+# an unknown key or a wrong-typed value fails with its dotted key.
 
 
-def _reject_unknown(section: str, data: dict, allowed) -> None:
-    unknown = sorted(set(data) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown {section} keys: {unknown}")
+def to_dict(obj):
+    """A config dataclass as plain JSON data; `from_dict` reads it back."""
+    if is_dataclass(obj):
+        return {f.name: to_dict(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {k.name.lower(): to_dict(v) for k, v in obj.items()}
+    if isinstance(obj, tuple):
+        return [to_dict(v) for v in obj]
+    return obj
 
 
-def world_config_from_dict(data: dict) -> WorldConfig:
-    fields = (
-        "population_size",
-        "household_size",
-        "office_capacity",
-        "school_capacity",
-        "hospitals",
-        "essential_worker_fraction",
-        "violator_fraction",
-        "episode_days",
-        "seed",
-    )
-    _reject_unknown("world", data, fields)
-    return WorldConfig(**data)
+def from_dict(cls, data, base=None):
+    """Read config dataclass `cls` from JSON data laid over `base`.
+
+    Objects merge onto `base` key by key at every depth, so a partial
+    section changes only what it names; lists replace the base value
+    whole. Without a base, every field needs a value or a default.
+    """
+    return _read(cls, data, base, "")
 
 
-def economy_config_from_dict(data: dict) -> EconomyConfig:
-    fields = (
-        "savings_mean",
-        "savings_sd",
-        "income_mean",
-        "income_sd",
-        "expense_per_person",
-        "poverty_line",
-    )
-    _reject_unknown("economy", data, fields)
-    return EconomyConfig(**data)
+def _read(tp, value, base, key: str):
+    args = get_args(tp)
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise _wrong_type(key, "object", value)
+        hints = get_type_hints(tp)
+        unknown = sorted(set(value) - {f.name for f in fields(tp)})
+        if unknown:
+            raise ConfigError(f"unknown {key or 'config'} keys: {unknown}")
+        prefix = f"{key}." if key else ""
+        changes = {
+            name: _read(hints[name], v, getattr(base, name, None), prefix + name)
+            for name, v in value.items()
+        }
+        try:
+            return tp(**changes) if base is None else replace(base, **changes)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{key or 'config'}: {exc}") from exc
+    if get_origin(tp) is dict:
+        if not isinstance(value, dict):
+            raise _wrong_type(key, "object", value)
+        key_type, value_type = args
+        members = {m.name.lower(): m for m in key_type}
+        unknown = sorted(set(value) - set(members))
+        if unknown:
+            raise ConfigError(f"unknown {key} keys: {unknown}")
+        merged = dict(base or {})
+        for name, v in value.items():
+            merged[members[name]] = _read(value_type, v, None, f"{key}.{name}")
+        return merged
+    if get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise _wrong_type(key, "list", value)
+        types = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(types) != len(value):
+            raise ConfigError(f"{key}: expected {len(types)} items, got {len(value)}")
+        return tuple(
+            _read(t, v, None, f"{key}[{i}]") for i, (t, v) in enumerate(zip(types, value))
+        )
+    if isinstance(tp, UnionType):  # an optional field, `T | None`
+        if value is None:
+            return None
+        (tp,) = (t for t in args if t is not type(None))
+    if tp is float and type(value) in (int, float):
+        return float(value)
+    if type(value) is tp:  # exact, so a bool is not an int
+        return value
+    raise _wrong_type(key, tp.__name__, value)
 
 
-def disease_params_from_dict(data: dict) -> DiseaseParams:
-    _reject_unknown("disease", data, ("beta_base", "age_bands", "stage_durations"))
-    kwargs: dict = {}
-    if "beta_base" in data:
-        kwargs["beta_base"] = float(data["beta_base"])
-    if "age_bands" in data:
-        rows = data["age_bands"]
-        if len(rows) != 10:
-            raise ConfigError("age_bands needs exactly 10 decade rows")
-        kwargs["age_bands"] = tuple(AgeBandRates(*map(float, row)) for row in rows)
-    if "stage_durations" in data:
-        by_name = {c.name.lower(): c for c in TIMED_COMPARTMENTS}
-        _reject_unknown("stage_durations", data["stage_durations"], by_name)
-        durations = dict(DiseaseParams().stage_durations)
-        for name, (mean, sd) in data["stage_durations"].items():
-            durations[by_name[name]] = (float(mean), float(sd))
-        kwargs["stage_durations"] = durations
-    return DiseaseParams(**kwargs)
-
-
-def vaccination_policy_from_dict(
-    data: dict, default_specs: tuple[VaccineSpec, VaccineSpec]
-) -> VaccinationPolicyConfig:
-    _reject_unknown("vaccination", data, ("coverage_cap", "vaccines"))
-    specs = default_specs
-    if "vaccines" in data:
-        rows = data["vaccines"]
-        if len(rows) != 2:
-            raise ConfigError("vaccines needs exactly 2 entries")
-        parsed = []
-        for row in rows:
-            _reject_unknown("vaccine", row, ("effectiveness", "daily_doses"))
-            parsed.append(
-                VaccineSpec(float(row["effectiveness"]), int(row["daily_doses"]))
-            )
-        specs = (parsed[0], parsed[1])
-    cap = float(data.get("coverage_cap", 0.90))
-    return VaccinationPolicyConfig(specs=specs, coverage_cap=cap)
+def _wrong_type(key: str, expected: str, value) -> ConfigError:
+    return ConfigError(f"{key}: expected {expected}, got {type(value).__name__}")
 
 
 def load_config_file(path) -> dict:
@@ -204,7 +209,7 @@ def load_config_file(path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    _reject_unknown("config", data, ("world", "disease", "economy", "vaccination"))
+    from_dict(ExperimentConfig, data, ExperimentConfig())  # fail before any run
     return data
 
 
@@ -223,39 +228,40 @@ def experiment_config(
 
     The experiment table pins the initial infection share and both vaccine
     specs (dose rates scale with population); the scenario picks kappa.
-    A config file may override the world, disease and economy sections and
-    may pin absolute vaccine specs, which are then used unscaled. The built
-    config is validated; any bad value raises ConfigError.
+    A config file is laid over that table config, so any value it gives
+    wins; vaccine specs it gives are used unscaled. `population` and
+    `episode_days`, when given, apply last. The built config is validated;
+    any bad value raises ConfigError.
     """
     if exp_id not in EXPERIMENT_TABLE:
         raise ConfigError(f"experiment id must be 1..4, got {exp_id}")
     if scenario_id not in SCENARIO_KAPPA:
         raise ConfigError(f"scenario id must be 1..3, got {scenario_id}")
-    file_cfg = file_cfg or {}
+    row = EXPERIMENT_TABLE[exp_id]
 
-    try:
-        world = world_config_from_dict(file_cfg.get("world", {}))
-        if population is None:
-            population = world.population_size if "world" in file_cfg else DEFAULT_POPULATION
-        if episode_days is not None:
-            world = replace(world, episode_days=episode_days)
-        world = replace(world, population_size=population)
-
-        row = EXPERIMENT_TABLE[exp_id]
-        default_specs = (
-            VaccineSpec(row["v1"][0], scaled_doses(row["v1"][1], population)),
-            VaccineSpec(row["v2"][0], scaled_doses(row["v2"][1], population)),
-        )
-        config = ExperimentConfig(
-            world=world,
-            disease=disease_params_from_dict(file_cfg.get("disease", {})),
-            economy=economy_config_from_dict(file_cfg.get("economy", {})),
-            vaccination=vaccination_policy_from_dict(
-                file_cfg.get("vaccination", {}), default_specs
+    def table_config(population: int) -> ExperimentConfig:
+        return ExperimentConfig(
+            world=WorldConfig(population_size=population),
+            vaccination=VaccinationPolicyConfig(
+                specs=(
+                    VaccineSpec(row["v1"][0], scaled_doses(row["v1"][1], population)),
+                    VaccineSpec(row["v2"][0], scaled_doses(row["v2"][1], population)),
+                )
             ),
             initial_infection_fraction=row["initial_infection_percent"] / 100.0,
             kappa=SCENARIO_KAPPA[scenario_id],
         )
+
+    file_cfg = file_cfg or {}
+    try:
+        if population is None:
+            default = table_config(DEFAULT_POPULATION)
+            population = from_dict(ExperimentConfig, file_cfg, default).world.population_size
+        config = from_dict(ExperimentConfig, file_cfg, table_config(population))
+        world = replace(config.world, population_size=population)
+        if episode_days is not None:
+            world = replace(world, episode_days=episode_days)
+        config = replace(config, world=world)
         config.validate()
     except ConfigError:
         raise
@@ -298,54 +304,14 @@ def sanity_hyper(seed: int = 0) -> DdpgHyperParams:
     return DdpgHyperParams(seed=seed, actor_lr=7e-3)
 
 
-def config_to_dict(config: ExperimentConfig) -> dict:
-    """Resolved config as plain JSON-serializable data (the sidecar)."""
-    return {
-        "world": {
-            "population_size": config.world.population_size,
-            "household_size": config.world.household_size,
-            "office_capacity": config.world.office_capacity,
-            "school_capacity": config.world.school_capacity,
-            "hospitals": config.world.hospital_count,
-            "essential_worker_fraction": config.world.essential_worker_fraction,
-            "violator_fraction": config.world.violator_fraction,
-            "episode_days": config.world.episode_days,
-            "seed": config.world.seed,
-        },
-        "disease": {
-            "beta_base": config.disease.beta_base,
-            "age_bands": [
-                [b.beta_multiplier, b.symptomatic_prob, b.severe_prob, b.sigma]
-                for b in config.disease.age_bands
-            ],
-            "stage_durations": {
-                c.name.lower(): list(config.disease.stage_durations[c])
-                for c in TIMED_COMPARTMENTS
-            },
-        },
-        "economy": {
-            "savings_mean": config.economy.savings_mean,
-            "savings_sd": config.economy.savings_sd,
-            "income_mean": config.economy.income_mean,
-            "income_sd": config.economy.income_sd,
-            "expense_per_person": config.economy.expense_per_person,
-            "poverty_line": config.economy.poverty_line,
-        },
-        "vaccination": {
-            "coverage_cap": config.vaccination.coverage_cap,
-            "vaccines": [
-                {"effectiveness": s.effectiveness, "daily_doses": s.daily_doses}
-                for s in config.vaccination.specs
-            ],
-        },
-        "initial_infection_fraction": config.initial_infection_fraction,
-        "kappa": config.kappa,
-        "lockdown_affects_economy": config.lockdown_affects_economy,
-    }
-
-
 # ---------------------------------------------------------------------------
-# Trace and plot emission.
+# Sidecar, trace and plot emission.
+
+
+def write_resolved_config(config: ExperimentConfig, out_dir: Path) -> None:
+    """The resolved-config sidecar; it loads back unchanged as `--config`."""
+    with open(out_dir / "resolved_config.json", "w") as fh:
+        json.dump(to_dict(config), fh, indent=2)
 
 
 def write_trace_csv(trace: EpisodeTrace, path) -> None:
@@ -635,8 +601,7 @@ def run_baseline(
     summary = summarize(rows)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "resolved_config.json", "w") as fh:
-            json.dump(config_to_dict(config), fh, indent=2)
+        write_resolved_config(config, out_dir)
         for label, seed, trace in results:
             write_trace_csv(trace, out_dir / f"trace_{label}_seed{seed}.csv")
         write_comparison_csv(rows, out_dir / "comparison.csv")
@@ -704,8 +669,7 @@ def run_experiment(
         out_dir = Path(out_dir)
         traces_dir = out_dir / "traces"
         traces_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "resolved_config.json", "w") as fh:
-            json.dump(config_to_dict(config), fh, indent=2)
+        write_resolved_config(config, out_dir)
         result.log.to_csv(out_dir / "training_log.csv")
         save_mlp(
             result.best_actor,
@@ -881,10 +845,18 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    if args.repeats < 1:
+        raise ConfigError(f"--repeats must be at least 1, got {args.repeats}")
     try:
         actor, _ = load_mlp(args.checkpoint)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load checkpoint: {exc}") from exc
+    widths = (actor.specs[0].fan_in, actor.specs[-1].fan_out)
+    if widths != (OBSERVATION_DIM, ACTION_DIM):
+        raise ConfigError(
+            f"checkpoint maps {widths[0]} inputs to {widths[1]} outputs; "
+            f"an actor maps {OBSERVATION_DIM} to {ACTION_DIM}"
+        )
     config = experiment_config(
         args.experiment, args.scenario, args.population, file_cfg=_load_file_cfg(args)
     )
@@ -895,6 +867,7 @@ def _cmd_evaluate(args) -> int:
     if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
+        write_resolved_config(config, out)
         with open(out / "evaluation.json", "w") as fh:
             json.dump(
                 {

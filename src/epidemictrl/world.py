@@ -48,7 +48,6 @@ class WorldConfig:
     essential_worker_fraction: float = 0.20
     violator_fraction: float = 0.10
     episode_days: int = 100
-    seed: int = 0
 
     def validate(self) -> None:
         if self.population_size < 1:
@@ -210,9 +209,7 @@ class WorldState:
         )
 
 
-def synthesize_population(
-    config: WorldConfig, streams: RngStreams | None = None
-) -> WorldState:
+def synthesize_population(config: WorldConfig, streams: RngStreams) -> WorldState:
     """Build a fresh world: ages, households, workplaces and flags.
 
     Agents are grouped into households in index order (the last house may be
@@ -221,8 +218,6 @@ def synthesize_population(
     home with the clock at tick 0.
     """
     config.validate()
-    if streams is None:
-        streams = RngStreams.from_seed(config.seed)
     rng = streams.population
     n = config.population_size
 

@@ -14,7 +14,7 @@ def make_world(
     with_ledgers: bool = True,
     **config_kwargs,
 ) -> WorldState:
-    config = WorldConfig(population_size=population, seed=seed, **config_kwargs)
+    config = WorldConfig(population_size=population, **config_kwargs)
     streams = RngStreams.from_seed(seed)
     world = synthesize_population(config, streams)
     if with_ledgers:

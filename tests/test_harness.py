@@ -3,11 +3,14 @@ from __future__ import annotations
 import json
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
 
+from epidemictrl.economy import EconomyConfig
 from epidemictrl.env import ExperimentConfig, run_episode
+from epidemictrl.epidemic import AgeBandRates, DEFAULT_AGE_BANDS, DiseaseParams
 from epidemictrl.harness import (
     BaselineId,
     ConfigError,
@@ -15,10 +18,10 @@ from epidemictrl.harness import (
     EXPERIMENT_TABLE,
     SCENARIO_KAPPA,
     baseline_schedule,
-    config_to_dict,
     emit_plot_svg,
     experiment_config,
     format_schedule,
+    from_dict,
     load_config_file,
     main,
     parse_baseline,
@@ -27,9 +30,17 @@ from epidemictrl.harness import (
     run_baseline,
     sanity_config,
     scaled_doses,
+    to_dict,
     write_trace_csv,
 )
-from epidemictrl.interventions import empty_schedule, lockdown_active, window_active
+from epidemictrl.interventions import (
+    VaccinationPolicyConfig,
+    VaccineSpec,
+    empty_schedule,
+    lockdown_active,
+    window_active,
+)
+from epidemictrl.neural import mlp_from_widths, save_mlp
 from epidemictrl.world import WorldConfig
 
 
@@ -198,22 +209,161 @@ def test_format_schedule_style():
     assert format_schedule(empty_schedule()).startswith("lockdown: none")
 
 
-def test_config_file_round_trip(tmp_path):
-    config = experiment_config(2, 3, population=5_000)
+# Every section differs from its defaults; stage_durations is partial.
+FULL_CONFIG = {
+    "world": {
+        "population_size": 300,
+        "household_size": 3,
+        "office_capacity": 20,
+        "school_capacity": 60,
+        "hospitals": 2,
+        "essential_worker_fraction": 0.3,
+        "violator_fraction": 0.05,
+        "episode_days": 12,
+    },
+    "disease": {
+        "beta_base": 0.7,
+        "age_bands": [
+            {**band, "sigma": band["sigma"] * 2} for band in to_dict(DEFAULT_AGE_BANDS)
+        ],
+        "stage_durations": {"exposed": [3.0, 1.0], "hospitalized": [10.0, 3.0]},
+    },
+    "economy": {
+        "savings_mean": 400,
+        "savings_sd": 200,
+        "income_mean": 90,
+        "income_sd": 20,
+        "expense_per_person": 12,
+        "poverty_line": 80,
+    },
+    "vaccination": {
+        "specs": [
+            {"effectiveness": 0.9, "daily_doses": 5},
+            {"effectiveness": 0.5, "daily_doses": 3},
+        ],
+        "coverage_cap": 0.7,
+    },
+    "initial_infection_fraction": 0.2,
+    "kappa": 0.5,
+    "lockdown_affects_economy": False,
+}
+
+
+def _contains(whole, part) -> bool:
+    """Every key of `part` is in `whole` with an equal value, at every depth."""
+    if isinstance(part, dict):
+        return all(k in whole and _contains(whole[k], v) for k, v in part.items())
+    return whole == part
+
+
+def _rerun_from_sidecar(tmp_path, argv) -> tuple:
+    """Run argv with FULL_CONFIG, then again with the first run's sidecar."""
+    tmp_path.mkdir(exist_ok=True)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config_to_dict(config)))
-    # a resolved sidecar must itself load cleanly, minus the derived keys
-    data = json.loads(path.read_text())
-    data.pop("initial_infection_fraction")
-    data.pop("kappa")
-    data.pop("lockdown_affects_economy")
-    path.write_text(json.dumps(data))
-    loaded = load_config_file(path)
-    rebuilt = experiment_config(2, 3, file_cfg=loaded)
-    assert rebuilt.world.population_size == 5_000
-    assert rebuilt.economy.poverty_line == 100.0
-    v1, _ = rebuilt.vaccination.specs
-    assert v1.daily_doses == 22  # from the sidecar, used unscaled
+    path.write_text(json.dumps(FULL_CONFIG))
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main([*argv, "--config", str(path), "--out", str(first)]) == 0
+    sidecar = first / "resolved_config.json"
+    assert main([*argv, "--config", str(sidecar), "--out", str(second)]) == 0
+    resolved = json.loads(sidecar.read_text())
+    assert _contains(resolved, FULL_CONFIG)
+    assert resolved["disease"]["stage_durations"]["asymptomatic"] == [8.0, 2.0]
+    assert (second / "resolved_config.json").read_text() == sidecar.read_text()
+    return first, second
+
+
+def _assert_same_traces(a_dir, b_dir) -> None:
+    names = sorted(p.name for p in a_dir.glob("trace_*.csv"))
+    assert names and names == sorted(p.name for p in b_dir.glob("trace_*.csv"))
+    for name in names:
+        a, b = read_trace_csv(a_dir / name), read_trace_csv(b_dir / name)
+        assert np.array_equal(a.compartments, b.compartments)
+        assert np.array_equal(a.below_poverty, b.below_poverty)
+        assert np.array_equal(a.doses, b.doses)
+
+
+def test_config_file_round_trip(tmp_path):
+    argv = ["simulate", "--baseline", "L30_FullV", "--seeds", "0..1"]
+    first, second = _rerun_from_sidecar(tmp_path, argv)
+    _assert_same_traces(first, second)
+
+
+def test_train_and_evaluate_sidecars_rerun_identically(tmp_path):
+    argv = ["train", "--iterations", "10", "--seeds", "0"]
+    first, second = _rerun_from_sidecar(tmp_path / "train", argv)
+    _assert_same_traces(first / "traces", second / "traces")
+    assert (first / "actor.ckpt").read_bytes() == (second / "actor.ckpt").read_bytes()
+
+    argv = ["evaluate", "--checkpoint", str(first / "actor.ckpt"), "--repeats", "2"]
+    first, second = _rerun_from_sidecar(tmp_path / "evaluate", argv)
+    evaluation = (first / "evaluation.json").read_text()
+    assert evaluation == (second / "evaluation.json").read_text()
+
+
+def test_population_flag_applies_over_config_file():
+    config = experiment_config(2, 3, population=500, file_cfg=FULL_CONFIG)
+    assert config.world.population_size == 500
+    assert config.vaccination.specs[0] == VaccineSpec(0.9, 5)  # unscaled
+    config = experiment_config(2, 3, population=5_000, file_cfg={"world": {}})
+    assert config.vaccination.specs[0].daily_doses == 22  # scaled from 450
+    assert config.kappa == SCENARIO_KAPPA[3]
+
+
+def test_to_dict_emits_every_field_of_every_config_dataclass():
+    config = experiment_config(1, 1)
+    seen = set()
+
+    def check(obj, data):
+        if is_dataclass(obj):
+            seen.add(type(obj))
+            assert list(data) == [f.name for f in fields(obj)]
+            for f in fields(obj):
+                check(getattr(obj, f.name), data[f.name])
+        elif isinstance(obj, tuple):
+            assert len(data) == len(obj)
+            for item, item_data in zip(obj, data):
+                check(item, item_data)
+        elif isinstance(obj, dict):
+            assert list(data) == [k.name.lower() for k in obj]
+
+    check(config, to_dict(config))
+    assert seen == {
+        ExperimentConfig,
+        WorldConfig,
+        DiseaseParams,
+        AgeBandRates,
+        EconomyConfig,
+        VaccinationPolicyConfig,
+        VaccineSpec,
+    }
+    assert from_dict(ExperimentConfig, json.loads(json.dumps(to_dict(config)))) == config
+
+
+def test_from_dict_types_are_strict():
+    assert from_dict(EconomyConfig, {"poverty_line": 90}, EconomyConfig()).poverty_line == 90.0
+    assert from_dict(WorldConfig, {"hospitals": None}, WorldConfig(hospitals=3)).hospitals is None
+    with pytest.raises(ConfigError, match="hospitals: expected int, got str"):
+        from_dict(WorldConfig, {"hospitals": "2"}, WorldConfig())
+    cases = {
+        r"unknown disease.stage_durations keys: \['bogus'\]": {
+            "disease": {"stage_durations": {"bogus": [1.0, 1.0]}}
+        },
+        r"disease.age_bands\[0\]: expected object, got list": {
+            "disease": {"age_bands": [[0.3, 0.5, 0.001, 0.0001]] * 10}
+        },
+        "vaccination.specs: expected 2 items, got 1": {
+            "vaccination": {"specs": [{"effectiveness": 0.5, "daily_doses": 1}]}
+        },
+        r"vaccination.specs\[0\]: effectiveness must lie": {
+            "vaccination": {
+                "specs": [{"effectiveness": 2.0, "daily_doses": 1}] * 2
+            }
+        },
+        "kappa: expected float, got str": {"kappa": "1"},
+    }
+    for message, data in cases.items():
+        with pytest.raises(ConfigError, match=message):
+            from_dict(ExperimentConfig, data, ExperimentConfig())
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -311,19 +461,48 @@ def test_threads_env_fans_out(tmp_path, monkeypatch):
     assert np.array_equal(run.traces[1].compartments, serial.compartments)
 
 
+ACTOR_WIDTHS = (6, 4, 8)
+
+
 @pytest.mark.parametrize(
-    "argv, config, checkpoint",
+    "argv, config, checkpoint, message",
     [
-        (["simulate", "--baseline", "NoL_NoV", "--population", "0"], None, None),
+        (
+            ["simulate", "--baseline", "NoL_NoV", "--population", "0"],
+            None,
+            None,
+            "population_size must be at least 1",
+        ),
         (
             ["simulate", "--baseline", "NoL_NoV"],
             {"world": {"population_size": "10"}},
             None,
+            "world.population_size: expected int, got str",
         ),
-        (["simulate", "--baseline", "NoL_NoV"], {"economy": {"savings_sd": -1}}, None),
-        (["train", "--iterations", "0"], None, None),
-        (["simulate", "--baseline", "NoL_NoV", "--seeds", "x"], None, None),
-        (["evaluate"], None, b""),
+        (
+            ["simulate", "--baseline", "NoL_NoV"],
+            {"economy": {"savings_sd": -1}},
+            None,
+            "savings_sd",
+        ),
+        (["train", "--iterations", "0"], None, None, "invalid training settings"),
+        (["simulate", "--baseline", "NoL_NoV", "--seeds", "x"], None, None, "bad seed list"),
+        (["evaluate"], None, b"", "cannot load checkpoint"),
+        (["evaluate", "--repeats", "0"], None, ACTOR_WIDTHS, "--repeats must be at least 1"),
+        (["evaluate"], None, (5, 4, 8), "checkpoint maps 5 inputs to 8 outputs"),
+        (["evaluate"], None, (6, 4, 3), "checkpoint maps 6 inputs to 3 outputs"),
+        (
+            ["simulate", "--baseline", "NoL_NoV"],
+            {"world": {"household_size": 2.5}},
+            None,
+            "world.household_size: expected int, got float",
+        ),
+        (
+            ["simulate", "--baseline", "NoL_NoV"],
+            {"world": {"episode_days": True}},
+            None,
+            "world.episode_days: expected int, got bool",
+        ),
     ],
     ids=[
         "population-0",
@@ -332,9 +511,14 @@ def test_threads_env_fans_out(tmp_path, monkeypatch):
         "iterations-0",
         "seeds-x",
         "empty-checkpoint",
+        "repeats-0",
+        "checkpoint-input-5",
+        "checkpoint-output-3",
+        "household-size-float",
+        "episode-days-bool",
     ],
 )
-def test_cli_bad_input_is_one_error_line(tmp_path, capsys, argv, config, checkpoint):
+def test_cli_bad_input_is_one_error_line(tmp_path, capsys, argv, config, checkpoint, message):
     argv = [*argv, "--out", str(tmp_path / "out")]
     if config is not None:
         path = tmp_path / "config.json"
@@ -342,9 +526,13 @@ def test_cli_bad_input_is_one_error_line(tmp_path, capsys, argv, config, checkpo
         argv += ["--config", str(path)]
     if checkpoint is not None:
         path = tmp_path / "actor.ckpt"
-        path.write_bytes(checkpoint)
+        if isinstance(checkpoint, bytes):
+            path.write_bytes(checkpoint)
+        else:
+            save_mlp(mlp_from_widths(checkpoint, "relu", "tanh", np.random.default_rng(0)), path)
         argv += ["--checkpoint", str(path)]
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+    assert message in err[0], err
     assert not (tmp_path / "out").exists()

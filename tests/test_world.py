@@ -55,7 +55,7 @@ def test_essential_only_on_employed():
 
 def test_rejects_empty_population():
     with pytest.raises(ValueError):
-        synthesize_population(WorldConfig(population_size=0))
+        synthesize_population(WorldConfig(population_size=0), RngStreams.from_seed(0))
 
 
 def test_capacity_respected_at_synthesis():
