@@ -18,6 +18,12 @@ from .world import WorldState
 
 CENTS = 100
 
+# Plain ints for the per-tick code (see epidemic.py).
+_INFECTED_MILD = int(Compartment.INFECTED_MILD)
+_INFECTED_SEVERE = int(Compartment.INFECTED_SEVERE)
+_HOSPITALIZED = int(Compartment.HOSPITALIZED)
+_DECEASED = int(Compartment.DECEASED)
+
 
 @dataclass
 class EconomyConfig:
@@ -60,6 +66,20 @@ def _require_ledgers(world: WorldState) -> EconomyConfig:
     return world.economy_config
 
 
+def _live_members(world: WorldState) -> np.ndarray:
+    """Living members per house: each house's size less its deceased.
+
+    Houses are filled in id order, so every house holds `household_size`
+    agents but the last, which holds the remainder. Only the deceased are
+    counted, which is far fewer agents than the living.
+    """
+    hs = world.config.household_size
+    members = np.full(world.n_houses, hs, dtype=np.int64)
+    members[-1] = world.population - (world.n_houses - 1) * hs
+    dead = world.house_id[world.compartment == _DECEASED]
+    return members - np.bincount(dead, minlength=world.n_houses)
+
+
 def economy_day_step(world: WorldState, day: int, lockdown_active: bool) -> None:
     """Post one day of income and expenses to every house.
 
@@ -72,21 +92,19 @@ def economy_day_step(world: WorldState, day: int, lockdown_active: bool) -> None
     head_comp = world.compartment[head]
 
     too_sick = (
-        (head_comp == Compartment.INFECTED_MILD)
-        | (head_comp == Compartment.INFECTED_SEVERE)
-        | (head_comp == Compartment.HOSPITALIZED)
-        | (head_comp == Compartment.DECEASED)
+        (head_comp == _INFECTED_MILD)
+        | (head_comp == _INFECTED_SEVERE)
+        | (head_comp == _HOSPITALIZED)
+        | (head_comp == _DECEASED)
     )
     earning = ~too_sick
     if lockdown_active:
         earning &= world.is_essential[head] | world.is_violator[head]
 
-    live_members = np.bincount(
-        world.house_id[world.alive], minlength=world.n_houses
-    )
     expense_cents = int(round(config.expense_per_person * CENTS))
     world.savings_cents += (
-        np.where(earning, world.income_cents, 0) - expense_cents * live_members
+        np.where(earning, world.income_cents, 0)
+        - expense_cents * _live_members(world)
     )
 
 
@@ -95,7 +113,4 @@ def below_poverty_count(world: WorldState) -> int:
     config = _require_ledgers(world)
     line_cents = int(round(config.poverty_line * CENTS))
     poor = world.savings_cents < line_cents
-    live_members = np.bincount(
-        world.house_id[world.alive], minlength=world.n_houses
-    )
-    return int(live_members[poor].sum())
+    return int(_live_members(world)[poor].sum())

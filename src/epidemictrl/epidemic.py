@@ -2,9 +2,12 @@
 
 Agents sit in exactly one compartment. Exposure happens inside shared
 locations through an exponential dose-response on the infectious fraction
-of co-located occupants; stage progression is driven by per-agent countdown
-timers drawn from log-normal stage durations, with age-stratified branch
-probabilities.
+of co-located occupants; stage progression is driven by a per-agent due
+tick drawn from log-normal stage durations, with age-stratified branch
+probabilities. Each tick touches only the agents with work to do:
+progression handles the agents whose due tick has come, and exposure
+evaluates a dose only for susceptibles in a place with an infectious
+occupant.
 
 Branch structure: leaving Exposed an agent turns Asymptomatic with
 probability gamma (else PreSymptomatic); Asymptomatic recovers;
@@ -60,7 +63,8 @@ TIMED_COMPARTMENTS = (
 #: Compartments that keep an agent home during work phases.
 SYMPTOMATIC_COMPARTMENTS = (Compartment.INFECTED_MILD, Compartment.INFECTED_SEVERE)
 
-#: Compartments that shed infection.
+#: Compartments that shed infection: the run from Asymptomatic to
+#: InfectedSevere, which `exposure_step` finds with one range test.
 INFECTIOUS_COMPARTMENTS = (
     Compartment.ASYMPTOMATIC,
     Compartment.PRE_SYMPTOMATIC,
@@ -68,8 +72,20 @@ INFECTIOUS_COMPARTMENTS = (
     Compartment.INFECTED_SEVERE,
 )
 
-INFECTIOUS_LUT = np.zeros(len(Compartment), dtype=bool)
-INFECTIOUS_LUT[list(INFECTIOUS_COMPARTMENTS)] = True
+# Plain ints for the per-tick code: an IntEnum member lookup costs a
+# Python-level attribute access on every use.
+_SUSCEPTIBLE = int(Compartment.SUSCEPTIBLE)
+_EXPOSED = int(Compartment.EXPOSED)
+_ASYMPTOMATIC = int(Compartment.ASYMPTOMATIC)
+_PRE_SYMPTOMATIC = int(Compartment.PRE_SYMPTOMATIC)
+_INFECTED_MILD = int(Compartment.INFECTED_MILD)
+_INFECTED_SEVERE = int(Compartment.INFECTED_SEVERE)
+_HOSPITALIZED = int(Compartment.HOSPITALIZED)
+_RECOVERED = int(Compartment.RECOVERED)
+_DECEASED = int(Compartment.DECEASED)
+
+#: `WorldState.due_tick` of an agent outside the timed compartments.
+NOT_DUE = -1
 
 
 @dataclass(frozen=True)
@@ -231,6 +247,22 @@ def infection_probability(beta_agent, infectious_weight, occupants):
     return float(result) if np.ndim(result) == 0 else result
 
 
+def _expose(
+    world: "WorldState", ids: np.ndarray, params: DiseaseParams, rng: np.random.Generator
+) -> None:
+    """Move `ids` to Exposed with a sampled incubation.
+
+    The exposure tick's own progression step already counts toward the
+    stay, so incubation ends one tick before the sampled dwell. This is the
+    incubation off-by-one of ROADMAP.md item 2, kept as the `- 1` below
+    until its fix re-pins the golden traces.
+    """
+    world.compartment[ids] = _EXPOSED
+    world.due_tick[ids] = (
+        world.tick + sample_duration_ticks(_EXPOSED, rng, size=ids.size, params=params) - 1
+    )
+
+
 def seed_initial_infections(
     world: "WorldState",
     params: DiseaseParams,
@@ -243,11 +275,7 @@ def seed_initial_infections(
     count = int(round(fraction * world.population))
     if count == 0:
         return 0
-    ids = rng.choice(world.population, size=count, replace=False)
-    world.compartment[ids] = Compartment.EXPOSED
-    world.ticks_remaining[ids] = sample_duration_ticks(
-        Compartment.EXPOSED, rng, size=count, params=params
-    )
+    _expose(world, rng.choice(world.population, size=count, replace=False), params, rng)
     return count
 
 
@@ -257,28 +285,33 @@ def exposure_step(
     """Infect susceptible occupants from their location's infectious load.
 
     Occupancy must be current for this tick (apply_movement ran first).
-    Returns the number of new exposures.
+    Every susceptible draws one uniform, in id order. The infection
+    probability is computed only where the location holds an infectious
+    occupant: elsewhere it is 0 and no draw can fall below it. Returns the
+    number of new exposures.
     """
     comp = world.compartment
     loc = world.location_of
 
-    infectious = INFECTIOUS_LUT[comp]
-    if not infectious.any() or params.beta_base == 0.0:
+    sources = np.flatnonzero((comp >= _ASYMPTOMATIC) & (comp <= _INFECTED_SEVERE))
+    if sources.size == 0 or params.beta_base == 0.0:
         return 0
 
     source_weight = np.where(
-        world.vaccinated[infectious], VACCINATED_SOURCE_WEIGHT, 1.0
+        world.vaccinated[sources], VACCINATED_SOURCE_WEIGHT, 1.0
     )
     weight_by_loc = np.bincount(
-        loc[infectious], weights=source_weight, minlength=world.n_locations
+        loc[sources], weights=source_weight, minlength=world.n_locations
     )
+    # The deceased sit at location -1; shifted by one they fall in bin 0.
+    count_by_loc = np.bincount(loc + 1, minlength=world.n_locations + 1)[1:]
 
-    present = loc >= 0
-    count_by_loc = np.bincount(loc[present], minlength=world.n_locations)
-
-    sus_ids = np.flatnonzero(comp == Compartment.SUSCEPTIBLE)
+    sus_ids = np.flatnonzero(comp == _SUSCEPTIBLE)
     if sus_ids.size == 0:
         return 0
+    n_sus = sus_ids.size
+    loaded = np.flatnonzero(weight_by_loc[loc[sus_ids]] > 0)
+    sus_ids = sus_ids[loaded]
     sus_loc = loc[sus_ids]
     beta_agent = (
         params.beta_base
@@ -288,13 +321,10 @@ def exposure_step(
     p = infection_probability(
         beta_agent, weight_by_loc[sus_loc], count_by_loc[sus_loc]
     )
-    newly = sus_ids[rng.random(sus_ids.size) < p]
+    newly = sus_ids[rng.random(n_sus)[loaded] < p]
     if newly.size == 0:
         return 0
-    world.compartment[newly] = Compartment.EXPOSED
-    world.ticks_remaining[newly] = sample_duration_ticks(
-        Compartment.EXPOSED, rng, size=newly.size, params=params
-    )
+    _expose(world, newly, params, rng)
     return int(newly.size)
 
 
@@ -307,66 +337,65 @@ def _effective_asymptomatic_prob(
 def progression_step(
     world: "WorldState", params: DiseaseParams, rng: np.random.Generator
 ) -> None:
-    """Advance stage timers one tick and move agents whose timer expires.
+    """Move every agent whose stage ends this tick on to its next stage.
 
-    Stages are handled from the end of the chain backwards so an agent
-    entering a new stage this tick is never processed twice.
+    Only agents with `due_tick == world.tick` are touched. They are handled
+    from the end of the chain backwards (H, IS, IM, PS, A, E), in ascending
+    id within each stage, so an agent entering a new stage this tick is
+    never processed twice and the random draws keep a fixed order. A stage
+    entered at tick t with a sampled dwell of d ticks is due at t + d.
     """
+    tick = world.tick
+    due_tick = world.due_tick
+    due = np.flatnonzero(due_tick == tick)
+    if due.size == 0:
+        return
     comp = world.compartment
-    ticks = world.ticks_remaining
+    due_comp = comp[due]
+    age = world.age
 
-    timed = (comp >= Compartment.EXPOSED) & (comp <= Compartment.HOSPITALIZED)
-    if not timed.any():
-        return
-    ticks[timed] -= 1
-    due = timed & (ticks == 0)
-    if not due.any():
-        return
-
-    band = world.age // 10
-
-    def _enter(ids: np.ndarray, target: Compartment) -> None:
+    def _enter(ids: np.ndarray, target: int) -> None:
         comp[ids] = target
-        if target in (Compartment.RECOVERED, Compartment.DECEASED):
-            ticks[ids] = 0
+        if target == _RECOVERED or target == _DECEASED:
+            due_tick[ids] = NOT_DUE
         else:
-            ticks[ids] = sample_duration_ticks(
+            due_tick[ids] = tick + sample_duration_ticks(
                 target, rng, size=ids.size, params=params
             )
 
-    ids = np.flatnonzero(due & (comp == Compartment.HOSPITALIZED))
+    ids = due[due_comp == _HOSPITALIZED]
     if ids.size:
-        p_death = params.band_death_given_hospitalized[band[ids]]
+        p_death = params.band_death_given_hospitalized[age[ids] // 10]
         dies = rng.random(ids.size) < p_death
-        _enter(ids[dies], Compartment.DECEASED)
-        _enter(ids[~dies], Compartment.RECOVERED)
+        _enter(ids[dies], _DECEASED)
+        _enter(ids[~dies], _RECOVERED)
 
-    ids = np.flatnonzero(due & (comp == Compartment.INFECTED_SEVERE))
+    ids = due[due_comp == _INFECTED_SEVERE]
     if ids.size:
-        _enter(ids, Compartment.HOSPITALIZED)
+        _enter(ids, _HOSPITALIZED)
 
-    ids = np.flatnonzero(due & (comp == Compartment.INFECTED_MILD))
+    ids = due[due_comp == _INFECTED_MILD]
     if ids.size:
-        worsens = rng.random(ids.size) < params.band_severe_prob[band[ids]]
-        _enter(ids[worsens], Compartment.INFECTED_SEVERE)
-        _enter(ids[~worsens], Compartment.RECOVERED)
+        worsens = rng.random(ids.size) < params.band_severe_prob[age[ids] // 10]
+        _enter(ids[worsens], _INFECTED_SEVERE)
+        _enter(ids[~worsens], _RECOVERED)
 
-    ids = np.flatnonzero(due & (comp == Compartment.PRE_SYMPTOMATIC))
+    ids = due[due_comp == _PRE_SYMPTOMATIC]
     if ids.size:
-        _enter(ids, Compartment.INFECTED_MILD)
+        _enter(ids, _INFECTED_MILD)
 
-    ids = np.flatnonzero(due & (comp == Compartment.ASYMPTOMATIC))
+    ids = due[due_comp == _ASYMPTOMATIC]
     if ids.size:
-        _enter(ids, Compartment.RECOVERED)
+        _enter(ids, _RECOVERED)
 
-    ids = np.flatnonzero(due & (comp == Compartment.EXPOSED))
+    ids = due[due_comp == _EXPOSED]
     if ids.size:
         gamma = _effective_asymptomatic_prob(
-            params.band_asymptomatic_prob[band[ids]], world.vaccinated[ids]
+            params.band_asymptomatic_prob[age[ids] // 10], world.vaccinated[ids]
         )
         silent = rng.random(ids.size) < gamma
-        _enter(ids[silent], Compartment.ASYMPTOMATIC)
-        _enter(ids[~silent], Compartment.PRE_SYMPTOMATIC)
+        _enter(ids[silent], _ASYMPTOMATIC)
+        _enter(ids[~silent], _PRE_SYMPTOMATIC)
 
 
 _DEFAULT_PARAMS: DiseaseParams | None = None

@@ -257,6 +257,11 @@ def experiment_config(
         if population is None:
             default = table_config(DEFAULT_POPULATION)
             population = from_dict(ExperimentConfig, file_cfg, default).world.population_size
+        # checked before the table scales its doses by it
+        if population < 1:
+            raise ConfigError(
+                f"invalid config: world.population_size must be at least 1, got {population}"
+            )
         config = from_dict(ExperimentConfig, file_cfg, table_config(population))
         world = replace(config.world, population_size=population)
         if episode_days is not None:
@@ -466,7 +471,9 @@ def _worker_count(n_jobs: int) -> int:
     try:
         workers = int(raw)
     except ValueError:
-        workers = 1
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"EPIDEMICTRL_THREADS must be a positive integer, got {raw!r}")
     return max(1, min(workers, n_jobs))
 
 
@@ -800,6 +807,7 @@ def _load_file_cfg(args) -> dict | None:
 
 
 def _cmd_simulate(args) -> int:
+    _worker_count(1)  # a bad EPIDEMICTRL_THREADS fails before any episode runs
     baseline = parse_baseline(args.baseline)
     config = experiment_config(
         args.experiment, args.scenario, args.population, file_cfg=_load_file_cfg(args)
@@ -818,6 +826,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    _worker_count(1)  # a bad EPIDEMICTRL_THREADS fails before training starts
     hyper = DdpgHyperParams(seed=args.seed, train_iterations=args.iterations)
     try:
         hyper.validate()

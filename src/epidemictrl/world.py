@@ -19,11 +19,18 @@ from enum import IntEnum
 
 import numpy as np
 
-from .epidemic import Compartment, SYMPTOMATIC_COMPARTMENTS
+from .epidemic import NOT_DUE, Compartment, SYMPTOMATIC_COMPARTMENTS
 from .rng import RngStreams
 
 EMPLOYMENT_AGE = 30  # strictly older than this means employed
 PEOPLE_PER_HOSPITAL = 25_000
+
+# Plain ints for the per-tick code (see epidemic.py).
+_INFECTED_MILD = int(Compartment.INFECTED_MILD)
+_INFECTED_SEVERE = int(Compartment.INFECTED_SEVERE)
+_HOSPITALIZED = int(Compartment.HOSPITALIZED)
+_DECEASED = int(Compartment.DECEASED)
+_N_COMPARTMENTS = len(Compartment)
 
 
 class Role(IntEnum):
@@ -74,7 +81,11 @@ class WorldConfig:
 
 @dataclass(frozen=True)
 class Agent:
-    """Read-only view of one agent's slot."""
+    """Read-only view of one agent's slot.
+
+    `due_tick` is the tick whose progression step ends the agent's current
+    stage, or -1 outside the timed compartments (Exposed to Hospitalized).
+    """
 
     id: int
     age: int
@@ -85,7 +96,7 @@ class Agent:
     is_essential: bool
     is_violator: bool
     compartment: Compartment
-    ticks_remaining: int
+    due_tick: int
     vaccinated: bool
     vaccine_index: int
 
@@ -101,6 +112,14 @@ class House:
 
 @dataclass
 class WorldState:
+    """One world's agents, houses and clock, as flat per-agent arrays.
+
+    `due_tick` (int32) holds, for each agent in a timed compartment, the
+    absolute tick whose progression step moves it on; it is -1 for every
+    other agent. `epidemic.progression_step` touches only the agents whose
+    due tick equals `tick`.
+    """
+
     config: WorldConfig
     streams: RngStreams
     tick: int
@@ -114,7 +133,7 @@ class WorldState:
     is_violator: np.ndarray
 
     compartment: np.ndarray
-    ticks_remaining: np.ndarray
+    due_tick: np.ndarray
     vaccinated: np.ndarray
     vaccine_index: np.ndarray
     vax_susceptibility: np.ndarray
@@ -154,7 +173,7 @@ class WorldState:
 
     @property
     def alive(self) -> np.ndarray:
-        return self.compartment != Compartment.DECEASED
+        return self.compartment != _DECEASED
 
     def location_kind(self, loc: int) -> LocationKind:
         if not 0 <= loc < self.n_locations:
@@ -168,7 +187,7 @@ class WorldState:
         return LocationKind.HOSPITAL
 
     def compartment_counts(self) -> np.ndarray:
-        return np.bincount(self.compartment, minlength=len(Compartment))
+        return np.bincount(self.compartment, minlength=_N_COMPARTMENTS)
 
     def house_members(self, house: int) -> np.ndarray:
         size = self.config.household_size
@@ -189,7 +208,7 @@ class WorldState:
             is_essential=bool(self.is_essential[i]),
             is_violator=bool(self.is_violator[i]),
             compartment=Compartment(int(self.compartment[i])),
-            ticks_remaining=int(self.ticks_remaining[i]),
+            due_tick=int(self.due_tick[i]),
             vaccinated=bool(self.vaccinated[i]),
             vaccine_index=int(self.vaccine_index[i]),
         )
@@ -264,7 +283,7 @@ def synthesize_population(config: WorldConfig, streams: RngStreams) -> WorldStat
         is_essential=is_essential,
         is_violator=is_violator,
         compartment=np.full(n, Compartment.SUSCEPTIBLE, dtype=np.int8),
-        ticks_remaining=np.zeros(n, dtype=np.int32),
+        due_tick=np.full(n, NOT_DUE, dtype=np.int32),
         vaccinated=np.zeros(n, dtype=bool),
         vaccine_index=np.zeros(n, dtype=np.int8),
         vax_susceptibility=np.ones(n, dtype=np.float64),
@@ -301,19 +320,18 @@ def scheduled_locations(
 ) -> np.ndarray:
     """Vectorized movement: location index per agent, -1 for the deceased."""
     comp = world.compartment
-    loc = world.house_id.astype(np.int32, copy=True)  # house location == house id
+    home = world.house_id  # house location == house id
 
     if tick % 2 == 1:  # work/school phase
-        commutes = (comp != Compartment.INFECTED_MILD) & (
-            comp != Compartment.INFECTED_SEVERE
-        )
+        commutes = (comp != _INFECTED_MILD) & (comp != _INFECTED_SEVERE)
         if lockdown_active:
             commutes &= world.is_essential | world.is_violator
-        loc[commutes] = world.workplace_loc[commutes]
+        loc = np.where(commutes, world.workplace_loc, home).astype(np.int32, copy=False)
+    else:
+        loc = home.astype(np.int32, copy=True)
 
-    hospitalized = comp == Compartment.HOSPITALIZED
-    loc[hospitalized] = world.hospital_loc[hospitalized]
-    loc[comp == Compartment.DECEASED] = -1
+    np.copyto(loc, world.hospital_loc, where=comp == _HOSPITALIZED)
+    loc[comp == _DECEASED] = -1
     return loc
 
 

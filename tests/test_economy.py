@@ -162,6 +162,28 @@ def test_accounting_identity_exact(seed, days):
     assert np.array_equal(world.savings_cents, start + earned - spent)
 
 
+@given(
+    population=st.integers(min_value=1, max_value=60),
+    household_size=st.integers(min_value=1, max_value=7),
+    seed=st.integers(min_value=0, max_value=10_000),
+    death_share=st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_live_members_match_a_count_of_the_living(population, household_size, seed, death_share):
+    # a ragged last house and deaths anywhere, the head included
+    world = make_world(population=population, household_size=household_size, seed=seed)
+    dead = np.random.default_rng(seed).random(population) < death_share
+    world.compartment[dead] = Compartment.DECEASED
+    live = np.bincount(world.house_id[world.alive], minlength=world.n_houses)
+    line_cents = round(world.economy_config.poverty_line * 100)
+    assert below_poverty_count(world) == live[world.savings_cents < line_cents].sum()
+
+    head_alive = world.alive[world.house_head]
+    expected = world.savings_cents + np.where(head_alive, world.income_cents, 0) - 1000 * live
+    economy_day_step(world, day=0, lockdown_active=False)
+    assert np.array_equal(world.savings_cents, expected)
+
+
 def test_requires_initialized_ledgers():
     world = make_world(population=4, with_ledgers=False)
     with pytest.raises(RuntimeError):

@@ -166,7 +166,7 @@ def test_two_agent_household_exposure_matches_closed_form():
     world.age[:] = 25  # beta multiplier 1.0
     for _ in range(runs):
         world.compartment[:] = (Compartment.ASYMPTOMATIC, Compartment.SUSCEPTIBLE)
-        world.ticks_remaining[:] = (10_000, 0)
+        world.due_tick[:] = (10_000, -1)
         world.tick = 0
         hit = False
         for tick in range(200):
@@ -184,7 +184,7 @@ def test_progression_symptomatic_branch_probability():
     world = make_world(population=200_000, household_size=1, with_ledgers=False)
     world.age[:] = 25
     world.compartment[:] = Compartment.EXPOSED
-    world.ticks_remaining[:] = 1
+    world.due_tick[:] = world.tick
     progression_step(world, DiseaseParams(), rng(7))
     pre = (world.compartment == Compartment.PRE_SYMPTOMATIC).mean()
     assert pre == pytest.approx(0.6, abs=0.005)
@@ -196,7 +196,7 @@ def test_progression_vaccinated_gamma_boost():
     world.age[:] = 25
     world.vaccinated[:] = True
     world.compartment[:] = Compartment.EXPOSED
-    world.ticks_remaining[:] = 1
+    world.due_tick[:] = world.tick
     progression_step(world, DiseaseParams(), rng(8))
     pre = (world.compartment == Compartment.PRE_SYMPTOMATIC).mean()
     assert pre == pytest.approx(0.28, abs=0.005)
@@ -212,7 +212,7 @@ def test_death_probability_ratio_and_unconditional_sigma():
     world = make_world(population=n, household_size=1, with_ledgers=False)
     world.age[:] = 85
     world.compartment[:] = Compartment.INFECTED_MILD
-    world.ticks_remaining[:] = 1
+    world.due_tick[:] = world.tick
     params = DiseaseParams()
     g = rng(9)
     for _ in range(200):  # enough ticks for every case to resolve
@@ -222,6 +222,7 @@ def test_death_probability_ratio_and_unconditional_sigma():
         ).any():
             break
         progression_step(world, params, g)
+        world.tick += 1
     dead = (world.compartment == Compartment.DECEASED).mean()
     assert dead == pytest.approx(band.sigma, rel=0.02)
 
@@ -229,7 +230,7 @@ def test_death_probability_ratio_and_unconditional_sigma():
 def test_severe_always_hospitalized_then_resolves():
     world = make_world(population=1000, household_size=1, with_ledgers=False)
     world.compartment[:] = Compartment.INFECTED_SEVERE
-    world.ticks_remaining[:] = 1
+    world.due_tick[:] = world.tick
     progression_step(world, DiseaseParams(), rng(10))
     assert (world.compartment == Compartment.HOSPITALIZED).all()
 
@@ -253,6 +254,7 @@ def test_conservation_under_progression():
     for _ in range(300):
         progression_step(world, params, g)
         assert world.compartment_counts().sum() == world.population
+        world.tick += 1
 
 
 def test_all_compartments_reachable_on_tiny_world():

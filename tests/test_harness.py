@@ -503,6 +503,12 @@ ACTOR_WIDTHS = (6, 4, 8)
             None,
             "world.episode_days: expected int, got bool",
         ),
+        (
+            ["simulate", "--baseline", "NoL_NoV", "--population", "-1000"],
+            None,
+            None,
+            "world.population_size must be at least 1, got -1000",
+        ),
     ],
     ids=[
         "population-0",
@@ -516,6 +522,7 @@ ACTOR_WIDTHS = (6, 4, 8)
         "checkpoint-output-3",
         "household-size-float",
         "episode-days-bool",
+        "population-negative",
     ],
 )
 def test_cli_bad_input_is_one_error_line(tmp_path, capsys, argv, config, checkpoint, message):
@@ -535,4 +542,18 @@ def test_cli_bad_input_is_one_error_line(tmp_path, capsys, argv, config, checkpo
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert message in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5", ""])
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--baseline", "NoL_NoV"], ["train", "--iterations", "1"]],
+    ids=["simulate", "train"],
+)
+def test_bad_threads_env_is_one_error_line(tmp_path, capsys, monkeypatch, argv, threads):
+    monkeypatch.setenv("EPIDEMICTRL_THREADS", threads)
+    assert main([*argv, "--population", "100", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: EPIDEMICTRL_THREADS"), err
     assert not (tmp_path / "out").exists()
