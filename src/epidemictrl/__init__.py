@@ -1,6 +1,6 @@
 """Agent-based epidemic simulator with a DDPG schedule optimizer."""
 
-from .ddpg import DdpgHyperParams, ReplayBuffer, evaluate, train
+from .ddpg import DdpgHyperParams, evaluate, train
 from .economy import EconomyConfig, below_poverty_count, economy_day_step
 from .env import (
     EpidemicTask,
@@ -33,7 +33,6 @@ __all__ = [
     "EpisodeTrace",
     "ExperimentConfig",
     "InterventionSchedule",
-    "ReplayBuffer",
     "RngStreams",
     "VaccinationPolicyConfig",
     "VaccineSpec",

@@ -1,11 +1,12 @@
 """Deep deterministic policy gradient learner.
 
-Actor and critic are small dense nets trained from a uniform replay
-buffer. An episode here is a single terminal step (the whole schedule is
-one action), so there is no bootstrapped target: the critic regresses
-Q(s, a) on the observed reward, and the actor ascends the critic's value
-of its own action. Exploration adds Gaussian noise to the raw action
-before clamping to [-1, 1].
+Actor and critic are small dense nets trained on minibatches drawn
+uniformly from the run's own history of actions and rewards. An episode
+here is a single terminal step (the whole schedule is one action), so
+there is no bootstrapped target: the critic regresses Q(s, a) on the
+observed reward, and the actor ascends the critic's value of its own
+action. Exploration adds Gaussian noise to the raw action before
+clamping to [-1, 1].
 
 A task only needs three things: an `observation()` vector (constant per
 experiment), an `action_dim`, and `rollout(action, seed) -> reward`.
@@ -43,7 +44,6 @@ class DdpgHyperParams:
     # too rough for reliable action gradients.
     critic_updates_per_step: int = 5
     hidden: tuple[int, int] = (64, 64)
-    replay_capacity: int = 10_000
 
     def validate(self) -> None:
         if self.batch_size < 1:
@@ -54,45 +54,12 @@ class DdpgHyperParams:
             raise ValueError("expl_noise must be nonnegative")
         if self.eval_every < 1 or self.eval_repeats < 1:
             raise ValueError("evaluation cadence and repeats must be positive")
+        if self.eval_every > self.train_iterations:
+            raise ValueError("eval_every cannot exceed train_iterations")
         if self.replicates_per_action < 1:
             raise ValueError("replicates_per_action must be at least 1")
         if self.critic_updates_per_step < 1:
             raise ValueError("critic_updates_per_step must be at least 1")
-        if self.replay_capacity < self.batch_size:
-            raise ValueError("replay capacity smaller than one batch")
-
-
-class ReplayBuffer:
-    """Fixed-capacity ring buffer with uniform sampling."""
-
-    def __init__(self, capacity: int, obs_dim: int, action_dim: int):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self.observations = np.zeros((capacity, obs_dim))
-        self.actions = np.zeros((capacity, action_dim))
-        self.rewards = np.zeros(capacity)
-        self.size = 0
-        self._next = 0
-
-    def __len__(self) -> int:
-        return self.size
-
-    def add(self, observation: np.ndarray, action: np.ndarray, reward: float) -> None:
-        i = self._next
-        self.observations[i] = observation
-        self.actions[i] = action
-        self.rewards[i] = reward
-        self._next = (i + 1) % self.capacity
-        self.size = min(self.size + 1, self.capacity)
-
-    def sample(self, batch_size: int, rng: np.random.Generator):
-        if self.size < batch_size:
-            raise ValueError(
-                f"buffer holds {self.size} transitions, need {batch_size}"
-            )
-        idx = rng.integers(0, self.size, size=batch_size)
-        return self.observations[idx], self.actions[idx], self.rewards[idx]
 
 
 def select_action(
@@ -256,7 +223,7 @@ class TrainResult:
     agent: ActorCritic
     log: TrainLog
     best_actor: Mlp
-    best_eval_mean: float
+    best_eval: EvalResult  # the evaluation that chose best_actor
 
 
 def evaluate(actor: Mlp, task, repeats: int) -> EvalResult:
@@ -282,10 +249,12 @@ def train(task, hyper: DdpgHyperParams | None = None) -> TrainResult:
 
     The first `burn_in` iterations act uniformly at random; afterwards the
     actor acts with exploration noise. Every iteration scores its action as
-    the mean of `replicates_per_action` fresh episodes, stores one
-    transition, and runs one gradient step once the buffer can fill a
-    batch. Every `eval_every` iterations the noiseless policy is evaluated
-    and the best-scoring snapshot is kept.
+    the mean of `replicates_per_action` fresh episodes and, once the run
+    has `batch_size` of them, takes learner steps on minibatches drawn
+    uniformly from all of the run's (action, reward) pairs so far. The
+    observation is constant, so it is not stored per pair. Every
+    `eval_every` iterations the noiseless policy is evaluated and the
+    best-scoring snapshot is kept with its evaluation.
     """
     if hyper is None:
         hyper = DdpgHyperParams()
@@ -300,12 +269,16 @@ def train(task, hyper: DdpgHyperParams | None = None) -> TrainResult:
     obs = task.observation()
     action_dim = task.action_dim
     agent = ActorCritic.initialize(obs.size, action_dim, hyper, init_rng)
-    buffer = ReplayBuffer(hyper.replay_capacity, obs.size, action_dim)
+    actions = np.zeros((hyper.train_iterations, action_dim))
+    rewards = np.zeros(hyper.train_iterations)
+    obs_batch = np.tile(obs, (hyper.batch_size, 1))
     log = TrainLog()
     seed_base = getattr(task, "seed_base", 0)
+    best_actor = best_eval = None
 
-    best_actor = agent.actor.copy()
-    best_eval_mean = -math.inf
+    def sample(iteration: int):
+        idx = sample_rng.integers(0, iteration, size=hyper.batch_size)
+        return obs_batch, actions[idx], rewards[idx]
 
     for iteration in range(1, hyper.train_iterations + 1):
         if iteration <= hyper.burn_in:
@@ -322,29 +295,23 @@ def train(task, hyper: DdpgHyperParams | None = None) -> TrainResult:
                 ]
             )
         )
-        buffer.add(obs, action, reward)
+        actions[iteration - 1] = action
+        rewards[iteration - 1] = reward
 
         critic_loss = actor_objective = math.nan
-        if len(buffer) >= hyper.batch_size:
+        if iteration >= hyper.batch_size:
             for _ in range(hyper.critic_updates_per_step - 1):
-                agent.critic_step(buffer.sample(hyper.batch_size, sample_rng))
-            critic_loss, actor_objective = agent.train_step(
-                buffer.sample(hyper.batch_size, sample_rng)
-            )
+                agent.critic_step(sample(iteration))
+            critic_loss, actor_objective = agent.train_step(sample(iteration))
 
         eval_mean = eval_sd = math.nan
         if iteration % hyper.eval_every == 0:
             result = evaluate(agent.actor, task, hyper.eval_repeats)
             eval_mean, eval_sd = result.mean, result.sd
-            if eval_mean > best_eval_mean:
-                best_eval_mean = eval_mean
+            if best_eval is None or eval_mean > best_eval.mean:
+                best_eval = result
                 best_actor = agent.actor.copy()
 
         log.append(iteration, reward, critic_loss, actor_objective, eval_mean, eval_sd)
 
-    return TrainResult(
-        agent=agent,
-        log=log,
-        best_actor=best_actor,
-        best_eval_mean=best_eval_mean,
-    )
+    return TrainResult(agent=agent, log=log, best_actor=best_actor, best_eval=best_eval)

@@ -505,48 +505,34 @@ def trace_metrics(trace: EpisodeTrace, kappa: float) -> dict[str, float]:
     }
 
 
-METRIC_COLUMNS = (
-    "cumulative_infections",
-    "peak_infected_mild_hosp",
-    "total_deceased",
-    "peak_below_poverty",
-    "mean_below_poverty",
-    "health_reward",
-    "economy_reward",
-    "total_reward",
-)
-
-
 def write_comparison_csv(rows: list[dict], path) -> None:
+    """One row per episode: policy, seed, then its `trace_metrics`."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["policy", "seed", *METRIC_COLUMNS])
-        for row in rows:
-            writer.writerow(
-                [row["policy"], row["seed"], *(row[c] for c in METRIC_COLUMNS)]
-            )
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def summarize(rows: list[dict]) -> dict[str, dict[str, float]]:
-    """Mean metrics per policy label, preserving first-seen order."""
+    """Seed count and mean metrics per policy label, in first-seen order."""
     summary: dict[str, dict[str, float]] = {}
     for label in dict.fromkeys(row["policy"] for row in rows):
         group = [row for row in rows if row["policy"] == label]
-        summary[label] = {
-            c: float(np.mean([row[c] for row in group])) for c in METRIC_COLUMNS
+        means = {
+            c: float(np.mean([row[c] for row in group]))
+            for c in group[0]
+            if c not in ("policy", "seed")
         }
-        summary[label]["n_seeds"] = len(group)
+        summary[label] = {"n_seeds": len(group), **means}
     return summary
 
 
 def write_summary_csv(summary: dict[str, dict[str, float]], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["policy", "n_seeds", *METRIC_COLUMNS])
+        writer.writerow(["policy", *next(iter(summary.values()))])
         for label, metrics in summary.items():
-            writer.writerow(
-                [label, int(metrics["n_seeds"]), *(metrics[c] for c in METRIC_COLUMNS)]
-            )
+            writer.writerow([label, *metrics.values()])
 
 
 def _mean_series(traces: list[EpisodeTrace], extract) -> np.ndarray:
@@ -582,45 +568,44 @@ def write_series_plots(
 
 
 @dataclass
-class BaselineRun:
-    baseline: BaselineId
-    schedule: InterventionSchedule
-    traces: dict[int, EpisodeTrace]
+class Comparison:
+    results: list[tuple[str, int, EpisodeTrace]]  # (label, seed, trace)
     rows: list[dict]
     summary: dict[str, dict[str, float]]
 
 
-def run_baseline(
-    baseline: BaselineId,
+def compare(
     config: ExperimentConfig,
+    schedules: dict[str, InterventionSchedule],
     seeds: list[int],
     out_dir: Path | None = None,
-) -> BaselineRun:
-    """Run one fixed baseline schedule over the seed list."""
-    if not seeds:
-        raise ValueError("seeds must not be empty")
-    schedule = baseline_schedule(baseline, config.world.episode_days)
-    results = run_traces(config, [(baseline.value, schedule, s) for s in seeds])
+) -> Comparison:
+    """Run every labelled schedule on every seed and score the runs.
+
+    With `out_dir`, also write the resolved-config sidecar, one trace CSV
+    per run under `traces/`, `comparison.csv`, `summary.csv` and the SVG
+    triplet.
+    """
+    if not schedules or not seeds:
+        raise ValueError("compare needs at least one schedule and one seed")
+    jobs = [(label, sched, s) for label, sched in schedules.items() for s in seeds]
+    results = run_traces(config, jobs)
     rows = [
         {"policy": label, "seed": seed, **trace_metrics(trace, config.kappa)}
         for label, seed, trace in results
     ]
     summary = summarize(rows)
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = Path(out_dir)
+        traces_dir = out_dir / "traces"
+        traces_dir.mkdir(parents=True, exist_ok=True)
         write_resolved_config(config, out_dir)
         for label, seed, trace in results:
-            write_trace_csv(trace, out_dir / f"trace_{label}_seed{seed}.csv")
+            write_trace_csv(trace, traces_dir / f"trace_{label}_seed{seed}.csv")
         write_comparison_csv(rows, out_dir / "comparison.csv")
         write_summary_csv(summary, out_dir / "summary.csv")
         write_series_plots(results, out_dir)
-    return BaselineRun(
-        baseline=baseline,
-        schedule=schedule,
-        traces={seed: trace for _, seed, trace in results},
-        rows=rows,
-        summary=summary,
-    )
+    return Comparison(results, rows, summary)
 
 
 @dataclass
@@ -654,29 +639,15 @@ def run_experiment(
     if config is None:
         config = experiment_config(exp_id, scenario_id, population, file_cfg=file_cfg)
 
-    task = EpidemicTask(config, seed_base=hyper.seed)
-    result = train(task, hyper)
-    final = evaluate(result.best_actor, task, hyper.eval_repeats)
-    schedule = final.schedule
-
-    jobs: list[tuple[str, InterventionSchedule, int]] = [
-        ("optimized", schedule, s) for s in comparison_seeds
-    ]
+    result = train(EpidemicTask(config, seed_base=hyper.seed), hyper)
+    final = result.best_eval
+    schedules = {"optimized": final.schedule}
     for baseline in BaselineId:
-        base_sched = baseline_schedule(baseline, config.world.episode_days)
-        jobs.extend((baseline.value, base_sched, s) for s in comparison_seeds)
-    results = run_traces(config, jobs)
-    rows = [
-        {"policy": label, "seed": seed, **trace_metrics(trace, config.kappa)}
-        for label, seed, trace in results
-    ]
-    summary = summarize(rows)
+        schedules[baseline.value] = baseline_schedule(baseline, config.world.episode_days)
+    run = compare(config, schedules, comparison_seeds, out_dir)
 
     if out_dir is not None:
         out_dir = Path(out_dir)
-        traces_dir = out_dir / "traces"
-        traces_dir.mkdir(parents=True, exist_ok=True)
-        write_resolved_config(config, out_dir)
         result.log.to_csv(out_dir / "training_log.csv")
         save_mlp(
             result.best_actor,
@@ -684,20 +655,15 @@ def run_experiment(
             seed=hyper.seed,
             step=hyper.train_iterations,
         )
-        for label, seed, trace in results:
-            write_trace_csv(trace, traces_dir / f"trace_{label}_seed{seed}.csv")
-        write_comparison_csv(rows, out_dir / "comparison.csv")
-        write_summary_csv(summary, out_dir / "summary.csv")
-        write_series_plots(results, out_dir)
 
     return ExperimentReport(
         config=config,
-        schedule=schedule,
+        schedule=final.schedule,
         eval_mean=final.mean,
         eval_sd=final.sd,
         log=result.log,
-        summary=summary,
-        rows=rows,
+        summary=run.summary,
+        rows=run.rows,
         actor=result.best_actor,
     )
 
@@ -812,9 +778,9 @@ def _cmd_simulate(args) -> int:
     config = experiment_config(
         args.experiment, args.scenario, args.population, file_cfg=_load_file_cfg(args)
     )
-    seeds = parse_seeds(args.seeds)
-    run = run_baseline(baseline, config, seeds, out_dir=Path(args.out))
-    print(f"baseline {baseline.value}: {format_schedule(run.schedule)}")
+    schedule = baseline_schedule(baseline, config.world.episode_days)
+    run = compare(config, {baseline.value: schedule}, parse_seeds(args.seeds), Path(args.out))
+    print(f"baseline {baseline.value}: {format_schedule(schedule)}")
     for label, metrics in run.summary.items():
         print(
             f"  {label}: total_reward={metrics['total_reward']:.1f} "

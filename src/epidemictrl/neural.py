@@ -116,15 +116,7 @@ class Mlp:
         raise ValueError(f"expected a vector or a batch, got ndim={x.ndim}")
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        batch, squeeze = self._as_batch(x)
-        if batch.shape[1] != self.input_dim:
-            raise ValueError(
-                f"input width {batch.shape[1]} != expected {self.input_dim}"
-            )
-        a = batch
-        for spec, w, b in zip(self.specs, self.weights, self.biases):
-            a = _activate(a @ w + b, spec.activation)
-        return a[0] if squeeze else a
+        return self.forward_cached(x)[0]
 
     def forward_cached(self, x: np.ndarray):
         """Forward pass keeping per-layer inputs and pre-activations."""
@@ -144,18 +136,18 @@ class Mlp:
     def backward(self, cache, grad_output: np.ndarray):
         """Exact gradients of sum(grad_output * output) w.r.t. params and input.
 
-        Returns ([(dW, db) per layer], grad_input); batch gradients sum over
-        the batch, so the caller owns any 1/B scaling.
+        Returns (gradients in `parameters()` order, grad_input); batch
+        gradients sum over the batch, so the caller owns any 1/B scaling.
         """
         layer_cache, squeeze = cache
         g = np.asarray(grad_output, dtype=np.float64)
         if squeeze:
             g = g[None, :]
-        grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(self.specs)
+        grads: list[np.ndarray] = [None] * (2 * len(self.specs))
         for i in range(len(self.specs) - 1, -1, -1):
             a_in, z = layer_cache[i]
             dz = g * _activate_grad(z, self.specs[i].activation)
-            grads[i] = (a_in.T @ dz, dz.sum(axis=0))
+            grads[2 * i], grads[2 * i + 1] = a_in.T @ dz, dz.sum(axis=0)
             g = dz @ self.weights[i].T
         return grads, (g[0] if squeeze else g)
 
@@ -172,18 +164,15 @@ class Adam:
         self.v = [np.zeros_like(p) for p in net.parameters()]
 
     def update(self, net: Mlp, grads, lr: float) -> None:
-        """One Adam step in place; `grads` matches Mlp.backward's layout."""
-        flat_grads = []
-        for dw, db in grads:
-            flat_grads.extend((dw, db))
+        """One Adam step in place; `grads` is in `net.parameters()` order."""
         params = net.parameters()
-        if len(flat_grads) != len(params):
+        if len(grads) != len(params):
             raise ValueError("gradient layout does not match parameters")
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        for p, g, m, v in zip(params, flat_grads, self.m, self.v):
+        for p, g, m, v in zip(params, grads, self.m, self.v):
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
@@ -202,12 +191,9 @@ def finite_diff_check(net: Mlp, x: np.ndarray, eps: float = 1e-5) -> float:
     _, cache = net.forward_cached(x)
     ones = np.ones(net.output_dim if np.ndim(x) == 1 else (len(x), net.output_dim))
     grads, _ = net.backward(cache, ones)
-    analytic = []
-    for dw, db in grads:
-        analytic.extend((dw, db))
 
     worst = 0.0
-    for p, g in zip(net.parameters(), analytic):
+    for p, g in zip(net.parameters(), grads):
         flat = p.reshape(-1)
         gflat = g.reshape(-1)
         for idx in range(flat.size):

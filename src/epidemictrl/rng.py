@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-STREAM_NAMES = ("population", "disease", "economy", "vaccination", "policy")
+STREAM_NAMES = ("population", "disease", "economy", "vaccination")
 
 
 @dataclass
@@ -21,7 +21,6 @@ class RngStreams:
     disease: np.random.Generator
     economy: np.random.Generator
     vaccination: np.random.Generator
-    policy: np.random.Generator
 
     @classmethod
     def from_seed(cls, seed: int) -> "RngStreams":

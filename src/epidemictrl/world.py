@@ -1,8 +1,8 @@
 """Population synthesis, geography and per-tick movement.
 
 State is kept in flat numpy arrays (one slot per agent) so that a
-100,000-agent world steps in milliseconds; `agent()` and `house()` build
-read-only views for inspection and tests.
+100,000-agent world steps in milliseconds; `agent()` builds a read-only
+view of one agent for inspection and tests.
 
 A day is two 12-hour ticks: even ticks are the home phase, odd ticks the
 work/school phase. Agents over 30 are employed and commute to offices,
@@ -101,15 +101,6 @@ class Agent:
     vaccine_index: int
 
 
-@dataclass(frozen=True)
-class House:
-    id: int
-    member_ids: tuple[int, ...]
-    head_id: int
-    savings: float | None
-    daily_income: float | None
-
-
 @dataclass
 class WorldState:
     """One world's agents, houses and clock, as flat per-agent arrays.
@@ -121,7 +112,6 @@ class WorldState:
     """
 
     config: WorldConfig
-    streams: RngStreams
     tick: int
 
     age: np.ndarray
@@ -194,9 +184,6 @@ class WorldState:
         start = house * size
         return np.arange(start, min(start + size, self.population))
 
-    def occupants_of(self, loc: int) -> np.ndarray:
-        return np.flatnonzero(self.location_of == loc)
-
     def agent(self, i: int) -> Agent:
         return Agent(
             id=i,
@@ -211,20 +198,6 @@ class WorldState:
             due_tick=int(self.due_tick[i]),
             vaccinated=bool(self.vaccinated[i]),
             vaccine_index=int(self.vaccine_index[i]),
-        )
-
-    def house(self, h: int) -> House:
-        members = tuple(int(i) for i in self.house_members(h))
-        savings = income = None
-        if self.savings_cents is not None:
-            savings = self.savings_cents[h] / 100.0
-            income = self.income_cents[h] / 100.0
-        return House(
-            id=h,
-            member_ids=members,
-            head_id=int(self.house_head[h]),
-            savings=savings,
-            daily_income=income,
         )
 
 
@@ -273,7 +246,6 @@ def synthesize_population(config: WorldConfig, streams: RngStreams) -> WorldStat
 
     return WorldState(
         config=config,
-        streams=streams,
         tick=0,
         age=age,
         employed=employed,

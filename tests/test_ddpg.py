@@ -4,12 +4,10 @@ import math
 
 import numpy as np
 import pytest
-import scipy.stats
 
 from epidemictrl.ddpg import (
     ActorCritic,
     DdpgHyperParams,
-    ReplayBuffer,
     evaluate,
     select_action,
     train,
@@ -39,7 +37,7 @@ def test_hyper_validation():
     with pytest.raises(ValueError):
         _hyper(burn_in=200).validate()
     with pytest.raises(ValueError):
-        _hyper(replay_capacity=8).validate()
+        _hyper(train_iterations=9, burn_in=5).validate()  # eval_every 10
 
 
 def test_select_action_no_noise_is_actor_output():
@@ -69,60 +67,16 @@ def test_select_action_clamped():
         assert (a <= 1.0).all() and (a >= -1.0).all()
 
 
-def test_replay_buffer_rejects_underfull_sampling():
-    buf = ReplayBuffer(100, 6, 8)
-    buf.add(np.zeros(6), np.zeros(8), 0.0)
-    with pytest.raises(ValueError):
-        buf.sample(2, rng(13))
-
-
-def test_replay_returns_only_stored_transitions():
-    buf = ReplayBuffer(50, 2, 1)
-    stored = set()
-    for k in range(40):
-        buf.add(np.array([k, k]), np.array([k]), float(k))
-        stored.add(k)
-    g = rng(14)
-    for _ in range(200):
-        obs, act, rew = buf.sample(8, g)
-        for o, a, r in zip(obs, act, rew):
-            assert int(r) in stored
-            assert o[0] == r and a[0] == r
-
-
-def test_replay_ring_overwrites_oldest():
-    buf = ReplayBuffer(4, 1, 1)
-    for k in range(6):
-        buf.add(np.array([k]), np.array([k]), float(k))
-    assert len(buf) == 4
-    assert set(buf.rewards.astype(int)) == {2, 3, 4, 5}
-
-
-def test_replay_uniformity_chi_square():
-    buf = ReplayBuffer(64, 1, 1)
-    for k in range(64):
-        buf.add(np.array([k]), np.array([k]), float(k))
-    g = rng(15)
-    counts = np.zeros(64)
-    for _ in range(2000):
-        _, _, rewards = buf.sample(16, g)
-        for r in rewards:
-            counts[int(r)] += 1
-    _, p = scipy.stats.chisquare(counts)
-    assert p > 0.05
-
-
 def test_train_step_target_is_reward_when_done():
     # every episode is terminal, so the critic regresses Q(s, a) on r itself:
     # both steps report mean((Q(s, a) - r)^2) of the critic before the step
     g = rng(16)
     agent = ActorCritic.initialize(6, 8, _hyper(), g)
-    buf = ReplayBuffer(100, 6, 8)
-    for _ in range(40):
-        buf.add(g.normal(size=6), g.uniform(-1, 1, 8), float(g.normal()))
+    stored = (g.normal(size=(40, 6)), g.uniform(-1, 1, (40, 8)), g.normal(size=40))
     sample_rng = rng(17)
     for step in (agent.critic_step, lambda b: agent.train_step(b)[0]):
-        batch = buf.sample(32, sample_rng)
+        idx = sample_rng.integers(0, 40, size=32)
+        batch = tuple(column[idx] for column in stored)
         obs, actions, rewards = batch
         want = np.mean((agent.critic_value(obs, actions)[:, 0] - rewards) ** 2)
         assert step(batch) == pytest.approx(want, rel=1e-12)
@@ -134,15 +88,13 @@ def test_critic_regresses_to_constant_reward():
     hyper = _hyper()
     agent = ActorCritic.initialize(6, 8, hyper, g)
     obs = np.full(6, 0.5)
-    buf = ReplayBuffer(200, 6, 8)
-    for _ in range(100):
-        buf.add(obs, g.uniform(-1, 1, 8), -5.0)
+    actions = g.uniform(-1, 1, (100, 8))
+    obs_batch, rewards = np.tile(obs, (32, 1)), np.full(32, -5.0)
     sample_rng = rng(19)
     for _ in range(2000):
-        agent.critic_step(buf.sample(32, sample_rng))
-    q = agent.critic_value(
-        np.repeat(obs[None, :], 100, axis=0), buf.actions[:100]
-    )
+        idx = sample_rng.integers(0, 100, size=32)
+        agent.critic_step((obs_batch, actions[idx], rewards))
+    q = agent.critic_value(np.repeat(obs[None, :], 100, axis=0), actions)
     assert np.abs(q + 5.0).max() < 0.1
 
 
@@ -174,23 +126,20 @@ def test_critic_loss_nonincreasing_on_frozen_buffer():
     hyper = _hyper()
     agent = ActorCritic.initialize(6, 8, hyper, g)
     obs = np.full(6, 0.5)
-    buf = ReplayBuffer(200, 6, 8)
-    for _ in range(150):
-        a = g.uniform(-1, 1, 8)
-        buf.add(obs, a, -float((a[0] - 0.4) ** 2))
+    actions = g.uniform(-1, 1, (150, 8))
+    rewards = -((actions[:, 0] - 0.4) ** 2)
+    obs_batch = np.tile(obs, (32, 1))
 
     def full_loss():
-        x = np.concatenate(
-            [buf.observations[: len(buf)], buf.actions[: len(buf)]], axis=1
-        )
-        q = agent.critic.forward(x)[:, 0]
-        return float(np.mean((q - buf.rewards[: len(buf)]) ** 2))
+        q = agent.critic_value(np.tile(obs, (150, 1)), actions)[:, 0]
+        return float(np.mean((q - rewards) ** 2))
 
     sample_rng = rng(24)
     losses = [full_loss()]
     for window in range(6):
         for _ in range(100):
-            agent.critic_step(buf.sample(32, sample_rng))
+            idx = sample_rng.integers(0, 150, size=32)
+            agent.critic_step((obs_batch, actions[idx], rewards[idx]))
         losses.append(full_loss())
     # non-increasing window to window, modulo the mini-batch noise floor
     # that constant-rate Adam settles into once converged
@@ -204,6 +153,19 @@ def test_train_log_lengths_and_eval_cadence():
     res = train(QuadraticBandit(), _hyper())
     assert len(res.log.iterations) == 150
     assert res.log.eval_points == 15
+
+
+def test_train_returns_the_evaluation_of_its_best_actor():
+    # `run_experiment` reports this evaluation instead of running it again
+    hyper = _hyper(train_iterations=60)
+    task = QuadraticBandit()
+    res = train(task, hyper)
+    again = evaluate(res.best_actor, task, hyper.eval_repeats)
+    assert res.best_eval.mean == again.mean
+    assert res.best_eval.sd == again.sd
+    assert res.best_eval.rewards == again.rewards
+    assert np.array_equal(res.best_eval.action, again.action)
+    assert res.best_eval.mean == max(m for m in res.log.eval_means if not math.isnan(m))
 
 
 def test_train_deterministic():

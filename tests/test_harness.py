@@ -18,6 +18,7 @@ from epidemictrl.harness import (
     EXPERIMENT_TABLE,
     SCENARIO_KAPPA,
     baseline_schedule,
+    compare,
     emit_plot_svg,
     experiment_config,
     format_schedule,
@@ -27,7 +28,6 @@ from epidemictrl.harness import (
     parse_baseline,
     parse_seeds,
     read_trace_csv,
-    run_baseline,
     sanity_config,
     scaled_doses,
     to_dict,
@@ -285,7 +285,7 @@ def _assert_same_traces(a_dir, b_dir) -> None:
 def test_config_file_round_trip(tmp_path):
     argv = ["simulate", "--baseline", "L30_FullV", "--seeds", "0..1"]
     first, second = _rerun_from_sidecar(tmp_path, argv)
-    _assert_same_traces(first, second)
+    _assert_same_traces(first / "traces", second / "traces")
 
 
 def test_train_and_evaluate_sidecars_rerun_identically(tmp_path):
@@ -390,11 +390,15 @@ def test_sanity_config_shape():
     assert all(s.effectiveness == 1.0 for s in config.vaccination.specs)
 
 
+def _nol_nov(config) -> dict:
+    return {"NoL_NoV": baseline_schedule(BaselineId.NOL_NOV, config.world.episode_days)}
+
+
 def test_run_baseline_outputs(tmp_path):
     config = _tiny_config()
-    run = run_baseline(BaselineId.NOL_NOV, config, seeds=[0, 1], out_dir=tmp_path)
+    run = compare(config, _nol_nov(config), seeds=[0, 1], out_dir=tmp_path)
     assert (tmp_path / "resolved_config.json").exists()
-    assert (tmp_path / "trace_NoL_NoV_seed0.csv").exists()
+    assert (tmp_path / "traces" / "trace_NoL_NoV_seed0.csv").exists()
     assert (tmp_path / "comparison.csv").exists()
     assert (tmp_path / "summary.csv").exists()
     assert (tmp_path / "below_poverty_line.svg").exists()
@@ -404,8 +408,9 @@ def test_run_baseline_outputs(tmp_path):
 
 
 def test_run_baseline_requires_seeds():
+    config = _tiny_config()
     with pytest.raises(ValueError):
-        run_baseline(BaselineId.NOL_NOV, _tiny_config(), seeds=[])
+        compare(config, _nol_nov(config), seeds=[])
 
 
 def test_cli_simulate_smoke(tmp_path, capsys):
@@ -456,9 +461,10 @@ def test_cli_rejects_unknown_baseline(tmp_path):
 def test_threads_env_fans_out(tmp_path, monkeypatch):
     monkeypatch.setenv("EPIDEMICTRL_THREADS", "2")
     config = _tiny_config()
-    run = run_baseline(BaselineId.NOL_NOV, config, seeds=[0, 1, 2])
+    run = compare(config, _nol_nov(config), seeds=[0, 1, 2])
     serial = run_episode(config, empty_schedule(), seed=1)
-    assert np.array_equal(run.traces[1].compartments, serial.compartments)
+    assert [seed for _, seed, _ in run.results] == [0, 1, 2]
+    assert np.array_equal(run.results[1][2].compartments, serial.compartments)
 
 
 ACTOR_WIDTHS = (6, 4, 8)

@@ -56,7 +56,7 @@ def test_backward_identity_net_weight_grad_is_input():
     x = np.array([3.0])
     _, cache = net.forward_cached(x)
     grads, grad_in = net.backward(cache, np.ones(1))
-    (dw, db) = grads[0]
+    dw, db = grads
     assert dw[0, 0] == 3.0
     assert db[0] == 1.0
     assert grad_in[0] == 2.0
@@ -67,7 +67,7 @@ def test_backward_zero_upstream_zero_grads():
     x = rng(3).normal(size=5)
     _, cache = net.forward_cached(x)
     grads, grad_in = net.backward(cache, np.zeros(3))
-    assert all((dw == 0).all() and (db == 0).all() for dw, db in grads)
+    assert all((g == 0).all() for g in grads)
     assert (grad_in == 0).all()
 
 
@@ -80,8 +80,8 @@ def test_backward_batch_sums_over_rows():
     for row in xs:
         _, c = net.forward_cached(row)
         g, _ = net.backward(c, np.ones(2))
-        total_dw += g[0][0]
-    assert np.allclose(grads_batch[0][0], total_dw)
+        total_dw += g[0]
+    assert np.allclose(grads_batch[0], total_dw)
 
 
 def test_finite_diff_linear_net_machine_precision():
@@ -132,7 +132,7 @@ def test_adam_zero_grad_keeps_params():
     net = mlp_from_widths((2, 4, 1), "relu", "identity", rng(12))
     before = [p.copy() for p in net.parameters()]
     state = Adam(net)
-    grads = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(net.weights, net.biases)]
+    grads = [np.zeros_like(p) for p in net.parameters()]
     state.update(net, grads, lr=1e-3)
     for p, q in zip(net.parameters(), before):
         assert np.array_equal(p, q)
@@ -141,7 +141,7 @@ def test_adam_zero_grad_keeps_params():
 def test_adam_first_step_is_signed_lr():
     net = _identity_net(w=0.0, b=0.0)
     state = Adam(net)
-    grads = [(np.array([[0.37]]), np.array([-2.2]))]
+    grads = [np.array([[0.37]]), np.array([-2.2])]
     state.update(net, grads, lr=1e-3)
     assert net.weights[0][0, 0] == pytest.approx(-1e-3, rel=1e-6)
     assert net.biases[0][0] == pytest.approx(1e-3, rel=1e-6)
@@ -160,7 +160,7 @@ def test_adam_quadratic_convergence():
     for step in range(1, 5001):
         p = net.weights[0][:, 0]
         grad = 2 * scale * (p - target)
-        state.update(net, [(grad[:, None], np.zeros(1))], lr=1e-3)
+        state.update(net, [grad[:, None], np.zeros(1)], lr=1e-3)
         if np.linalg.norm(2 * scale * (net.weights[0][:, 0] - target)) < 1e-6:
             break
     assert np.linalg.norm(2 * scale * (net.weights[0][:, 0] - target)) < 1e-6
