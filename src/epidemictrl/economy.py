@@ -20,8 +20,7 @@ CENTS = 100
 
 # Plain ints for the per-tick code (see epidemic.py).
 _INFECTED_MILD = int(Compartment.INFECTED_MILD)
-_INFECTED_SEVERE = int(Compartment.INFECTED_SEVERE)
-_HOSPITALIZED = int(Compartment.HOSPITALIZED)
+_RECOVERED = int(Compartment.RECOVERED)
 _DECEASED = int(Compartment.DECEASED)
 
 
@@ -76,8 +75,10 @@ def _live_members(world: WorldState) -> np.ndarray:
     hs = world.config.household_size
     members = np.full(world.n_houses, hs, dtype=np.int64)
     members[-1] = world.population - (world.n_houses - 1) * hs
-    dead = world.house_id[world.compartment == _DECEASED]
-    return members - np.bincount(dead, minlength=world.n_houses)
+    dead = (world.compartment == _DECEASED).nonzero()[0]
+    if dead.size:
+        members -= np.bincount(world.house_id.take(dead), minlength=world.n_houses)
+    return members
 
 
 def economy_day_step(world: WorldState, day: int, lockdown_active: bool) -> None:
@@ -89,17 +90,12 @@ def economy_day_step(world: WorldState, day: int, lockdown_active: bool) -> None
     """
     config = _require_ledgers(world)
     head = world.house_head
-    head_comp = world.compartment[head]
+    head_comp = world.compartment.take(head)
 
-    too_sick = (
-        (head_comp == _INFECTED_MILD)
-        | (head_comp == _INFECTED_SEVERE)
-        | (head_comp == _HOSPITALIZED)
-        | (head_comp == _DECEASED)
-    )
-    earning = ~too_sick
+    # Too sick to earn: InfectedMild to Hospitalized, or Deceased.
+    earning = (head_comp < _INFECTED_MILD) | (head_comp == _RECOVERED)
     if lockdown_active:
-        earning &= world.is_essential[head] | world.is_violator[head]
+        earning &= world.is_essential.take(head) | world.is_violator.take(head)
 
     expense_cents = int(round(config.expense_per_person * CENTS))
     world.savings_cents += (

@@ -87,6 +87,13 @@ _DECEASED = int(Compartment.DECEASED)
 #: `WorldState.due_tick` of an agent outside the timed compartments.
 NOT_DUE = -1
 
+# Shedding weight of an infectious agent, indexed by its vaccinated flag.
+_SOURCE_WEIGHT = np.array([1.0, VACCINATED_SOURCE_WEIGHT])
+
+# Search keys for the stage bounds in `progression_step`: in the sorted due
+# compartments, compartment c spans [bounds[c], bounds[c + 1]).
+_STAGE_BOUNDS = np.arange(_HOSPITALIZED + 2)
+
 
 @dataclass(frozen=True)
 class AgeBandRates:
@@ -211,9 +218,10 @@ def duration_days(
     """Draw raw log-normal dwell times in days for a timed compartment."""
     if params is None:
         params = _default_params()
-    if compartment not in TIMED_COMPARTMENTS:
-        raise ValueError(f"{compartment.name} has no dwell time")
-    mu, sigma = params._duration_mu_sigma[compartment]
+    try:
+        mu, sigma = params._duration_mu_sigma[compartment]
+    except KeyError:
+        raise ValueError(f"{Compartment(compartment).name} has no dwell time") from None
     if sigma == 0.0:
         mean = params.stage_durations[compartment][0]
         return mean if size is None else np.full(size, mean)
@@ -228,8 +236,13 @@ def sample_duration_ticks(
 ) -> np.ndarray | int:
     """Dwell time in 12-hour ticks: 2x the day draw, rounded, at least 1."""
     days = duration_days(compartment, rng, size=size, params=params)
-    ticks = np.maximum(np.rint(np.asarray(days) * TICKS_PER_DAY), 1).astype(np.int32)
-    return int(ticks) if size is None else ticks
+    if size is None:
+        return int(max(np.rint(days * TICKS_PER_DAY), 1))
+    # `days` is a fresh array, so it is rounded in place.
+    days *= TICKS_PER_DAY
+    np.rint(days, out=days)
+    np.maximum(days, 1, out=days)
+    return days.astype(np.int32)
 
 
 def infection_probability(beta_agent, infectious_weight, occupants):
@@ -238,12 +251,7 @@ def infection_probability(beta_agent, infectious_weight, occupants):
     p = 1 - exp(-beta_agent * (infectious_weight / occupants) * tick_days).
     Accepts scalars or aligned arrays.
     """
-    lam = (
-        np.asarray(beta_agent)
-        * (np.asarray(infectious_weight) / np.asarray(occupants))
-        * TICK_DAYS
-    )
-    result = -np.expm1(-lam)
+    result = -np.expm1(-(beta_agent * (infectious_weight / occupants) * TICK_DAYS))
     return float(result) if np.ndim(result) == 0 else result
 
 
@@ -254,7 +262,7 @@ def _expose(
 
     The exposure tick's own progression step already counts toward the
     stay, so incubation ends one tick before the sampled dwell. This is the
-    incubation off-by-one of ROADMAP.md item 2, kept as the `- 1` below
+    incubation off-by-one of ROADMAP.md item 1, kept as the `- 1` below
     until its fix re-pins the golden traces.
     """
     world.compartment[ids] = _EXPOSED
@@ -293,35 +301,37 @@ def exposure_step(
     comp = world.compartment
     loc = world.location_of
 
-    sources = np.flatnonzero((comp >= _ASYMPTOMATIC) & (comp <= _INFECTED_SEVERE))
+    sources = ((comp >= _ASYMPTOMATIC) & (comp <= _INFECTED_SEVERE)).nonzero()[0]
     if sources.size == 0 or params.beta_base == 0.0:
         return 0
 
-    source_weight = np.where(
-        world.vaccinated[sources], VACCINATED_SOURCE_WEIGHT, 1.0
-    )
     weight_by_loc = np.bincount(
-        loc[sources], weights=source_weight, minlength=world.n_locations
+        loc.take(sources),
+        weights=_SOURCE_WEIGHT.take(world.vaccinated.take(sources)),
+        minlength=world.n_locations,
     )
+    sus_ids = (comp == _SUSCEPTIBLE).nonzero()[0]
+    n_sus = sus_ids.size
+    if n_sus == 0:
+        return 0
+    loaded = (weight_by_loc > 0).take(loc.take(sus_ids)).nonzero()[0]
+    if loaded.size == 0:
+        rng.random(n_sus)  # every susceptible still draws its uniform
+        return 0
+
     # The deceased sit at location -1; shifted by one they fall in bin 0.
     count_by_loc = np.bincount(loc + 1, minlength=world.n_locations + 1)[1:]
-
-    sus_ids = np.flatnonzero(comp == _SUSCEPTIBLE)
-    if sus_ids.size == 0:
-        return 0
-    n_sus = sus_ids.size
-    loaded = np.flatnonzero(weight_by_loc[loc[sus_ids]] > 0)
-    sus_ids = sus_ids[loaded]
-    sus_loc = loc[sus_ids]
+    sus_ids = sus_ids.take(loaded)
+    sus_loc = loc.take(sus_ids)
     beta_agent = (
         params.beta_base
-        * params.band_beta_multiplier[world.age[sus_ids] // 10]
-        * world.vax_susceptibility[sus_ids]
+        * params.band_beta_multiplier.take(world.age.take(sus_ids) // 10)
+        * world.vax_susceptibility.take(sus_ids)
     )
     p = infection_probability(
-        beta_agent, weight_by_loc[sus_loc], count_by_loc[sus_loc]
+        beta_agent, weight_by_loc.take(sus_loc), count_by_loc.take(sus_loc)
     )
-    newly = sus_ids[rng.random(n_sus)[loaded] < p]
+    newly = sus_ids[rng.random(n_sus).take(loaded) < p]
     if newly.size == 0:
         return 0
     _expose(world, newly, params, rng)
@@ -347,14 +357,24 @@ def progression_step(
     """
     tick = world.tick
     due_tick = world.due_tick
-    due = np.flatnonzero(due_tick == tick)
+    due = (due_tick == tick).nonzero()[0]
     if due.size == 0:
         return
     comp = world.compartment
-    due_comp = comp[due]
     age = world.age
 
+    # A stable sort keeps ascending id within each stage.
+    due_comp = comp.take(due)
+    order = due_comp.argsort(kind="stable")
+    due = due.take(order)
+    bounds = due_comp.take(order).searchsorted(_STAGE_BOUNDS).tolist()
+
+    def _stage(c: int) -> np.ndarray:
+        return due[bounds[c] : bounds[c + 1]]
+
     def _enter(ids: np.ndarray, target: int) -> None:
+        if ids.size == 0:
+            return
         comp[ids] = target
         if target == _RECOVERED or target == _DECEASED:
             due_tick[ids] = NOT_DUE
@@ -363,35 +383,30 @@ def progression_step(
                 target, rng, size=ids.size, params=params
             )
 
-    ids = due[due_comp == _HOSPITALIZED]
+    ids = _stage(_HOSPITALIZED)
     if ids.size:
-        p_death = params.band_death_given_hospitalized[age[ids] // 10]
+        p_death = params.band_death_given_hospitalized.take(age.take(ids) // 10)
         dies = rng.random(ids.size) < p_death
         _enter(ids[dies], _DECEASED)
         _enter(ids[~dies], _RECOVERED)
 
-    ids = due[due_comp == _INFECTED_SEVERE]
-    if ids.size:
-        _enter(ids, _HOSPITALIZED)
+    _enter(_stage(_INFECTED_SEVERE), _HOSPITALIZED)
 
-    ids = due[due_comp == _INFECTED_MILD]
+    ids = _stage(_INFECTED_MILD)
     if ids.size:
-        worsens = rng.random(ids.size) < params.band_severe_prob[age[ids] // 10]
+        p_worse = params.band_severe_prob.take(age.take(ids) // 10)
+        worsens = rng.random(ids.size) < p_worse
         _enter(ids[worsens], _INFECTED_SEVERE)
         _enter(ids[~worsens], _RECOVERED)
 
-    ids = due[due_comp == _PRE_SYMPTOMATIC]
-    if ids.size:
-        _enter(ids, _INFECTED_MILD)
+    _enter(_stage(_PRE_SYMPTOMATIC), _INFECTED_MILD)
+    _enter(_stage(_ASYMPTOMATIC), _RECOVERED)
 
-    ids = due[due_comp == _ASYMPTOMATIC]
-    if ids.size:
-        _enter(ids, _RECOVERED)
-
-    ids = due[due_comp == _EXPOSED]
+    ids = _stage(_EXPOSED)
     if ids.size:
         gamma = _effective_asymptomatic_prob(
-            params.band_asymptomatic_prob[age[ids] // 10], world.vaccinated[ids]
+            params.band_asymptomatic_prob.take(age.take(ids) // 10),
+            world.vaccinated.take(ids),
         )
         silent = rng.random(ids.size) < gamma
         _enter(ids[silent], _ASYMPTOMATIC)

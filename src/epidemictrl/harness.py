@@ -16,17 +16,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import html
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -383,7 +382,7 @@ def emit_plot_svg(
     if title:
         parts.append(
             f'<text x="{(left + right) / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-size="15">{escape(title)}</text>'
+            f'font-size="15">{html.escape(title, quote=False)}</text>'
         )
     # axes
     parts.append(
@@ -416,7 +415,8 @@ def emit_plot_svg(
     if y_label:
         parts.append(
             f'<text x="16" y="{(top + bottom) / 2:.1f}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {(top + bottom) / 2:.1f})">{escape(y_label)}</text>'
+            f'transform="rotate(-90 16 {(top + bottom) / 2:.1f})">'
+            f"{html.escape(y_label, quote=False)}</text>"
         )
     for k, (label, ys) in enumerate(series):
         color = SVG_PALETTE[k % len(SVG_PALETTE)]
@@ -431,7 +431,9 @@ def emit_plot_svg(
             f'<line x1="{right + 10}" y1="{ly}" x2="{right + 34}" y2="{ly}" '
             f'stroke="{color}" stroke-width="3"/>'
         )
-        parts.append(f'<text x="{right + 40}" y="{ly + 4}">{escape(label)}</text>')
+        parts.append(
+            f'<text x="{right + 40}" y="{ly + 4}">{html.escape(label, quote=False)}</text>'
+        )
     parts.append("</svg>")
     try:
         with open(path, "w") as fh:
@@ -485,6 +487,9 @@ def run_traces(
     packed = [(config, label, schedule, seed) for label, schedule, seed in jobs]
     if workers == 1:
         return [_trace_job(p) for p in packed]
+    # Imported here: it loads about fifty modules a one-process run never uses.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_trace_job, packed))
 

@@ -25,6 +25,10 @@ from .world import WorldState
 #: Inclusive age bounds of the three vaccination strata.
 AGE_STRATA = ((0, 17), (18, 59), (60, 99))
 
+# Plain ints for the per-day code (see epidemic.py).
+_HOSPITALIZED = int(Compartment.HOSPITALIZED)
+_DECEASED = int(Compartment.DECEASED)
+
 DayWindow = tuple[float, float]
 
 
@@ -138,7 +142,6 @@ def vaccination_day_step(
     coverage cap. Consumes randomness only when doses can actually flow,
     so inactive schedules leave the stream untouched.
     """
-    policy.validate()
     doses_today = sum(spec.daily_doses for spec in policy.specs)
     if doses_today == 0:
         return 0
@@ -148,21 +151,23 @@ def vaccination_day_step(
         return 0
 
     cap = int(np.floor(policy.coverage_cap * world.population))
-    already = int(world.vaccinated.sum())
-    budget = min(cap - already, doses_today)
+    budget = min(cap - np.count_nonzero(world.vaccinated), doses_today)
     if budget <= 0:
         return 0
 
-    eligible = (
-        world.alive
-        & ~world.vaccinated
-        & (world.compartment != Compartment.HOSPITALIZED)
-    )
-    in_window = np.zeros(world.population, dtype=bool)
-    for (lo, hi), is_active in zip(AGE_STRATA, active):
-        if is_active:
-            in_window |= (world.age >= lo) & (world.age <= hi)
-    ids = np.flatnonzero(eligible & in_window)
+    # Comparisons, not lookup tables: `take` first casts the int8
+    # compartments and int16 ages to intp, which costs more than a compare.
+    comp = world.compartment
+    eligible = comp != _HOSPITALIZED
+    eligible &= comp != _DECEASED
+    eligible &= ~world.vaccinated
+    if not all(active):
+        in_window = np.zeros(world.population, dtype=bool)
+        for (lo, hi), is_active in zip(AGE_STRATA, active):
+            if is_active:
+                in_window |= (world.age >= lo) & (world.age <= hi)
+        eligible &= in_window
+    ids = eligible.nonzero()[0]
     if ids.size == 0:
         return 0
 

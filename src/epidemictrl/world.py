@@ -201,6 +201,20 @@ class WorldState:
         )
 
 
+def house_heads(age: np.ndarray, household_size: int) -> np.ndarray:
+    """Id of each house's oldest member, ties broken toward the lower id.
+
+    Houses are consecutive blocks of `household_size` ids; the last may be
+    smaller. argmax takes the first maximum, which gives the tie-break; the
+    ragged last house is padded with an age below every real one.
+    """
+    n_houses = math.ceil(age.size / household_size)
+    padded = np.full(n_houses * household_size, -1, dtype=age.dtype)
+    padded[: age.size] = age
+    oldest = padded.reshape(n_houses, household_size).argmax(axis=1)
+    return (oldest + np.arange(0, padded.size, household_size)).astype(np.int32)
+
+
 def synthesize_population(config: WorldConfig, streams: RngStreams) -> WorldState:
     """Build a fresh world: ages, households, workplaces and flags.
 
@@ -223,10 +237,6 @@ def synthesize_population(config: WorldConfig, streams: RngStreams) -> WorldStat
     hs = config.household_size
     n_houses = math.ceil(n / hs)
     house_id = (np.arange(n) // hs).astype(np.int32)
-
-    # Oldest member heads the house; ties break toward the lower agent id.
-    order = np.lexsort((np.arange(n), -age.astype(np.int64), house_id))
-    house_head = order[np.arange(n_houses) * hs].astype(np.int32)
 
     emp_ids = np.flatnonzero(employed)
     stu_ids = np.flatnonzero(~employed)
@@ -259,7 +269,7 @@ def synthesize_population(config: WorldConfig, streams: RngStreams) -> WorldStat
         vaccinated=np.zeros(n, dtype=bool),
         vaccine_index=np.zeros(n, dtype=np.int8),
         vax_susceptibility=np.ones(n, dtype=np.float64),
-        house_head=house_head,
+        house_head=house_heads(age, hs),
         location_of=house_id.astype(np.int32).copy(),
         n_houses=n_houses,
         n_offices=n_offices,

@@ -151,6 +151,23 @@ def test_exposure_with_zero_beta_is_empty():
     assert exposure_step(world, params, rng(4)) == 0
 
 
+def test_exposure_with_no_susceptible_in_a_loaded_place_draws_every_uniform():
+    # House 0 is all infectious and everyone is home, so no susceptible
+    # shares a place with a source: no exposure, but every susceptible
+    # still draws its one uniform.
+    world = make_world(population=40, household_size=4, with_ledgers=False)
+    world.compartment[:4] = Compartment.PRE_SYMPTOMATIC
+    apply_movement(world)
+    n_sus = int(np.count_nonzero(world.compartment == Compartment.SUSCEPTIBLE))
+    g = rng(8)
+    clone = np.random.default_rng()
+    clone.bit_generator.state = g.bit_generator.state
+    assert exposure_step(world, DiseaseParams(), g) == 0
+    clone.random(n_sus)
+    assert g.bit_generator.state == clone.bit_generator.state
+    assert (world.compartment[4:] == Compartment.SUSCEPTIBLE).all()
+
+
 def test_two_agent_household_exposure_matches_closed_form():
     # One infectious and one susceptible share a house for 200 ticks.
     # Eventual exposure probability is 1 - (1 - p)^200 with the per-tick

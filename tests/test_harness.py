@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -563,3 +567,15 @@ def test_bad_threads_env_is_one_error_line(tmp_path, capsys, monkeypatch, argv, 
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: EPIDEMICTRL_THREADS"), err
     assert not (tmp_path / "out").exists()
+
+
+def test_importing_the_harness_skips_unused_stdlib_modules():
+    # The process pool and the XML escape used to pull these in on every run.
+    unused = ["urllib.request", "http.client", "ssl", "email", "multiprocessing"]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = f"import sys, epidemictrl.harness; print([m for m in {unused!r} if m in sys.modules])"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from epidemictrl.epidemic import Compartment
 from epidemictrl.env import ExperimentConfig, run_episode
 from epidemictrl.interventions import (
+    AGE_STRATA,
     InterventionSchedule,
     VaccinationPolicyConfig,
     VaccineSpec,
@@ -123,6 +124,62 @@ def test_vaccine_two_used_after_vaccine_one():
     assert np.allclose(
         world.vax_susceptibility[world.vaccine_index == 2], 0.4
     )
+
+
+def mask_vaccination_day_step(world, schedule, policy, day, rng):
+    """Reference: one population-wide mask per open stratum, as first written."""
+    doses_today = sum(spec.daily_doses for spec in policy.specs)
+    if doses_today == 0:
+        return 0
+    active = [window_active(w, day) for w in schedule.vax_windows]
+    if not any(active):
+        return 0
+    cap = int(np.floor(policy.coverage_cap * world.population))
+    budget = min(cap - int(world.vaccinated.sum()), doses_today)
+    if budget <= 0:
+        return 0
+    eligible = world.alive & ~world.vaccinated & (world.compartment != Compartment.HOSPITALIZED)
+    in_window = np.zeros(world.population, dtype=bool)
+    for (lo, hi), is_active in zip(AGE_STRATA, active):
+        if is_active:
+            in_window |= (world.age >= lo) & (world.age <= hi)
+    ids = np.flatnonzero(eligible & in_window)
+    if ids.size == 0:
+        return 0
+    queue = rng.permutation(ids)
+    given = 0
+    for number, spec in enumerate(policy.specs, start=1):
+        take = min(spec.daily_doses, budget - given, queue.size - given)
+        if take > 0:
+            apply_vaccine_effects(world, queue[given : given + take], spec, number)
+            given += take
+    return given
+
+
+@pytest.mark.parametrize("open_strata", range(8))
+def test_vaccination_matches_mask_oracle_for_every_open_subset(open_strata):
+    windows = tuple((0.0, 100.0) if open_strata >> k & 1 else (0.0, 0.0) for k in range(3))
+    schedule = InterventionSchedule((0.0, 0.0), windows)
+    policy = VaccinationPolicyConfig(specs=(VaccineSpec(0.8, 40), VaccineSpec(0.6, 30)))
+    worlds = []
+    for _ in range(2):
+        world = _world_for_vax(population=300, seed=5)
+        world.compartment[:20] = Compartment.HOSPITALIZED
+        world.compartment[20:40] = Compartment.DECEASED
+        world.compartment[40:60] = Compartment.INFECTED_MILD
+        apply_vaccine_effects(world, np.arange(60, 80), policy.specs[1], 2)
+        worlds.append(world)
+    fast, slow = worlds
+    g_fast, g_slow = rng(9), rng(9)
+    for day in range(4):
+        assert vaccination_day_step(fast, schedule, policy, day, g_fast) == (
+            mask_vaccination_day_step(slow, schedule, policy, day, g_slow)
+        )
+        assert np.array_equal(fast.vaccinated, slow.vaccinated)
+        assert np.array_equal(fast.vaccine_index, slow.vaccine_index)
+        assert np.array_equal(fast.vax_susceptibility, slow.vax_susceptibility)
+        assert g_fast.bit_generator.state == g_slow.bit_generator.state
+    assert fast.vaccinated[80:].any() == (open_strata != 0)
 
 
 def test_stratum_window_limits_eligibility():

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epidemictrl.epidemic import Compartment
 from epidemictrl.rng import RngStreams
@@ -10,6 +12,7 @@ from epidemictrl.world import (
     Role,
     WorldConfig,
     apply_movement,
+    house_heads,
     scheduled_location,
     scheduled_locations,
     synthesize_population,
@@ -36,6 +39,33 @@ def test_head_is_oldest_member():
         head = world.house_head[h]
         assert head in members
         assert world.age[head] == world.age[members].max()
+
+
+def lexsort_house_heads(age: np.ndarray, household_size: int) -> np.ndarray:
+    """Reference: sort by house, then oldest first, then lowest id."""
+    n = age.size
+    house_id = np.arange(n) // household_size
+    order = np.lexsort((np.arange(n), -age.astype(np.int64), house_id))
+    n_houses = -(-n // household_size)
+    return order[np.arange(n_houses) * household_size]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    population=st.integers(1, 60),
+    household_size=st.integers(1, 6),
+    data=st.data(),
+)
+def test_house_heads_match_lexsort_oracle(population, household_size, data):
+    # Few distinct ages make ties common; the last house is often ragged.
+    values = data.draw(st.lists(st.integers(0, 99), min_size=2, max_size=3, unique=True))
+    age = np.array(
+        data.draw(st.lists(st.sampled_from(values), min_size=population, max_size=population)),
+        dtype=np.int16,
+    )
+    heads = house_heads(age, household_size)
+    assert heads.dtype == np.int32
+    assert np.array_equal(heads, lexsort_house_heads(age, household_size))
 
 
 def test_role_rule_matches_age():
