@@ -254,7 +254,9 @@ def train(task, hyper: DdpgHyperParams | None = None) -> TrainResult:
     uniformly from all of the run's (action, reward) pairs so far. The
     observation is constant, so it is not stored per pair. Every
     `eval_every` iterations the noiseless policy is evaluated and the
-    best-scoring snapshot is kept with its evaluation.
+    best-scoring snapshot is kept with its evaluation. An actor that has
+    taken no step since the last evaluation would replay the same action on
+    the same seeds, so that evaluation is reused.
     """
     if hyper is None:
         hyper = DdpgHyperParams()
@@ -274,7 +276,7 @@ def train(task, hyper: DdpgHyperParams | None = None) -> TrainResult:
     obs_batch = np.tile(obs, (hyper.batch_size, 1))
     log = TrainLog()
     seed_base = getattr(task, "seed_base", 0)
-    best_actor = best_eval = None
+    best_actor = best_eval = last_eval = None
 
     def sample(iteration: int):
         idx = sample_rng.integers(0, iteration, size=hyper.batch_size)
@@ -303,10 +305,13 @@ def train(task, hyper: DdpgHyperParams | None = None) -> TrainResult:
             for _ in range(hyper.critic_updates_per_step - 1):
                 agent.critic_step(sample(iteration))
             critic_loss, actor_objective = agent.train_step(sample(iteration))
+            last_eval = None
 
         eval_mean = eval_sd = math.nan
         if iteration % hyper.eval_every == 0:
-            result = evaluate(agent.actor, task, hyper.eval_repeats)
+            if last_eval is None:
+                last_eval = evaluate(agent.actor, task, hyper.eval_repeats)
+            result = last_eval
             eval_mean, eval_sd = result.mean, result.sd
             if best_eval is None or eval_mean > best_eval.mean:
                 best_eval = result

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from epidemictrl.ddpg import (
+    EVAL_SEED_OFFSET,
     ActorCritic,
     DdpgHyperParams,
     evaluate,
@@ -166,6 +167,24 @@ def test_train_returns_the_evaluation_of_its_best_actor():
     assert res.best_eval.rewards == again.rewards
     assert np.array_equal(res.best_eval.action, again.action)
     assert res.best_eval.mean == max(m for m in res.log.eval_means if not math.isnan(m))
+
+
+def test_train_reuses_the_evaluation_of_an_unmoved_actor():
+    # The first learner step comes at iteration 32, so the evaluations at
+    # 10, 20 and 30 would replay one action on the same seeds.
+    class CountingBandit(QuadraticBandit):
+        eval_rollouts = 0
+
+        def rollout(self, action, seed):
+            if seed >= EVAL_SEED_OFFSET:
+                self.eval_rollouts += 1
+            return super().rollout(action, seed)
+
+    task = CountingBandit()
+    res = train(task, _hyper(train_iterations=40))
+    assert task.eval_rollouts == 2 * 5
+    first, second, third, fourth = [m for m in res.log.eval_means if not math.isnan(m)]
+    assert first == second == third != fourth
 
 
 def test_train_deterministic():
