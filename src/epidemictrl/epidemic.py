@@ -293,10 +293,11 @@ def exposure_step(
     """Infect susceptible occupants from their location's infectious load.
 
     Occupancy must be current for this tick (apply_movement ran first).
-    Every susceptible draws one uniform, in id order. The infection
-    probability is computed only where the location holds an infectious
-    occupant: elsewhere it is 0 and no draw can fall below it. Returns the
-    number of new exposures.
+    Only susceptibles in a loaded place (one holding an infectious
+    occupant) can be infected, so only they draw: one uniform each, in
+    ascending id. Elsewhere the infection probability is 0 and a draw
+    could not fall below it. A tick with no loaded susceptible draws
+    nothing. Returns the number of new exposures.
     """
     comp = world.compartment
     loc = world.location_of
@@ -310,28 +311,24 @@ def exposure_step(
         weights=_SOURCE_WEIGHT.take(world.vaccinated.take(sources)),
         minlength=world.n_locations,
     )
-    sus_ids = (comp == _SUSCEPTIBLE).nonzero()[0]
-    n_sus = sus_ids.size
-    if n_sus == 0:
-        return 0
-    loaded = (weight_by_loc > 0).take(loc.take(sus_ids)).nonzero()[0]
+    # The deceased's location -1 picks the last place's flag, but they are
+    # not susceptible.
+    loaded = ((comp == _SUSCEPTIBLE) & (weight_by_loc > 0).take(loc)).nonzero()[0]
     if loaded.size == 0:
-        rng.random(n_sus)  # every susceptible still draws its uniform
         return 0
 
     # The deceased sit at location -1; shifted by one they fall in bin 0.
     count_by_loc = np.bincount(loc + 1, minlength=world.n_locations + 1)[1:]
-    sus_ids = sus_ids.take(loaded)
-    sus_loc = loc.take(sus_ids)
+    sus_loc = loc.take(loaded)
     beta_agent = (
         params.beta_base
-        * params.band_beta_multiplier.take(world.age.take(sus_ids) // 10)
-        * world.vax_susceptibility.take(sus_ids)
+        * params.band_beta_multiplier.take(world.age.take(loaded) // 10)
+        * world.vax_susceptibility.take(loaded)
     )
     p = infection_probability(
         beta_agent, weight_by_loc.take(sus_loc), count_by_loc.take(sus_loc)
     )
-    newly = sus_ids[rng.random(n_sus).take(loaded) < p]
+    newly = loaded[rng.random(loaded.size) < p]
     if newly.size == 0:
         return 0
     _expose(world, newly, params, rng)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from epidemictrl.epidemic import (
     DEFAULT_STAGE_DURATIONS,
     DiseaseParams,
     TIMED_COMPARTMENTS,
+    VACCINATED_SOURCE_WEIGHT,
     age_band_params,
     duration_days,
     exposure_step,
@@ -22,6 +24,7 @@ from epidemictrl.epidemic import (
 from epidemictrl.world import apply_movement
 
 from conftest import make_world, rng
+from reference_draws import exposure_step_drawing_all
 
 # The published transition-factor table, one row per decade:
 # (beta multiplier, symptomatic prob, severe prob, death weight sigma).
@@ -151,21 +154,76 @@ def test_exposure_with_zero_beta_is_empty():
     assert exposure_step(world, params, rng(4)) == 0
 
 
-def test_exposure_with_no_susceptible_in_a_loaded_place_draws_every_uniform():
+def _clone(g):
+    clone = np.random.default_rng()
+    clone.bit_generator.state = g.bit_generator.state
+    return clone
+
+
+def _world_with_an_infectious_house():
     # House 0 is all infectious and everyone is home, so no susceptible
-    # shares a place with a source: no exposure, but every susceptible
-    # still draws its one uniform.
+    # shares a place with a source.
     world = make_world(population=40, household_size=4, with_ledgers=False)
     world.compartment[:4] = Compartment.PRE_SYMPTOMATIC
     apply_movement(world)
+    return world
+
+
+def test_exposure_with_no_susceptible_in_a_loaded_place_draws_every_uniform():
+    # The earlier contract: no exposure, but every susceptible still draws
+    # its one uniform.
+    world = _world_with_an_infectious_house()
     n_sus = int(np.count_nonzero(world.compartment == Compartment.SUSCEPTIBLE))
     g = rng(8)
-    clone = np.random.default_rng()
-    clone.bit_generator.state = g.bit_generator.state
-    assert exposure_step(world, DiseaseParams(), g) == 0
+    clone = _clone(g)
+    assert exposure_step_drawing_all(world, DiseaseParams(), g) == 0
     clone.random(n_sus)
     assert g.bit_generator.state == clone.bit_generator.state
     assert (world.compartment[4:] == Compartment.SUSCEPTIBLE).all()
+
+
+def test_exposure_with_no_susceptible_in_a_loaded_place_draws_nothing():
+    world = _world_with_an_infectious_house()
+    g = rng(8)
+    before = g.bit_generator.state
+    assert exposure_step(world, DiseaseParams(), g) == 0
+    assert g.bit_generator.state == before
+    assert (world.compartment[4:] == Compartment.SUSCEPTIBLE).all()
+
+
+def test_exposure_draws_one_uniform_per_loaded_susceptible_then_incubations():
+    # Houses 0 and 2 each hold one infectious agent and five susceptibles;
+    # everyone is home, so exactly those ten susceptibles are loaded.
+    world = make_world(population=60, household_size=6, with_ledgers=False)
+    world.compartment[[0, 12]] = Compartment.INFECTED_MILD
+    world.vaccinated[12] = True
+    world.vax_susceptibility[3] = 0.2
+    world.tick = 6
+    apply_movement(world)
+    params = DiseaseParams(beta_base=3.0)
+    loaded = np.array([1, 2, 3, 4, 5, 13, 14, 15, 16, 17])
+    weight = np.where(loaded < 12, 1.0, VACCINATED_SOURCE_WEIGHT)
+    beta_agent = (
+        3.0
+        * params.band_beta_multiplier[world.age[loaded] // 10]
+        * world.vax_susceptibility[loaded]
+    )
+    p = infection_probability(beta_agent, weight, 6)
+
+    for seed in range(20):
+        trial = copy.deepcopy(world)
+        g = rng(seed)
+        clone = _clone(g)
+        newly = loaded[clone.random(loaded.size) < p]
+        incubation = sample_duration_ticks(
+            Compartment.EXPOSED, clone, size=newly.size, params=params
+        )
+        assert exposure_step(trial, params, g) == newly.size
+        assert g.bit_generator.state == clone.bit_generator.state
+        assert np.array_equal(
+            np.flatnonzero(trial.compartment == Compartment.EXPOSED), newly
+        )
+        assert np.array_equal(trial.due_tick[newly], 6 + incubation - 1)
 
 
 def test_two_agent_household_exposure_matches_closed_form():

@@ -56,52 +56,52 @@ def log_digest(log) -> str:
 
 TRACE_GOLDEN = {
     (1, "NoL_NoV", 0): (
-        "b736e56287b0d17c4c55beaa8a62a04f9c66d95c5136a1c6a2eb42af4c158324"
+        "97b88e8084413ee1cff83fcbbbe3171a2eadf52235978cfb989aa6052b8ddd56"
     ),
     (1, "NoL_NoV", 1): (
-        "64f0d406466d6ebdb5a2c78950ed51c85647f995191320534805e517f0560d6a"
+        "011752555b53e1fabd8caf374b6d6e4bc2db480aa9ca222be93a82429414ca5a"
     ),
     (1, "FullL_FullV", 0): (
-        "10d41e494a7e43413d351b663d31a0b3ced48156656d961d0a78d5a727fe93bd"
+        "c94583e2128ac4b024a85a48aeb461182b35c9b64d3c57df138c0f2faa4eecea"
     ),
     (1, "FullL_FullV", 1): (
-        "2a936a0d75a0fcd84d0ff0e5896b206d44e7aafbb8ff45ef2ee209f7ddd0bfd4"
+        "37d60a7b1fc71a2bb1497d76f9f50c05d8355f80c08925b1af3388c22c95616a"
     ),
     (1, "NoL_FullV", 0): (
-        "287fc6b4495ec8e3ce81166fd9d1ef717488af9aa4c0dec8af7404c01f87161f"
+        "c7f39cd8de77591bb79ac9b728373baa6b905afe3602226d5fa1e7c707c2225a"
     ),
     (1, "NoL_FullV", 1): (
-        "fe3f88674abd0f5cba455baa8455ce049024020a519e96497afdb89376e2e3d4"
+        "4676fa8d09cc36b3092204ea571ad11bce44dac15675bd3cb60b75f3031acb6d"
     ),
     (1, "L30_FullV", 0): (
-        "cb6abcf588f3db5d5ae671ea2494b1d6d36bcc42e2756dd41e3cfaa675e8fc37"
+        "b44e6855e48594639b200615b27d8b1772caaa6ef795efa202288d231c708447"
     ),
     (1, "L30_FullV", 1): (
-        "824115f75139a5bee5fcac751aab899f6d81a7c69d28fb883b25bf422b40bf96"
+        "8391d1e2bf511651900db289f3de3cd0bca0f1af04fc7f049498aab55b9912bc"
     ),
     (2, "NoL_NoV", 0): (
-        "85cfce730923c72a8f3f90f0d4a82844b6cedf3354f11becc9fd8d0eb2631917"
+        "af7d60d0a5acbbfe9b9d6dc0a06a17fc72820331df120ff9c7f6dbf57d0dc285"
     ),
     (2, "NoL_NoV", 1): (
-        "8b02fc804edebcdeaae51f758d2ea62b29870559da7c752533552927ada8d155"
+        "d7d1ead681807ee991ee95037ff3048dfb7e89a7240d977233c181c99d5712a6"
     ),
     (2, "FullL_FullV", 0): (
-        "b93b3b43bd25c0d515f687cade1a7f4ddb2e1773c50a6c055a2c5272390dc8e6"
+        "b23b90dd86832c142be0bf0bfd7925b3bf0c1670a35a544391c435214241b7b6"
     ),
     (2, "FullL_FullV", 1): (
-        "11538e65154cc2aa86999db217ba6b8ea77dc2598060503d1dfd6707df23732f"
+        "f9e824854482d2574157d5d93727657345724e0b998194f00370ff5d5ced74aa"
     ),
     (2, "NoL_FullV", 0): (
-        "b1a8901b85c2a514823fa49c8c84161d761fc0fc4277a97154123c1eee54eab4"
+        "5c8a6cc80fa6787463a86be75ed77effa242b03c8e30cef1d291303c7262eab7"
     ),
     (2, "NoL_FullV", 1): (
-        "9929ff1868e69b77b8e77a377c2ce0626183c4f474928241dca50b2d196eadcf"
+        "117d5031092b32630be763900374e6229bb424b14d90da0e4a986f2745740d87"
     ),
     (2, "L30_FullV", 0): (
-        "8630afad676253e0be18f980e6430bbadf2ea4e19dbc5ef5cb5f85954ac3847c"
+        "8f7b06fd1b702de7abc6f4e89da99a42e052a789dc7ed929ec475cac00a44384"
     ),
     (2, "L30_FullV", 1): (
-        "61ff8d2df3b0ba2a816a1f30f9310f3ac394b8784e9ba01ed9c0d3e9db55599b"
+        "cc99eaedf9e83e8ffd5d801c4d59874d799f562b954e384279f47ecd3ffbaa92"
     ),
 }
 
@@ -125,12 +125,12 @@ def test_experiment_actor_and_log_digest():
         comparison_seeds=[0],
     )
     assert params_digest(report.actor) == (
-        "c37943a79b2ca7c5f6a2902777eecd7518a86479d3afa2bd53123392f16b00eb"
+        "8a1eb4fd2459e1eca9d4c5a81141a5615971a397ccb6fb507008c078a112417a"
     )
     assert log_digest(report.log) == (
-        "29341a35a593f8d3e61d8b14a277acce0d42b2347f6f8bf7d259de2d246c77c3"
+        "0d2d66191babdd0bf2271c74282bb49c53a8e215fc3eb6b0c042179cdde620ff"
     )
-    assert report.eval_mean.hex() == "-0x1.8defc0fe9df9ep-3"
+    assert report.eval_mean.hex() == "-0x1.93b30713a60cep-3"
 
 
 def test_bandit_learner_digest():

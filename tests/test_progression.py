@@ -4,8 +4,9 @@ dwell times the engine actually realizes.
 The countdown functions below are the earlier implementation, kept as the
 reference: every timed agent carried `ticks_remaining`, each progression
 step decremented all of them and moved the agents that reached zero, and
-exposure computed an infection probability for every susceptible. The
-engine must reproduce it exactly: same compartments, same random draws,
+exposure computed an infection probability for every susceptible (drawing
+a uniform only for those in a place with an infectious occupant, as the
+engine does). The engine must reproduce it exactly: same compartments, same random draws,
 and `due_tick - tick == ticks_remaining` after every progression step.
 """
 
@@ -82,7 +83,9 @@ def countdown_exposure_step(world, ticks, params, rng):
         * world.vax_susceptibility[sus_ids]
     )
     p = infection_probability(beta_agent, weight_by_loc[sus_loc], count_by_loc[sus_loc])
-    newly = sus_ids[rng.random(sus_ids.size) < p]
+    # Only susceptibles in a place with an infectious occupant draw.
+    at_risk = weight_by_loc[sus_loc] > 0
+    newly = sus_ids[at_risk][rng.random(np.count_nonzero(at_risk)) < p[at_risk]]
     if newly.size == 0:
         return 0
     world.compartment[newly] = Compartment.EXPOSED
