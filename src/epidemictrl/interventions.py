@@ -6,7 +6,7 @@ lockdown window and one vaccination window per age stratum (0-17, 18-59,
 the start; windows are half-open [start, end).
 
 Two vaccine types are dispensed each day, the more effective one first,
-to a shuffled queue of eligible agents, until a global coverage cap is
+to a random sample of eligible agents, until a global coverage cap is
 reached. Vaccination lowers the recipient's susceptibility by the
 vaccine's effectiveness; the wider asymptomatic branch and the reduced
 transmission weight are applied by the disease engine from the
@@ -137,10 +137,12 @@ def vaccination_day_step(
     """Dispense one day of doses; returns how many were given.
 
     Eligible agents are alive, unvaccinated, not hospitalized, and in an
-    age stratum whose window covers the day. The daily queue is shuffled,
-    vaccine 1's doses go first, then vaccine 2's, stopping at the global
-    coverage cap. Consumes randomness only when doses can actually flow,
-    so inactive schedules leave the stream untouched.
+    age stratum whose window covers the day. The day's recipients are a
+    uniformly random ordered sample, without replacement, of as many
+    eligible agents as the day's doses allow (the global coverage cap
+    included); vaccine 1's doses go to the first of them, then vaccine
+    2's. Consumes randomness only when doses can actually flow, so
+    inactive schedules leave the stream untouched.
     """
     doses_today = sum(spec.daily_doses for spec in policy.specs)
     if doses_today == 0:
@@ -171,10 +173,12 @@ def vaccination_day_step(
     if ids.size == 0:
         return 0
 
-    queue = rng.permutation(ids)
+    # An ordered uniform sample of the day's recipients, not a shuffle of
+    # the whole pool: vaccine 1 takes the first of it.
+    queue = rng.choice(ids, size=min(budget, ids.size), replace=False)
     given = 0
     for number, spec in enumerate(policy.specs, start=1):
-        take = min(spec.daily_doses, budget - given, queue.size - given)
+        take = min(spec.daily_doses, queue.size - given)
         if take > 0:
             apply_vaccine_effects(
                 world, queue[given : given + take], spec, number

@@ -6,6 +6,9 @@ These steps draw more than the engine does but sample the same model:
   tick, in ascending id, also when none of them shares a place with an
   infectious occupant. Only the draws of susceptibles in a loaded place
   can fall below their infection probability; the rest are thrown away.
+- `vaccination_day_step_shuffling`: a day with doses to give shuffles the
+  whole eligible pool and hands the doses out from its front, vaccine 1
+  first. The engine samples only as many ids as it has doses.
 
 `tests/test_draw_contract.py` runs whole episodes under these steps and
 under the engine's, and compares the outcomes as distributions.
@@ -21,6 +24,7 @@ from epidemictrl.epidemic import (
     _expose,
     infection_probability,
 )
+from epidemictrl.interventions import AGE_STRATA, apply_vaccine_effects, window_active
 
 
 def exposure_step_drawing_all(world, params, rng):
@@ -55,3 +59,41 @@ def exposure_step_drawing_all(world, params, rng):
         return 0
     _expose(world, newly, params, rng)
     return int(newly.size)
+
+
+def vaccination_day_step_by_mask(world, schedule, policy, day, order):
+    """One day of doses, eligibility built from one population-wide mask
+    per open stratum. `order(ids, budget)` returns the queue of eligible
+    ids the doses are handed out from, front first."""
+    doses_today = sum(spec.daily_doses for spec in policy.specs)
+    if doses_today == 0:
+        return 0
+    active = [window_active(w, day) for w in schedule.vax_windows]
+    if not any(active):
+        return 0
+    cap = int(np.floor(policy.coverage_cap * world.population))
+    budget = min(cap - int(world.vaccinated.sum()), doses_today)
+    if budget <= 0:
+        return 0
+    eligible = world.alive & ~world.vaccinated & (world.compartment != Compartment.HOSPITALIZED)
+    in_window = np.zeros(world.population, dtype=bool)
+    for (lo, hi), is_active in zip(AGE_STRATA, active):
+        if is_active:
+            in_window |= (world.age >= lo) & (world.age <= hi)
+    ids = np.flatnonzero(eligible & in_window)
+    if ids.size == 0:
+        return 0
+    queue = order(ids, budget)
+    given = 0
+    for number, spec in enumerate(policy.specs, start=1):
+        take = min(spec.daily_doses, budget - given, queue.size - given)
+        if take > 0:
+            apply_vaccine_effects(world, queue[given : given + take], spec, number)
+            given += take
+    return given
+
+
+def vaccination_day_step_shuffling(world, schedule, policy, day, rng):
+    return vaccination_day_step_by_mask(
+        world, schedule, policy, day, lambda ids, budget: rng.permutation(ids)
+    )

@@ -1,7 +1,8 @@
 """The engine's random-draw contract against the earlier one, as distributions.
 
 The engine draws only what it uses: an exposure uniform only for a
-susceptible in a place with an infectious occupant. The earlier contract
+susceptible in a place with an infectious occupant, and a vaccination
+sample only as long as the day's doses. The earlier contract
 (`reference_draws.py`) draws more and throws the surplus away. Both sample
 the same model, so only the mapping from seed to trace differs. Whole
 episodes under each contract, on one shared seed bank (so populations,
@@ -44,6 +45,9 @@ def test_episode_outcomes_match_the_earlier_draw_contract(monkeypatch, baseline)
     schedule = baseline_schedule(BaselineId(baseline), config.world.episode_days)
     engine = outcomes(config, schedule)
     monkeypatch.setattr(env, "exposure_step", reference_draws.exposure_step_drawing_all)
+    monkeypatch.setattr(
+        env, "vaccination_day_step", reference_draws.vaccination_day_step_shuffling
+    )
     earlier = outcomes(config, schedule)
 
     assert not np.array_equal(engine, earlier)  # the traces do differ

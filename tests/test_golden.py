@@ -62,22 +62,22 @@ TRACE_GOLDEN = {
         "011752555b53e1fabd8caf374b6d6e4bc2db480aa9ca222be93a82429414ca5a"
     ),
     (1, "FullL_FullV", 0): (
-        "c94583e2128ac4b024a85a48aeb461182b35c9b64d3c57df138c0f2faa4eecea"
+        "67e4b266c77af62dbc63a651f586a1b472474f7dd219b55dd7ac7646ce44bfcc"
     ),
     (1, "FullL_FullV", 1): (
-        "37d60a7b1fc71a2bb1497d76f9f50c05d8355f80c08925b1af3388c22c95616a"
+        "3f1269fe3df2142adc628a65e5f42e14c77c0313efbfa77fafec974430cf35dd"
     ),
     (1, "NoL_FullV", 0): (
-        "c7f39cd8de77591bb79ac9b728373baa6b905afe3602226d5fa1e7c707c2225a"
+        "97f635535e48ba2657c435fa93348eee07ad2a887f2b51ecbb9fbc871c308819"
     ),
     (1, "NoL_FullV", 1): (
-        "4676fa8d09cc36b3092204ea571ad11bce44dac15675bd3cb60b75f3031acb6d"
+        "2dfa362d48a906adf96955e63f192796422095f14971651b3e3c577a5bd8a3c6"
     ),
     (1, "L30_FullV", 0): (
-        "b44e6855e48594639b200615b27d8b1772caaa6ef795efa202288d231c708447"
+        "9c92201409925bdae071e881dea7355aa1f68feaa250bd435b76e6906591b2c2"
     ),
     (1, "L30_FullV", 1): (
-        "8391d1e2bf511651900db289f3de3cd0bca0f1af04fc7f049498aab55b9912bc"
+        "ff37ce9a43db71e0cc7f39fbf8b3e4a4ce57e4f24f2a997580c9cb255b1873c8"
     ),
     (2, "NoL_NoV", 0): (
         "af7d60d0a5acbbfe9b9d6dc0a06a17fc72820331df120ff9c7f6dbf57d0dc285"
@@ -86,22 +86,22 @@ TRACE_GOLDEN = {
         "d7d1ead681807ee991ee95037ff3048dfb7e89a7240d977233c181c99d5712a6"
     ),
     (2, "FullL_FullV", 0): (
-        "b23b90dd86832c142be0bf0bfd7925b3bf0c1670a35a544391c435214241b7b6"
+        "9893912f378bd79eedd30f2f121a7809b1707f156becd1c3fa601c5060bc86cb"
     ),
     (2, "FullL_FullV", 1): (
-        "f9e824854482d2574157d5d93727657345724e0b998194f00370ff5d5ced74aa"
+        "d060f9a284371425c92b89ebbb03ae7d7c4943ad6b235c457e4e467a58bba117"
     ),
     (2, "NoL_FullV", 0): (
-        "5c8a6cc80fa6787463a86be75ed77effa242b03c8e30cef1d291303c7262eab7"
+        "5d965498576a725ab176bdbcf1aafbb2ab60a74e9a6bebdb8715aed2f19e896a"
     ),
     (2, "NoL_FullV", 1): (
-        "117d5031092b32630be763900374e6229bb424b14d90da0e4a986f2745740d87"
+        "625851ffb8faa9d24ec07252d88553c56c8e7cd2066529473184dabadb013d86"
     ),
     (2, "L30_FullV", 0): (
-        "8f7b06fd1b702de7abc6f4e89da99a42e052a789dc7ed929ec475cac00a44384"
+        "3ef53e2b99e47e94e67d82146566832917b8cac79618ec9ccdd9b67960273c7b"
     ),
     (2, "L30_FullV", 1): (
-        "cc99eaedf9e83e8ffd5d801c4d59874d799f562b954e384279f47ecd3ffbaa92"
+        "ee0ecef69eece7c06096bd437eba8a70976c62d4a25473487659a0e38599ef12"
     ),
 }
 
@@ -125,12 +125,12 @@ def test_experiment_actor_and_log_digest():
         comparison_seeds=[0],
     )
     assert params_digest(report.actor) == (
-        "8a1eb4fd2459e1eca9d4c5a81141a5615971a397ccb6fb507008c078a112417a"
+        "2516fedcad17df486f3e03a0da7147acc75fc9d7a07c15ba4c8f658203391990"
     )
     assert log_digest(report.log) == (
-        "0d2d66191babdd0bf2271c74282bb49c53a8e215fc3eb6b0c042179cdde620ff"
+        "87ebf296a7b09a6b0a191ef9e3d8777e38739fa1b786ab907b60b86ce59555da"
     )
-    assert report.eval_mean.hex() == "-0x1.93b30713a60cep-3"
+    assert report.eval_mean.hex() == "-0x1.a92b3a1c485d8p-3"
 
 
 def test_bandit_learner_digest():

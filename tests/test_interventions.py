@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2_contingency, chisquare
 
 from epidemictrl.epidemic import Compartment
 from epidemictrl.env import ExperimentConfig, run_episode
 from epidemictrl.interventions import (
-    AGE_STRATA,
     InterventionSchedule,
     VaccinationPolicyConfig,
     VaccineSpec,
@@ -22,6 +22,7 @@ from epidemictrl.interventions import (
 from epidemictrl.world import WorldConfig
 
 from conftest import make_world, rng
+from reference_draws import vaccination_day_step_by_mask
 
 
 def test_decode_all_low_means_no_interventions():
@@ -127,33 +128,13 @@ def test_vaccine_two_used_after_vaccine_one():
 
 
 def mask_vaccination_day_step(world, schedule, policy, day, rng):
-    """Reference: one population-wide mask per open stratum, as first written."""
-    doses_today = sum(spec.daily_doses for spec in policy.specs)
-    if doses_today == 0:
-        return 0
-    active = [window_active(w, day) for w in schedule.vax_windows]
-    if not any(active):
-        return 0
-    cap = int(np.floor(policy.coverage_cap * world.population))
-    budget = min(cap - int(world.vaccinated.sum()), doses_today)
-    if budget <= 0:
-        return 0
-    eligible = world.alive & ~world.vaccinated & (world.compartment != Compartment.HOSPITALIZED)
-    in_window = np.zeros(world.population, dtype=bool)
-    for (lo, hi), is_active in zip(AGE_STRATA, active):
-        if is_active:
-            in_window |= (world.age >= lo) & (world.age <= hi)
-    ids = np.flatnonzero(eligible & in_window)
-    if ids.size == 0:
-        return 0
-    queue = rng.permutation(ids)
-    given = 0
-    for number, spec in enumerate(policy.specs, start=1):
-        take = min(spec.daily_doses, budget - given, queue.size - given)
-        if take > 0:
-            apply_vaccine_effects(world, queue[given : given + take], spec, number)
-            given += take
-    return given
+    """Reference: one population-wide mask per open stratum, as first
+    written, drawing the day's recipients as the engine does."""
+
+    def sample(ids, budget):
+        return rng.choice(ids, size=min(budget, ids.size), replace=False)
+
+    return vaccination_day_step_by_mask(world, schedule, policy, day, sample)
 
 
 @pytest.mark.parametrize("open_strata", range(8))
@@ -180,6 +161,66 @@ def test_vaccination_matches_mask_oracle_for_every_open_subset(open_strata):
         assert np.array_equal(fast.vax_susceptibility, slow.vax_susceptibility)
         assert g_fast.bit_generator.state == g_slow.bit_generator.state
     assert fast.vaccinated[80:].any() == (open_strata != 0)
+
+
+def _sampler_world():
+    # 60 agents, 44 of them eligible: the first 16 are hospitalized,
+    # deceased or already vaccinated.
+    world = _world_for_vax(population=60, seed=2)
+    world.compartment[:6] = Compartment.HOSPITALIZED
+    world.compartment[6:12] = Compartment.DECEASED
+    apply_vaccine_effects(world, np.arange(12, 16), VaccineSpec(0.6, 4), 2)
+    return world
+
+
+def test_day_sample_includes_each_eligible_id_uniformly_with_vaccine_one_first():
+    policy = VaccinationPolicyConfig(
+        specs=(VaccineSpec(0.8, 7), VaccineSpec(0.6, 5)), coverage_cap=1.0
+    )
+    world = _sampler_world()
+    start = (world.vaccinated.copy(), world.vaccine_index.copy(), world.vax_susceptibility.copy())
+    eligible = np.arange(16, 60)
+    budget, seeds = 12, 3000
+    counts = np.zeros((2, world.population), dtype=np.int64)  # per vaccine
+    for seed in range(seeds):
+        world.vaccinated[:], world.vaccine_index[:], world.vax_susceptibility[:] = start
+        assert vaccination_day_step(world, _full_windows(), policy, 0, rng(seed)) == budget
+        for number in (1, 2):
+            counts[number - 1] += world.vaccine_index == number
+    counts[1, 12:16] -= seeds  # the four vaccinated beforehand
+    assert counts[:, :16].sum() == 0
+
+    included = counts[:, eligible].sum(axis=0)
+    assert included.sum() == seeds * budget
+    # each eligible id is sampled at rate budget / pool
+    assert chisquare(included).pvalue > 0.01
+    # and given vaccine 1 at the same rate 7 / 12 whatever its id
+    assert counts[0].sum() == seeds * 7
+    assert chi2_contingency(counts[:, eligible]).pvalue > 0.01
+
+
+def test_days_without_doses_leave_the_stream_untouched():
+    policy = VaccinationPolicyConfig(specs=(VaccineSpec(0.8, 7), VaccineSpec(0.6, 5)))
+    later = InterventionSchedule((0.0, 0.0), ((10.0, 20.0), (10.0, 20.0), (0.0, 0.0)))
+    none_eligible = _sampler_world()
+    none_eligible.compartment[16:] = Compartment.HOSPITALIZED
+    capped = _sampler_world()
+    apply_vaccine_effects(capped, np.arange(16, 54), policy.specs[0], 1)  # 42 = 0.7 * 60
+    cases = [
+        (_sampler_world(), later, policy, 9),  # before the window opens
+        (_sampler_world(), later, policy, 20),  # the day it closes
+        (none_eligible, _full_windows(), policy, 0),
+        (capped, _full_windows(), VaccinationPolicyConfig(policy.specs, coverage_cap=0.7), 0),
+        (_sampler_world(), _full_windows(), VaccinationPolicyConfig(
+            (VaccineSpec(0.8, 0), VaccineSpec(0.6, 0))), 0),
+    ]
+    for world, schedule, case_policy, day in cases:
+        g = rng(11)
+        before = g.bit_generator.state
+        vaccinated = world.vaccinated.copy()
+        assert vaccination_day_step(world, schedule, case_policy, day, g) == 0
+        assert g.bit_generator.state == before
+        assert np.array_equal(world.vaccinated, vaccinated)
 
 
 def test_stratum_window_limits_eligibility():
