@@ -11,7 +11,7 @@ from .env import (
     run_episode,
     total_reward,
 )
-from .epidemic import Compartment, DiseaseParams, age_band_params
+from .epidemic import Compartment, DiseaseParams
 from .interventions import (
     InterventionSchedule,
     VaccinationPolicyConfig,
@@ -38,7 +38,6 @@ __all__ = [
     "VaccineSpec",
     "WorldConfig",
     "WorldState",
-    "age_band_params",
     "below_poverty_count",
     "decode_action",
     "economy_day_step",

@@ -81,7 +81,7 @@ def _live_members(world: WorldState) -> np.ndarray:
     return members
 
 
-def economy_day_step(world: WorldState, day: int, lockdown_active: bool) -> None:
+def economy_day_step(world: WorldState, lockdown_active: bool) -> None:
     """Post one day of income and expenses to every house.
 
     The head earns iff alive, not symptomatic or hospitalized, and either

@@ -143,7 +143,7 @@ def run_episode(
             exposure_step(world, config.disease, streams.disease)
             progression_step(world, config.disease, streams.disease)
             world.tick += 1
-        economy_day_step(world, day, locked and config.lockdown_affects_economy)
+        economy_day_step(world, locked and config.lockdown_affects_economy)
         doses[day + 1] = vaccination_day_step(
             world, schedule, config.vaccination, day, streams.vaccination
         )

@@ -201,43 +201,30 @@ class DiseaseParams:
         }
 
 
-def age_band_params(age: int, params: DiseaseParams | None = None) -> AgeBandRates:
-    """Return the decade band's rate row for an age in 0-99."""
-    if not 0 <= age <= 99:
-        raise ValueError(f"age {age} outside 0-99")
-    bands = params.age_bands if params is not None else DEFAULT_AGE_BANDS
-    return bands[int(age) // 10]
-
-
 def duration_days(
     compartment: Compartment,
     rng: np.random.Generator,
-    size: int | None = None,
-    params: DiseaseParams | None = None,
-) -> np.ndarray | float:
-    """Draw raw log-normal dwell times in days for a timed compartment."""
-    if params is None:
-        params = _default_params()
+    size: int,
+    params: DiseaseParams,
+) -> np.ndarray:
+    """Draw `size` raw log-normal dwell times in days for a timed compartment."""
     try:
         mu, sigma = params._duration_mu_sigma[compartment]
     except KeyError:
         raise ValueError(f"{Compartment(compartment).name} has no dwell time") from None
     if sigma == 0.0:
-        mean = params.stage_durations[compartment][0]
-        return mean if size is None else np.full(size, mean)
+        return np.full(size, params.stage_durations[compartment][0])
     return rng.lognormal(mu, sigma, size=size)
 
 
 def sample_duration_ticks(
     compartment: Compartment,
     rng: np.random.Generator,
-    size: int | None = None,
-    params: DiseaseParams | None = None,
-) -> np.ndarray | int:
-    """Dwell time in 12-hour ticks: 2x the day draw, rounded, at least 1."""
+    size: int,
+    params: DiseaseParams,
+) -> np.ndarray:
+    """Dwell times in 12-hour ticks: 2x the day draw, rounded, at least 1."""
     days = duration_days(compartment, rng, size=size, params=params)
-    if size is None:
-        return int(max(np.rint(days * TICKS_PER_DAY), 1))
     # `days` is a fresh array, so it is rounded in place.
     days *= TICKS_PER_DAY
     np.rint(days, out=days)
@@ -409,12 +396,3 @@ def progression_step(
         _enter(ids[silent], _ASYMPTOMATIC)
         _enter(ids[~silent], _PRE_SYMPTOMATIC)
 
-
-_DEFAULT_PARAMS: DiseaseParams | None = None
-
-
-def _default_params() -> DiseaseParams:
-    global _DEFAULT_PARAMS
-    if _DEFAULT_PARAMS is None:
-        _DEFAULT_PARAMS = DiseaseParams()
-    return _DEFAULT_PARAMS

@@ -24,7 +24,7 @@ def _fix_house(world, house, savings, income):
 def test_healthy_head_income_minus_expenses():
     world = make_world(population=4, household_size=4)
     _fix_house(world, 0, savings=500.0, income=100.0)
-    economy_day_step(world, day=0, lockdown_active=False)
+    economy_day_step(world, lockdown_active=False)
     assert world.savings_cents[0] == 56_000  # 500 + 100 - 4*10
 
 
@@ -32,7 +32,7 @@ def test_hospitalized_head_loses_income():
     world = make_world(population=4, household_size=4)
     _fix_house(world, 0, savings=500.0, income=100.0)
     world.compartment[world.house_head[0]] = Compartment.HOSPITALIZED
-    economy_day_step(world, day=0, lockdown_active=False)
+    economy_day_step(world, lockdown_active=False)
     assert world.savings_cents[0] == 46_000  # 500 - 40
 
 
@@ -43,7 +43,7 @@ def test_essential_head_earns_under_lockdown():
     world.employed[head] = True
     world.is_essential[head] = True
     world.is_violator[head] = False
-    economy_day_step(world, day=0, lockdown_active=True)
+    economy_day_step(world, lockdown_active=True)
     assert world.savings_cents[0] == 56_000
 
 
@@ -53,7 +53,7 @@ def test_ordinary_head_stops_earning_under_lockdown():
     head = world.house_head[0]
     world.is_essential[head] = False
     world.is_violator[head] = False
-    economy_day_step(world, day=0, lockdown_active=True)
+    economy_day_step(world, lockdown_active=True)
     assert world.savings_cents[0] == 46_000
 
 
@@ -63,7 +63,7 @@ def test_violator_head_earns_under_lockdown():
     head = world.house_head[0]
     world.is_essential[head] = False
     world.is_violator[head] = True
-    economy_day_step(world, day=0, lockdown_active=True)
+    economy_day_step(world, lockdown_active=True)
     assert world.savings_cents[0] == 56_000
 
 
@@ -72,7 +72,7 @@ def test_deceased_members_stop_expenses():
     _fix_house(world, 0, savings=500.0, income=0.0)
     dead = [i for i in range(4) if i != world.house_head[0]][0]
     world.compartment[dead] = Compartment.DECEASED
-    economy_day_step(world, day=0, lockdown_active=False)
+    economy_day_step(world, lockdown_active=False)
     assert world.savings_cents[0] == 47_000  # 500 - 3*10
 
 
@@ -102,7 +102,7 @@ def test_savings_may_go_negative():
     world = make_world(population=4, household_size=4)
     _fix_house(world, 0, savings=10.0, income=0.0)
     world.compartment[world.house_head[0]] = Compartment.INFECTED_MILD
-    economy_day_step(world, day=0, lockdown_active=False)
+    economy_day_step(world, lockdown_active=False)
     assert world.savings_cents[0] == -3_000
 
 
@@ -124,7 +124,7 @@ def test_no_poverty_without_epidemic_or_lockdown(savings, income, days):
     start = max(float(savings), 100.0)
     _fix_house(world, 0, savings=start, income=float(income))
     for day in range(days):
-        economy_day_step(world, day, lockdown_active=False)
+        economy_day_step(world, lockdown_active=False)
         assert world.savings_cents[0] >= 10_000
 
 
@@ -158,7 +158,7 @@ def test_accounting_identity_exact(seed, days):
         live = np.bincount(world.house_id[world.alive], minlength=world.n_houses)
         earned += np.where(works, world.income_cents, 0)
         spent += 1000 * live
-        economy_day_step(world, day, lockdown_active=lock)
+        economy_day_step(world, lockdown_active=lock)
     assert np.array_equal(world.savings_cents, start + earned - spent)
 
 
@@ -180,7 +180,7 @@ def test_live_members_match_a_count_of_the_living(population, household_size, se
 
     head_alive = world.alive[world.house_head]
     expected = world.savings_cents + np.where(head_alive, world.income_cents, 0) - 1000 * live
-    economy_day_step(world, day=0, lockdown_active=False)
+    economy_day_step(world, lockdown_active=False)
     assert np.array_equal(world.savings_cents, expected)
 
 

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from epidemictrl.epidemic import (
+    DEFAULT_AGE_BANDS,
     Compartment,
     DEFAULT_STAGE_DURATIONS,
     DiseaseParams,
     TIMED_COMPARTMENTS,
     VACCINATED_SOURCE_WEIGHT,
-    age_band_params,
     duration_days,
     exposure_step,
     infection_probability,
@@ -42,6 +42,13 @@ EXPECTED_AGE_TABLE = [
 ]
 
 
+def age_band_params(age: int):
+    """The default table's rate row for an age in 0-99."""
+    if not 0 <= age <= 99:
+        raise ValueError(f"age {age} outside 0-99")
+    return DEFAULT_AGE_BANDS[age // 10]
+
+
 def test_age_band_table_exact():
     for decade, expected in enumerate(EXPECTED_AGE_TABLE):
         for age in (decade * 10, decade * 10 + 9):
@@ -53,6 +60,12 @@ def test_age_band_table_exact():
                 band.sigma,
             )
             assert got == expected, age
+    # the per-band arrays the engine indexes by age // 10
+    params = DiseaseParams()
+    table = np.array(EXPECTED_AGE_TABLE)
+    assert np.array_equal(params.band_beta_multiplier, table[:, 0])
+    assert np.array_equal(params.band_asymptomatic_prob, 1.0 - table[:, 1])
+    assert np.array_equal(params.band_severe_prob, table[:, 2])
 
 
 def test_age_band_examples():
@@ -107,14 +120,16 @@ def test_degenerate_sd_gives_constant_duration():
 
 def test_hospitalized_duration_mean_in_days():
     # tick-quantized sampler keeps the published 18.1-day mean
-    ticks = sample_duration_ticks(Compartment.HOSPITALIZED, rng(1), size=1_000_000)
+    ticks = sample_duration_ticks(
+        Compartment.HOSPITALIZED, rng(1), size=1_000_000, params=DiseaseParams()
+    )
     days = ticks / 2.0
     assert 17.9 <= days.mean() <= 18.3
 
 
 def test_duration_always_at_least_one_tick():
     ticks = sample_duration_ticks(
-        Compartment.INFECTED_SEVERE, rng(2), size=100_000
+        Compartment.INFECTED_SEVERE, rng(2), size=100_000, params=DiseaseParams()
     )
     assert ticks.min() >= 1
 
@@ -360,8 +375,9 @@ def test_all_compartments_reachable_on_tiny_world():
 def test_duration_oracle_day_draws_match_table():
     # 10^6 day draws per stage must reproduce the published mean and sd.
     g = rng(20)
+    params = DiseaseParams()
     for comp in TIMED_COMPARTMENTS:
         mean, sd = DEFAULT_STAGE_DURATIONS[comp]
-        draws = duration_days(comp, g, size=1_000_000)
+        draws = duration_days(comp, g, size=1_000_000, params=params)
         assert abs(draws.mean() - mean) / mean < 0.01, comp
         assert abs(draws.std() - sd) / sd < 0.03, comp

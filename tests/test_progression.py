@@ -253,7 +253,7 @@ def test_realized_dwell_matches_sampled_dwell(monkeypatch):
     n = 3000
     draws = []  # (target compartment, dwell ticks) in draw order
 
-    def recording_sample(compartment, rng, size=None, params=None):
+    def recording_sample(compartment, rng, size, params):
         ticks = sample_duration_ticks(compartment, rng, size=size, params=params)
         draws.append((int(compartment), np.atleast_1d(ticks)))
         return ticks
