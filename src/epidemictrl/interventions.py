@@ -173,8 +173,8 @@ def vaccination_day_step(
     if ids.size == 0:
         return 0
 
-    # An ordered uniform sample of the day's recipients, not a shuffle of
-    # the whole pool: vaccine 1 takes the first of it.
+    # Sample only the day's recipients: the draws scale with the doses,
+    # not with the eligible pool.
     queue = rng.choice(ids, size=min(budget, ids.size), replace=False)
     given = 0
     for number, spec in enumerate(policy.specs, start=1):
