@@ -219,7 +219,7 @@ def test_exposure_draws_one_uniform_per_loaded_susceptible_then_incubations():
     loaded = np.array([1, 2, 3, 4, 5, 13, 14, 15, 16, 17])
     weight = np.where(loaded < 12, 1.0, VACCINATED_SOURCE_WEIGHT)
     beta_agent = (
-        3.0
+        params.beta_base
         * params.band_beta_multiplier[world.age[loaded] // 10]
         * world.vax_susceptibility[loaded]
     )
