@@ -133,7 +133,7 @@ def test_experiment_actor_and_log_digest():
     assert report.eval_mean.hex() == "-0x1.a92b3a1c485d8p-3"
 
 
-def test_bandit_learner_digest():
+def test_bandit_learner_digest(tmp_path):
     result = train(QuadraticBandit(), DdpgHyperParams())
     assert params_digest(result.agent.actor) == (
         "604d7edbd8f8ef16eca2a21cd037605900b1e52b43b26dc74c84bef35cda53b8"
@@ -143,4 +143,9 @@ def test_bandit_learner_digest():
     )
     assert log_digest(result.log) == (
         "e97a0b9397bc79473fb0ddb4d16800306450903a76bd9d1f0b5f7111aa09811c"
+    )
+    # The written log, byte for byte: blank cells for NaN, repr floats.
+    result.log.to_csv(tmp_path / "training_log.csv")
+    assert hashlib.sha256((tmp_path / "training_log.csv").read_bytes()).hexdigest() == (
+        "0ce71397d4fd1c6b146baf1a6e146e642f0da347df321365cf165acc657dfb18"
     )
