@@ -8,8 +8,10 @@ observed reward, and the actor ascends the critic's value of its own
 action. Exploration adds Gaussian noise to the raw action before
 clamping to [-1, 1].
 
-A task only needs three things: an `observation()` vector (constant per
-experiment), an `action_dim`, and `rollout(action, seed) -> reward`.
+A task has five members: an `observation()` vector (constant per
+experiment), an `action_dim`, a `seed_base` that offsets every episode
+seed, `rollout(action, seed) -> reward`, and `decode(action)`, the
+schedule an action stands for.
 """
 
 from __future__ import annotations
@@ -104,9 +106,6 @@ class ActorCritic:
         )
         return cls(actor, critic, hyper)
 
-    def critic_value(self, obs: np.ndarray, action: np.ndarray) -> np.ndarray:
-        return self.critic.forward(np.concatenate([obs, action], axis=-1))
-
     def _critic_action_gradient(self, obs: np.ndarray, action: np.ndarray):
         """dQ/da at (obs, action), plus the Q values."""
         x = np.concatenate([obs, action], axis=-1)
@@ -151,62 +150,30 @@ class ActorCritic:
         return critic_loss, actor_objective
 
 
+LOG_FIELDS = ("iteration", "reward", "critic_loss", "actor_objective", "eval_mean", "eval_sd")
+
+
 @dataclass
 class TrainLog:
-    iterations: list[int] = field(default_factory=list)
-    rewards: list[float] = field(default_factory=list)
-    critic_losses: list[float] = field(default_factory=list)
-    actor_objectives: list[float] = field(default_factory=list)
-    eval_means: list[float] = field(default_factory=list)
-    eval_sds: list[float] = field(default_factory=list)
+    """One dict per iteration, keyed by `LOG_FIELDS`.
 
-    def append(
-        self,
-        iteration: int,
-        reward: float,
-        critic_loss: float,
-        actor_objective: float,
-        eval_mean: float,
-        eval_sd: float,
-    ) -> None:
-        self.iterations.append(iteration)
-        self.rewards.append(reward)
-        self.critic_losses.append(critic_loss)
-        self.actor_objectives.append(actor_objective)
-        self.eval_means.append(eval_mean)
-        self.eval_sds.append(eval_sd)
+    NaN marks a value the iteration did not produce: no learner step yet,
+    or no evaluation.
+    """
+
+    rows: list[dict] = field(default_factory=list)
 
     @property
-    def eval_points(self) -> int:
-        return sum(1 for m in self.eval_means if not math.isnan(m))
+    def iterations(self) -> list[int]:
+        return [row["iteration"] for row in self.rows]
 
     def to_csv(self, path) -> None:
-        def cell(x: float) -> str:
-            return "" if math.isnan(x) else repr(x)
-
+        """Floats as repr, NaN as a blank cell."""
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                [
-                    "iteration",
-                    "reward",
-                    "critic_loss",
-                    "actor_objective",
-                    "eval_mean",
-                    "eval_sd",
-                ]
-            )
-            for i in range(len(self.iterations)):
-                writer.writerow(
-                    [
-                        self.iterations[i],
-                        repr(self.rewards[i]),
-                        cell(self.critic_losses[i]),
-                        cell(self.actor_objectives[i]),
-                        cell(self.eval_means[i]),
-                        cell(self.eval_sds[i]),
-                    ]
-                )
+            writer = csv.DictWriter(fh, LOG_FIELDS)
+            writer.writeheader()
+            for row in self.rows:
+                writer.writerow({k: "" if math.isnan(v) else v for k, v in row.items()})
 
 
 @dataclass
@@ -215,7 +182,7 @@ class EvalResult:
     sd: float
     rewards: list[float]
     action: np.ndarray
-    schedule: object | None = None
+    schedule: object
 
 
 @dataclass
@@ -232,15 +199,14 @@ def evaluate(actor: Mlp, task, repeats: int) -> EvalResult:
         raise ValueError("repeats must be at least 1")
     obs = task.observation()
     action = np.clip(actor.forward(obs), -1.0, 1.0)
-    base = getattr(task, "seed_base", 0) + EVAL_SEED_OFFSET
+    base = task.seed_base + EVAL_SEED_OFFSET
     rewards = [float(task.rollout(action, base + j)) for j in range(repeats)]
-    schedule = task.decode(action) if hasattr(task, "decode") else None
     return EvalResult(
         mean=float(np.mean(rewards)),
         sd=float(np.std(rewards)),
         rewards=rewards,
         action=action,
-        schedule=schedule,
+        schedule=task.decode(action),
     )
 
 
@@ -275,7 +241,6 @@ def train(task, hyper: DdpgHyperParams | None = None) -> TrainResult:
     rewards = np.zeros(hyper.train_iterations)
     obs_batch = np.tile(obs, (hyper.batch_size, 1))
     log = TrainLog()
-    seed_base = getattr(task, "seed_base", 0)
     best_actor = best_eval = last_eval = None
 
     def sample(iteration: int):
@@ -288,7 +253,7 @@ def train(task, hyper: DdpgHyperParams | None = None) -> TrainResult:
         else:
             action = select_action(agent.actor, obs, hyper.expl_noise, noise_rng)
 
-        first_seed = seed_base + (iteration - 1) * hyper.replicates_per_action
+        first_seed = task.seed_base + (iteration - 1) * hyper.replicates_per_action
         reward = float(
             np.mean(
                 [
@@ -317,6 +282,7 @@ def train(task, hyper: DdpgHyperParams | None = None) -> TrainResult:
                 best_eval = result
                 best_actor = agent.actor.copy()
 
-        log.append(iteration, reward, critic_loss, actor_objective, eval_mean, eval_sd)
+        row = (iteration, reward, critic_loss, actor_objective, eval_mean, eval_sd)
+        log.rows.append(dict(zip(LOG_FIELDS, row)))
 
     return TrainResult(agent=agent, log=log, best_actor=best_actor, best_eval=best_eval)

@@ -60,18 +60,6 @@ TIMED_COMPARTMENTS = (
     Compartment.HOSPITALIZED,
 )
 
-#: Compartments that keep an agent home during work phases.
-SYMPTOMATIC_COMPARTMENTS = (Compartment.INFECTED_MILD, Compartment.INFECTED_SEVERE)
-
-#: Compartments that shed infection: the run from Asymptomatic to
-#: InfectedSevere, which `exposure_step` finds with one range test.
-INFECTIOUS_COMPARTMENTS = (
-    Compartment.ASYMPTOMATIC,
-    Compartment.PRE_SYMPTOMATIC,
-    Compartment.INFECTED_MILD,
-    Compartment.INFECTED_SEVERE,
-)
-
 # Plain ints for the per-tick code: an IntEnum member lookup costs a
 # Python-level attribute access on every use.
 _SUSCEPTIBLE = int(Compartment.SUSCEPTIBLE)
@@ -235,11 +223,10 @@ def sample_duration_ticks(
 def infection_probability(beta_agent, infectious_weight, occupants):
     """Per-tick infection probability from frequency-dependent mixing.
 
-    p = 1 - exp(-beta_agent * (infectious_weight / occupants) * tick_days).
-    Accepts scalars or aligned arrays.
+    p = 1 - exp(-beta_agent * (infectious_weight / occupants) * tick_days),
+    elementwise over aligned arrays.
     """
-    result = -np.expm1(-(beta_agent * (infectious_weight / occupants) * TICK_DAYS))
-    return float(result) if np.ndim(result) == 0 else result
+    return -np.expm1(-(beta_agent * (infectious_weight / occupants) * TICK_DAYS))
 
 
 def _expose(
@@ -289,6 +276,7 @@ def exposure_step(
     comp = world.compartment
     loc = world.location_of
 
+    # The infectious run, Asymptomatic to InfectedSevere, is one range.
     sources = ((comp >= _ASYMPTOMATIC) & (comp <= _INFECTED_SEVERE)).nonzero()[0]
     if sources.size == 0 or params.beta_base == 0.0:
         return 0

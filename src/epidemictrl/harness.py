@@ -332,23 +332,6 @@ def write_trace_csv(trace: EpisodeTrace, path) -> None:
         raise OSError(f"cannot write trace to {path}: {exc}") from exc
 
 
-def read_trace_csv(path) -> EpisodeTrace:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if ",".join(header) != TRACE_HEADER:
-            raise ValueError(f"{path}: unexpected trace header")
-        rows = [[int(v) for v in row] for row in reader]
-    data = np.array(rows, dtype=np.int64)
-    compartments = data[:, 1:10]
-    return EpisodeTrace(
-        population=int(compartments[0].sum()),
-        compartments=compartments,
-        below_poverty=data[:, 10],
-        doses=data[:, 11],
-    )
-
-
 def emit_plot_svg(
     series: list[tuple[str, np.ndarray]],
     path,

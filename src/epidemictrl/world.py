@@ -1,8 +1,7 @@
 """Population synthesis, geography and per-tick movement.
 
 State is kept in flat numpy arrays (one slot per agent) so that a
-100,000-agent world steps in milliseconds; `agent()` builds a read-only
-view of one agent for inspection and tests.
+100,000-agent world steps in milliseconds.
 
 A day is two 12-hour ticks: even ticks are the home phase, odd ticks the
 work/school phase. Agents over 30 are employed and commute to offices,
@@ -15,11 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import IntEnum
 
 import numpy as np
 
-from .epidemic import NOT_DUE, Compartment, SYMPTOMATIC_COMPARTMENTS
+from .epidemic import NOT_DUE, Compartment
 from .rng import RngStreams
 
 EMPLOYMENT_AGE = 30  # strictly older than this means employed
@@ -31,18 +29,6 @@ _INFECTED_SEVERE = int(Compartment.INFECTED_SEVERE)
 _HOSPITALIZED = int(Compartment.HOSPITALIZED)
 _DECEASED = int(Compartment.DECEASED)
 _N_COMPARTMENTS = len(Compartment)
-
-
-class Role(IntEnum):
-    STUDENT = 0
-    EMPLOYED = 1
-
-
-class LocationKind(IntEnum):
-    HOUSE = 0
-    OFFICE = 1
-    SCHOOL = 2
-    HOSPITAL = 3
 
 
 @dataclass
@@ -77,28 +63,6 @@ class WorldConfig:
         if self.hospitals is not None:
             return self.hospitals
         return max(1, math.ceil(self.population_size / PEOPLE_PER_HOSPITAL))
-
-
-@dataclass(frozen=True)
-class Agent:
-    """Read-only view of one agent's slot.
-
-    `due_tick` is the tick whose progression step ends the agent's current
-    stage, or -1 outside the timed compartments (Exposed to Hospitalized).
-    """
-
-    id: int
-    age: int
-    role: Role
-    house_id: int
-    workplace_loc: int
-    hospital_loc: int
-    is_essential: bool
-    is_violator: bool
-    compartment: Compartment
-    due_tick: int
-    vaccinated: bool
-    vaccine_index: int
 
 
 @dataclass
@@ -149,56 +113,8 @@ class WorldState:
     def n_locations(self) -> int:
         return self.n_houses + self.n_offices + self.n_schools + self.n_hospitals
 
-    @property
-    def office_base(self) -> int:
-        return self.n_houses
-
-    @property
-    def school_base(self) -> int:
-        return self.n_houses + self.n_offices
-
-    @property
-    def hospital_base(self) -> int:
-        return self.n_houses + self.n_offices + self.n_schools
-
-    @property
-    def alive(self) -> np.ndarray:
-        return self.compartment != _DECEASED
-
-    def location_kind(self, loc: int) -> LocationKind:
-        if not 0 <= loc < self.n_locations:
-            raise ValueError(f"location {loc} out of range")
-        if loc < self.office_base:
-            return LocationKind.HOUSE
-        if loc < self.school_base:
-            return LocationKind.OFFICE
-        if loc < self.hospital_base:
-            return LocationKind.SCHOOL
-        return LocationKind.HOSPITAL
-
     def compartment_counts(self) -> np.ndarray:
         return np.bincount(self.compartment, minlength=_N_COMPARTMENTS)
-
-    def house_members(self, house: int) -> np.ndarray:
-        size = self.config.household_size
-        start = house * size
-        return np.arange(start, min(start + size, self.population))
-
-    def agent(self, i: int) -> Agent:
-        return Agent(
-            id=i,
-            age=int(self.age[i]),
-            role=Role.EMPLOYED if self.employed[i] else Role.STUDENT,
-            house_id=int(self.house_id[i]),
-            workplace_loc=int(self.workplace_loc[i]),
-            hospital_loc=int(self.hospital_loc[i]),
-            is_essential=bool(self.is_essential[i]),
-            is_violator=bool(self.is_violator[i]),
-            compartment=Compartment(int(self.compartment[i])),
-            due_tick=int(self.due_tick[i]),
-            vaccinated=bool(self.vaccinated[i]),
-            vaccine_index=int(self.vaccine_index[i]),
-        )
 
 
 def house_heads(age: np.ndarray, household_size: int) -> np.ndarray:
@@ -276,25 +192,6 @@ def synthesize_population(config: WorldConfig, streams: RngStreams) -> WorldStat
         n_schools=n_schools,
         n_hospitals=n_hospitals,
     )
-
-
-def scheduled_location(agent: Agent, tick: int, lockdown_active: bool) -> int:
-    """Where one live agent belongs at the given tick.
-
-    Reference implementation of the movement rules; `scheduled_locations`
-    is the vectorized equivalent used by the engine.
-    """
-    if agent.compartment == Compartment.DECEASED:
-        raise ValueError("deceased agents have no scheduled location")
-    if agent.compartment == Compartment.HOSPITALIZED:
-        return agent.hospital_loc
-    if tick % 2 == 0:  # home phase
-        return agent.house_id
-    if agent.compartment in SYMPTOMATIC_COMPARTMENTS:
-        return agent.house_id
-    if lockdown_active and not (agent.is_essential or agent.is_violator):
-        return agent.house_id
-    return agent.workplace_loc
 
 
 def scheduled_locations(

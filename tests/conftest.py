@@ -42,3 +42,6 @@ class QuadraticBandit:
 
     def rollout(self, action, seed):
         return -float((action[0] - 0.4) ** 2)
+
+    def decode(self, action):
+        return float(action[0])

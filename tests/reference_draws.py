@@ -75,7 +75,9 @@ def vaccination_day_step_by_mask(world, schedule, policy, day, order):
     budget = min(cap - int(world.vaccinated.sum()), doses_today)
     if budget <= 0:
         return 0
-    eligible = world.alive & ~world.vaccinated & (world.compartment != Compartment.HOSPITALIZED)
+    comp = world.compartment
+    alive = comp != Compartment.DECEASED
+    eligible = alive & ~world.vaccinated & (comp != Compartment.HOSPITALIZED)
     in_window = np.zeros(world.population, dtype=bool)
     for (lo, hi), is_active in zip(AGE_STRATA, active):
         if is_active:

@@ -155,7 +155,8 @@ def test_accounting_identity_exact(seed, days):
         works = ~blocked
         if lock:
             works &= world.is_essential[head] | world.is_violator[head]
-        live = np.bincount(world.house_id[world.alive], minlength=world.n_houses)
+        alive = world.compartment != Compartment.DECEASED
+        live = np.bincount(world.house_id[alive], minlength=world.n_houses)
         earned += np.where(works, world.income_cents, 0)
         spent += 1000 * live
         economy_day_step(world, lockdown_active=lock)
@@ -174,11 +175,12 @@ def test_live_members_match_a_count_of_the_living(population, household_size, se
     world = make_world(population=population, household_size=household_size, seed=seed)
     dead = np.random.default_rng(seed).random(population) < death_share
     world.compartment[dead] = Compartment.DECEASED
-    live = np.bincount(world.house_id[world.alive], minlength=world.n_houses)
+    alive = world.compartment != Compartment.DECEASED
+    live = np.bincount(world.house_id[alive], minlength=world.n_houses)
     line_cents = round(world.economy_config.poverty_line * 100)
     assert below_poverty_count(world) == live[world.savings_cents < line_cents].sum()
 
-    head_alive = world.alive[world.house_head]
+    head_alive = alive[world.house_head]
     expected = world.savings_cents + np.where(head_alive, world.income_cents, 0) - 1000 * live
     economy_day_step(world, lockdown_active=False)
     assert np.array_equal(world.savings_cents, expected)

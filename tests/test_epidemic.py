@@ -135,13 +135,13 @@ def test_duration_always_at_least_one_tick():
 
 
 def test_infection_probability_formula():
-    p = infection_probability(0.5, 10, 100)
+    p = float(infection_probability(0.5, 10, 100))
     assert p == pytest.approx(1.0 - math.exp(-0.025))
     assert p == pytest.approx(0.02469, abs=1e-5)
 
 
 def test_infection_probability_zero_weight():
-    assert infection_probability(0.5, 0, 50) == 0.0
+    assert float(infection_probability(0.5, 0, 50)) == 0.0
 
 
 def test_vaccinated_young_beta_composition():
@@ -246,7 +246,7 @@ def test_two_agent_household_exposure_matches_closed_form():
     # Eventual exposure probability is 1 - (1 - p)^200 with the per-tick
     # p from the dose-response formula at half infectious occupancy.
     params = DiseaseParams()
-    p_tick = infection_probability(0.5, 1.0, 2)
+    p_tick = float(infection_probability(0.5, 1.0, 2))
     expected = 1.0 - (1.0 - p_tick) ** 200
 
     runs = 10_000

@@ -13,7 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from epidemictrl.ddpg import DdpgHyperParams, train
+from epidemictrl.ddpg import LOG_FIELDS, DdpgHyperParams, train
 from epidemictrl.env import run_episode
 from epidemictrl.harness import (
     BaselineId,
@@ -43,14 +43,7 @@ def params_digest(net) -> str:
 
 
 def log_digest(log) -> str:
-    columns = (
-        log.iterations,
-        log.rewards,
-        log.critic_losses,
-        log.actor_objectives,
-        log.eval_means,
-        log.eval_sds,
-    )
+    columns = ([row[name] for row in log.rows] for name in LOG_FIELDS)
     return _digest(columns, "<f8")
 
 

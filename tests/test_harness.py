@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -13,9 +14,10 @@ import numpy as np
 import pytest
 
 from epidemictrl.economy import EconomyConfig
-from epidemictrl.env import ExperimentConfig, run_episode
+from epidemictrl.env import EpisodeTrace, ExperimentConfig, run_episode
 from epidemictrl.epidemic import AgeBandRates, DEFAULT_AGE_BANDS, DiseaseParams
 from epidemictrl.harness import (
+    TRACE_HEADER,
     BaselineId,
     ConfigError,
     DEFAULT_POPULATION,
@@ -31,7 +33,6 @@ from epidemictrl.harness import (
     main,
     parse_baseline,
     parse_seeds,
-    read_trace_csv,
     sanity_config,
     scaled_doses,
     to_dict,
@@ -136,6 +137,22 @@ def _tiny_config() -> ExperimentConfig:
     return ExperimentConfig(
         world=WorldConfig(population_size=200, episode_days=15),
         initial_infection_fraction=0.1,
+    )
+
+
+def read_trace_csv(path) -> EpisodeTrace:
+    """Reads back a `write_trace_csv` file."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if ",".join(next(reader)) != TRACE_HEADER:
+            raise ValueError(f"{path}: unexpected trace header")
+        data = np.array([[int(v) for v in row] for row in reader], dtype=np.int64)
+    compartments = data[:, 1:10]
+    return EpisodeTrace(
+        population=int(compartments[0].sum()),
+        compartments=compartments,
+        below_poverty=data[:, 10],
+        doses=data[:, 11],
     )
 
 

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from epidemictrl import env, epidemic
 from epidemictrl.env import ExperimentConfig, run_episode
 from epidemictrl.epidemic import (
-    INFECTIOUS_COMPARTMENTS,
     TIMED_COMPARTMENTS,
     VACCINATED_SOURCE_WEIGHT,
     Compartment,
@@ -46,6 +45,13 @@ from conftest import make_world
 # ---------------------------------------------------------------------------
 # The countdown reference.
 
+# The compartments that shed infection.
+INFECTIOUS_COMPARTMENTS = (
+    Compartment.ASYMPTOMATIC,
+    Compartment.PRE_SYMPTOMATIC,
+    Compartment.INFECTED_MILD,
+    Compartment.INFECTED_SEVERE,
+)
 INFECTIOUS_LUT = np.zeros(len(Compartment), dtype=bool)
 INFECTIOUS_LUT[list(INFECTIOUS_COMPARTMENTS)] = True
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from enum import IntEnum
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,17 +10,66 @@ from hypothesis import strategies as st
 from epidemictrl.epidemic import Compartment
 from epidemictrl.rng import RngStreams
 from epidemictrl.world import (
-    LocationKind,
-    Role,
     WorldConfig,
+    WorldState,
     apply_movement,
     house_heads,
-    scheduled_location,
     scheduled_locations,
     synthesize_population,
 )
 
 from conftest import make_world
+
+# Reference views of the world's flat arrays. The engine needs none of
+# them: it reads the arrays directly.
+
+
+class LocationKind(IntEnum):
+    """Location ids run through houses, then offices, schools and hospitals."""
+
+    HOUSE = 0
+    OFFICE = 1
+    SCHOOL = 2
+    HOSPITAL = 3
+
+
+def kind_base(world: WorldState, kind: LocationKind) -> int:
+    """First location id of `kind`."""
+    sizes = (world.n_houses, world.n_offices, world.n_schools, world.n_hospitals)
+    return sum(sizes[:kind])
+
+
+def location_kind(world: WorldState, loc: int) -> LocationKind:
+    if not 0 <= loc < world.n_locations:
+        raise ValueError(f"location {loc} out of range")
+    return max(kind for kind in LocationKind if kind_base(world, kind) <= loc)
+
+
+def house_members(world: WorldState, house: int) -> np.ndarray:
+    size = world.config.household_size
+    return np.arange(house * size, min((house + 1) * size, world.population))
+
+
+SYMPTOMATIC_COMPARTMENTS = (Compartment.INFECTED_MILD, Compartment.INFECTED_SEVERE)
+
+
+def scheduled_location(world: WorldState, i: int, tick: int, lockdown_active: bool) -> int:
+    """Where agent `i` belongs at `tick`, rule by rule; -1 for the deceased.
+
+    Scalar reference for the vectorized `scheduled_locations`.
+    """
+    comp = world.compartment[i]
+    if comp == Compartment.DECEASED:
+        return -1
+    if comp == Compartment.HOSPITALIZED:
+        return world.hospital_loc[i]
+    if tick % 2 == 0:  # home phase
+        return world.house_id[i]
+    if comp in SYMPTOMATIC_COMPARTMENTS:
+        return world.house_id[i]
+    if lockdown_active and not (world.is_essential[i] or world.is_violator[i]):
+        return world.house_id[i]
+    return world.workplace_loc[i]
 
 
 def test_house_count_from_config():
@@ -28,14 +79,14 @@ def test_house_count_from_config():
 
 def test_last_house_may_be_smaller():
     world = make_world(population=10, household_size=4, with_ledgers=False)
-    sizes = [len(world.house_members(h)) for h in range(world.n_houses)]
+    sizes = [len(house_members(world, h)) for h in range(world.n_houses)]
     assert sizes == [4, 4, 2]
 
 
 def test_head_is_oldest_member():
     world = make_world(population=10, household_size=4, with_ledgers=False)
     for h in range(world.n_houses):
-        members = world.house_members(h)
+        members = house_members(world, h)
         head = world.house_head[h]
         assert head in members
         assert world.age[head] == world.age[members].max()
@@ -70,9 +121,6 @@ def test_house_heads_match_lexsort_oracle(population, household_size, data):
 
 def test_role_rule_matches_age():
     world = make_world(population=500, with_ledgers=False)
-    for i in (0, 17, 123, 499):
-        agent = world.agent(i)
-        assert (agent.role is Role.EMPLOYED) == (agent.age > 30)
     assert np.array_equal(world.employed, world.age > 30)
 
 
@@ -92,10 +140,10 @@ def test_capacity_respected_at_synthesis():
     world = make_world(population=3000, office_capacity=50, school_capacity=200,
                        with_ledgers=False)
     office_load = np.bincount(
-        world.workplace_loc[world.employed] - world.office_base
+        world.workplace_loc[world.employed] - kind_base(world, LocationKind.OFFICE)
     )
     school_load = np.bincount(
-        world.workplace_loc[~world.employed] - world.school_base
+        world.workplace_loc[~world.employed] - kind_base(world, LocationKind.SCHOOL)
     )
     assert office_load.max() <= 50
     assert school_load.max() <= 200
@@ -126,9 +174,8 @@ def _force_agent(world, i, *, age=None, compartment=None, essential=None, violat
         world.age[i] = age
         world.employed[i] = age > 30
         # keep the workplace consistent with the (possibly new) role
-        world.workplace_loc[i] = (
-            world.office_base if world.employed[i] else world.school_base
-        )
+        kind = LocationKind.OFFICE if world.employed[i] else LocationKind.SCHOOL
+        world.workplace_loc[i] = kind_base(world, kind)
     if compartment is not None:
         world.compartment[i] = compartment
     if essential is not None:
@@ -140,50 +187,44 @@ def _force_agent(world, i, *, age=None, compartment=None, essential=None, violat
 def test_scheduled_location_work_phase_healthy():
     world = make_world(population=10, with_ledgers=False)
     _force_agent(world, 0, age=40, essential=False, violator=False)
-    agent = world.agent(0)
-    assert scheduled_location(agent, tick=1, lockdown_active=False) == agent.workplace_loc
-    assert world.location_kind(agent.workplace_loc) is LocationKind.OFFICE
+    assert scheduled_location(world, 0, tick=1, lockdown_active=False) == world.workplace_loc[0]
+    assert location_kind(world, world.workplace_loc[0]) is LocationKind.OFFICE
 
 
 def test_scheduled_location_lockdown_keeps_home():
     world = make_world(population=10, with_ledgers=False)
     _force_agent(world, 0, age=40, essential=False, violator=False)
-    agent = world.agent(0)
-    assert scheduled_location(agent, tick=1, lockdown_active=True) == agent.house_id
+    assert scheduled_location(world, 0, tick=1, lockdown_active=True) == world.house_id[0]
 
 
 def test_student_violator_ignores_lockdown():
     # hand trace on a 10-agent world: a violating student still commutes
     world = make_world(population=10, with_ledgers=False)
     _force_agent(world, 3, age=12, essential=False, violator=True)
-    agent = world.agent(3)
-    loc = scheduled_location(agent, tick=1, lockdown_active=True)
-    assert loc == agent.workplace_loc
-    assert world.location_kind(loc) is LocationKind.SCHOOL
+    loc = scheduled_location(world, 3, tick=1, lockdown_active=True)
+    assert loc == world.workplace_loc[3]
+    assert location_kind(world, loc) is LocationKind.SCHOOL
 
 
 def test_essential_worker_commutes_under_lockdown():
     world = make_world(population=10, with_ledgers=False)
     _force_agent(world, 0, age=45, essential=True, violator=False)
-    agent = world.agent(0)
-    assert scheduled_location(agent, tick=1, lockdown_active=True) == agent.workplace_loc
+    assert scheduled_location(world, 0, tick=1, lockdown_active=True) == world.workplace_loc[0]
 
 
 def test_symptomatic_stays_home_in_work_phase():
     world = make_world(population=10, with_ledgers=False)
     _force_agent(world, 0, age=45, compartment=Compartment.INFECTED_MILD)
-    agent = world.agent(0)
-    assert scheduled_location(agent, tick=1, lockdown_active=False) == agent.house_id
+    assert scheduled_location(world, 0, tick=1, lockdown_active=False) == world.house_id[0]
 
 
 def test_hospitalized_in_hospital_any_phase():
     world = make_world(population=10, with_ledgers=False)
     _force_agent(world, 2, compartment=Compartment.HOSPITALIZED)
-    agent = world.agent(2)
     for tick in (0, 1):
-        loc = scheduled_location(agent, tick, lockdown_active=False)
-        assert loc == agent.hospital_loc
-        assert world.location_kind(loc) is LocationKind.HOSPITAL
+        loc = scheduled_location(world, 2, tick, lockdown_active=False)
+        assert loc == world.hospital_loc[2]
+        assert location_kind(world, loc) is LocationKind.HOSPITAL
 
 
 def test_home_phase_everyone_home():
@@ -198,13 +239,12 @@ def test_partition_invariant_across_states():
     world.compartment[0] = Compartment.DECEASED
     world.compartment[1] = Compartment.HOSPITALIZED
     world.compartment[2] = Compartment.INFECTED_SEVERE
+    alive = world.compartment != Compartment.DECEASED
     for tick in (0, 1):
         world.tick = tick
         apply_movement(world, lockdown_active=True)
-        occupancy = np.bincount(
-            world.location_of[world.alive], minlength=world.n_locations
-        )
-        assert occupancy.sum() == world.alive.sum() == 59
+        occupancy = np.bincount(world.location_of[alive], minlength=world.n_locations)
+        assert occupancy.sum() == alive.sum() == 59
         assert world.location_of[0] == -1
         assert world.location_of[1] == world.hospital_loc[1]
 
@@ -214,11 +254,12 @@ def test_scalar_and_vector_movement_agree():
     world.compartment[4] = Compartment.INFECTED_MILD
     world.compartment[5] = Compartment.HOSPITALIZED
     world.compartment[6] = Compartment.PRE_SYMPTOMATIC
+    world.compartment[7] = Compartment.DECEASED
     for tick in (0, 1):
         for lockdown in (False, True):
             vec = scheduled_locations(world, tick, lockdown)
             for i in range(world.population):
-                assert vec[i] == scheduled_location(world.agent(i), tick, lockdown), (
+                assert vec[i] == scheduled_location(world, i, tick, lockdown), (
                     tick,
                     lockdown,
                     i,
