@@ -28,40 +28,31 @@ from .neural import Adam, Mlp, mlp_from_widths
 # so the two never collide.
 EVAL_SEED_OFFSET = 1_000_000
 
+# The training protocol. `DdpgHyperParams` holds only what callers vary.
+EXPL_NOISE = 0.1
+BATCH_SIZE = 32
+BURN_IN = 10
+EVAL_EVERY = 10
+EVAL_REPEATS = 5
+REPLICATES_PER_ACTION = 2
+CRITIC_LR = 1e-2
+# Extra critic regression steps per iteration. With only ~150 samples
+# total, a 1:1 critic/actor update ratio leaves the fitted value surface
+# too rough for reliable action gradients.
+CRITIC_UPDATES_PER_STEP = 5
+HIDDEN = (64, 64)
 
-@dataclass
+
+@dataclass(frozen=True)
 class DdpgHyperParams:
     seed: int = 0
-    expl_noise: float = 0.1
-    batch_size: int = 32
     train_iterations: int = 150
-    burn_in: int = 10
-    eval_every: int = 10
-    eval_repeats: int = 5
-    replicates_per_action: int = 2
     actor_lr: float = 5e-3
-    critic_lr: float = 1e-2
-    # Extra critic regression steps per iteration. With only ~150 samples
-    # total, a 1:1 critic/actor update ratio leaves the fitted value surface
-    # too rough for reliable action gradients.
-    critic_updates_per_step: int = 5
-    hidden: tuple[int, int] = (64, 64)
 
-    def validate(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.burn_in > self.train_iterations:
-            raise ValueError("burn_in cannot exceed train_iterations")
-        if self.expl_noise < 0:
-            raise ValueError("expl_noise must be nonnegative")
-        if self.eval_every < 1 or self.eval_repeats < 1:
-            raise ValueError("evaluation cadence and repeats must be positive")
-        if self.eval_every > self.train_iterations:
-            raise ValueError("eval_every cannot exceed train_iterations")
-        if self.replicates_per_action < 1:
-            raise ValueError("replicates_per_action must be at least 1")
-        if self.critic_updates_per_step < 1:
-            raise ValueError("critic_updates_per_step must be at least 1")
+    def __post_init__(self) -> None:
+        least = max(BURN_IN, EVAL_EVERY)
+        if self.train_iterations < least:
+            raise ValueError(f"train_iterations must be at least {least}")
 
 
 def select_action(
@@ -95,7 +86,7 @@ class ActorCritic:
         hyper: DdpgHyperParams,
         rng: np.random.Generator,
     ) -> "ActorCritic":
-        h1, h2 = hyper.hidden
+        h1, h2 = HIDDEN
         # The output layer starts scaled down so the initial policy sits
         # near the center of the action box.
         actor = mlp_from_widths(
@@ -128,7 +119,7 @@ class ActorCritic:
         residual = q[:, 0] - rewards
         critic_loss = float(np.mean(residual**2))
         grads, _ = self.critic.backward(cache, (2.0 * residual / n)[:, None])
-        self.critic_adam.update(self.critic, grads, self.hyper.critic_lr)
+        self.critic_adam.update(self.critic, grads, CRITIC_LR)
         return critic_loss
 
     def train_step(self, batch) -> tuple[float, float]:
@@ -213,20 +204,19 @@ def evaluate(actor: Mlp, task, repeats: int) -> EvalResult:
 def train(task, hyper: DdpgHyperParams | None = None) -> TrainResult:
     """Run the online training protocol against one configured task.
 
-    The first `burn_in` iterations act uniformly at random; afterwards the
+    The first `BURN_IN` iterations act uniformly at random; afterwards the
     actor acts with exploration noise. Every iteration scores its action as
-    the mean of `replicates_per_action` fresh episodes and, once the run
-    has `batch_size` of them, takes learner steps on minibatches drawn
+    the mean of `REPLICATES_PER_ACTION` fresh episodes and, once the run
+    has `BATCH_SIZE` of them, takes learner steps on minibatches drawn
     uniformly from all of the run's (action, reward) pairs so far. The
     observation is constant, so it is not stored per pair. Every
-    `eval_every` iterations the noiseless policy is evaluated and the
+    `EVAL_EVERY` iterations the noiseless policy is evaluated and the
     best-scoring snapshot is kept with its evaluation. An actor that has
     taken no step since the last evaluation would replay the same action on
     the same seeds, so that evaluation is reused.
     """
     if hyper is None:
         hyper = DdpgHyperParams()
-    hyper.validate()
 
     init_ss, noise_ss, sample_ss, burn_ss = np.random.SeedSequence(hyper.seed).spawn(4)
     init_rng = np.random.Generator(np.random.PCG64(init_ss))
@@ -239,26 +229,26 @@ def train(task, hyper: DdpgHyperParams | None = None) -> TrainResult:
     agent = ActorCritic.initialize(obs.size, action_dim, hyper, init_rng)
     actions = np.zeros((hyper.train_iterations, action_dim))
     rewards = np.zeros(hyper.train_iterations)
-    obs_batch = np.tile(obs, (hyper.batch_size, 1))
+    obs_batch = np.tile(obs, (BATCH_SIZE, 1))
     log = TrainLog()
     best_actor = best_eval = last_eval = None
 
     def sample(iteration: int):
-        idx = sample_rng.integers(0, iteration, size=hyper.batch_size)
+        idx = sample_rng.integers(0, iteration, size=BATCH_SIZE)
         return obs_batch, actions[idx], rewards[idx]
 
     for iteration in range(1, hyper.train_iterations + 1):
-        if iteration <= hyper.burn_in:
+        if iteration <= BURN_IN:
             action = burn_rng.uniform(-1.0, 1.0, size=action_dim)
         else:
-            action = select_action(agent.actor, obs, hyper.expl_noise, noise_rng)
+            action = select_action(agent.actor, obs, EXPL_NOISE, noise_rng)
 
-        first_seed = task.seed_base + (iteration - 1) * hyper.replicates_per_action
+        first_seed = task.seed_base + (iteration - 1) * REPLICATES_PER_ACTION
         reward = float(
             np.mean(
                 [
                     task.rollout(action, first_seed + i)
-                    for i in range(hyper.replicates_per_action)
+                    for i in range(REPLICATES_PER_ACTION)
                 ]
             )
         )
@@ -266,16 +256,16 @@ def train(task, hyper: DdpgHyperParams | None = None) -> TrainResult:
         rewards[iteration - 1] = reward
 
         critic_loss = actor_objective = math.nan
-        if iteration >= hyper.batch_size:
-            for _ in range(hyper.critic_updates_per_step - 1):
+        if iteration >= BATCH_SIZE:
+            for _ in range(CRITIC_UPDATES_PER_STEP - 1):
                 agent.critic_step(sample(iteration))
             critic_loss, actor_objective = agent.train_step(sample(iteration))
             last_eval = None
 
         eval_mean = eval_sd = math.nan
-        if iteration % hyper.eval_every == 0:
+        if iteration % EVAL_EVERY == 0:
             if last_eval is None:
-                last_eval = evaluate(agent.actor, task, hyper.eval_repeats)
+                last_eval = evaluate(agent.actor, task, EVAL_REPEATS)
             result = last_eval
             eval_mean, eval_sd = result.mean, result.sd
             if best_eval is None or eval_mean > best_eval.mean:

@@ -24,7 +24,7 @@ _RECOVERED = int(Compartment.RECOVERED)
 _DECEASED = int(Compartment.DECEASED)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EconomyConfig:
     savings_mean: float = 500.0
     savings_sd: float = 350.0
@@ -33,7 +33,7 @@ class EconomyConfig:
     expense_per_person: float = 10.0
     poverty_line: float = 100.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in (
             "savings_mean",
             "savings_sd",
@@ -50,7 +50,6 @@ def init_house_ledgers(
     world: WorldState, config: EconomyConfig, rng: np.random.Generator
 ) -> None:
     """Draw initial savings and daily income per house (both clamped at 0)."""
-    config.validate()
     h = world.n_houses
     savings = np.maximum(rng.normal(config.savings_mean, config.savings_sd, h), 0.0)
     income = np.maximum(rng.normal(config.income_mean, config.income_sd, h), 0.0)

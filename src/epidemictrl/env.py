@@ -38,7 +38,7 @@ ACTION_DIM = 8
 OBSERVATION_DIM = 6
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one episode needs: world, disease, economy, vaccines,
     the initial infection share and the reward mix."""
@@ -53,10 +53,7 @@ class ExperimentConfig:
     # but household income keeps flowing.
     lockdown_affects_economy: bool = True
 
-    def validate(self) -> None:
-        self.world.validate()
-        self.economy.validate()
-        self.vaccination.validate()
+    def __post_init__(self) -> None:
         if not 0.0 <= self.initial_infection_fraction <= 1.0:
             raise ValueError("initial_infection_fraction must lie in [0, 1]")
         if self.kappa < 0:
@@ -119,7 +116,6 @@ def run_episode(
     config: ExperimentConfig, schedule: InterventionSchedule, seed: int
 ) -> EpisodeTrace:
     """Simulate one full episode under the given schedule and seed."""
-    config.validate()
     days = config.world.episode_days
     schedule.validate_horizon(days)
 
@@ -185,7 +181,6 @@ class EpidemicTask:
     action_dim = ACTION_DIM
 
     def __init__(self, config: ExperimentConfig, seed_base: int = 0):
-        config.validate()
         self.config = config
         self.seed_base = seed_base
         self.reward_scale = 1.0 / config.world.population_size

@@ -146,9 +146,13 @@ def lognormal_underlying(mean: float, sd: float) -> tuple[float, float]:
     return mu, math.sqrt(var)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiseaseParams:
-    """Disease dynamics knobs; defaults follow the published factor tables."""
+    """Disease dynamics knobs; defaults follow the published factor tables.
+
+    The per-band lookup tables and the log-normal parameters are derived
+    once, at construction, so they always match the fields.
+    """
 
     beta_base: float = 0.5
     age_bands: tuple[AgeBandRates, ...] = DEFAULT_AGE_BANDS
@@ -170,23 +174,20 @@ class DiseaseParams:
             mean, sd = self.stage_durations[comp]
             if mean <= 0 or sd < 0:
                 raise ValueError(f"bad duration ({mean}, {sd}) for {comp.name}")
-        self._rebuild_lookup_tables()
-
-    def _rebuild_lookup_tables(self) -> None:
-        self.band_beta_multiplier = np.array(
-            [b.beta_multiplier for b in self.age_bands]
-        )
-        self.band_asymptomatic_prob = np.array(
-            [b.asymptomatic_prob for b in self.age_bands]
-        )
-        self.band_severe_prob = np.array([b.severe_prob for b in self.age_bands])
-        self.band_death_given_hospitalized = np.array(
-            [b.death_given_hospitalized for b in self.age_bands]
-        )
-        self._duration_mu_sigma = {
+        bands = self.age_bands
+        tables = {
+            "band_beta_multiplier": [b.beta_multiplier for b in bands],
+            "band_asymptomatic_prob": [b.asymptomatic_prob for b in bands],
+            "band_severe_prob": [b.severe_prob for b in bands],
+            "band_death_given_hospitalized": [b.death_given_hospitalized for b in bands],
+        }
+        for name, values in tables.items():
+            object.__setattr__(self, name, np.array(values))
+        mu_sigma = {
             comp: lognormal_underlying(*self.stage_durations[comp])
             for comp in TIMED_COMPARTMENTS
         }
+        object.__setattr__(self, "_duration_mu_sigma", mu_sigma)
 
 
 def duration_days(

@@ -42,6 +42,7 @@ from .env import (
     total_reward,
 )
 from .interventions import (
+    AGE_STRATA,
     InterventionSchedule,
     VaccinationPolicyConfig,
     VaccineSpec,
@@ -220,7 +221,6 @@ def experiment_config(
     exp_id: int,
     scenario_id: int,
     population: int | None = None,
-    episode_days: int | None = None,
     file_cfg: dict | None = None,
 ) -> ExperimentConfig:
     """Build the full episode config for one experiment/scenario pair.
@@ -228,9 +228,8 @@ def experiment_config(
     The experiment table pins the initial infection share and both vaccine
     specs (dose rates scale with population); the scenario picks kappa.
     A config file is laid over that table config, so any value it gives
-    wins; vaccine specs it gives are used unscaled. `population` and
-    `episode_days`, when given, apply last. The built config is validated;
-    any bad value raises ConfigError.
+    wins; vaccine specs it gives are used unscaled. `population`, when
+    given, applies last. Any bad value raises ConfigError.
     """
     if exp_id not in EXPERIMENT_TABLE:
         raise ConfigError(f"experiment id must be 1..4, got {exp_id}")
@@ -262,11 +261,7 @@ def experiment_config(
                 f"invalid config: world.population_size must be at least 1, got {population}"
             )
         config = from_dict(ExperimentConfig, file_cfg, table_config(population))
-        world = replace(config.world, population_size=population)
-        if episode_days is not None:
-            world = replace(world, episode_days=episode_days)
-        config = replace(config, world=world)
-        config.validate()
+        config = replace(config, world=replace(config.world, population_size=population))
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -337,12 +332,11 @@ def emit_plot_svg(
     path,
     title: str = "",
     y_label: str = "",
-    width: int = 760,
-    height: int = 460,
 ) -> None:
     """Self-contained SVG line chart: one polyline per labeled series."""
     if not series:
         raise ValueError("at least one series is required")
+    width, height = 760, 460
     left, right, top, bottom = 64.0, width - 190.0, 48.0, height - 56.0
     n = max(len(ys) for _, ys in series)
     if n < 1:
@@ -433,11 +427,10 @@ def format_window(window: tuple[float, float]) -> str:
 
 
 def format_schedule(schedule: InterventionSchedule) -> str:
-    strata = ("0-17", "18-59", "60-99")
     parts = [f"lockdown: {format_window(schedule.lockdown)}"]
     parts.extend(
-        f"vax {name}: {format_window(w)}"
-        for name, w in zip(strata, schedule.vax_windows)
+        f"vax {lo}-{hi}: {format_window(w)}"
+        for (lo, hi), w in zip(AGE_STRATA, schedule.vax_windows)
     )
     return "; ".join(parts)
 
@@ -781,9 +774,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_train(args) -> int:
     _worker_count(1)  # a bad EPIDEMICTRL_THREADS fails before training starts
-    hyper = DdpgHyperParams(seed=args.seed, train_iterations=args.iterations)
     try:
-        hyper.validate()
+        hyper = DdpgHyperParams(seed=args.seed, train_iterations=args.iterations)
     except ValueError as exc:
         raise ConfigError(f"invalid training settings: {exc}") from exc
     report = run_experiment(

@@ -15,7 +15,7 @@ vaccinated flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +62,7 @@ class InterventionSchedule:
                 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class VaccinationPolicyConfig:
     specs: tuple[VaccineSpec, VaccineSpec] = (
         VaccineSpec(0.8, 450),
@@ -70,7 +70,7 @@ class VaccinationPolicyConfig:
     )
     coverage_cap: float = 0.90
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 <= self.coverage_cap <= 1.0:
             raise ValueError("coverage_cap must lie in [0, 1]")
         if len(self.specs) != 2:

@@ -18,6 +18,10 @@ ACTIVATIONS = ("relu", "tanh", "identity")
 
 CHECKPOINT_MAGIC = "mlp-checkpoint-v1"
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class LayerSpec:
@@ -62,25 +66,6 @@ class Mlp:
         for spec, w, b in zip(self.specs, self.weights, self.biases):
             if w.shape != (spec.fan_in, spec.fan_out) or b.shape != (spec.fan_out,):
                 raise ValueError("parameter shapes do not match layer specs")
-
-    @classmethod
-    def initialize(
-        cls,
-        specs: tuple[LayerSpec, ...],
-        rng: np.random.Generator,
-        final_scale: float = 1.0,
-    ) -> "Mlp":
-        weights, biases = [], []
-        for i, spec in enumerate(specs):
-            bound = 1.0 / np.sqrt(spec.fan_in)
-            w = rng.uniform(-bound, bound, size=(spec.fan_in, spec.fan_out))
-            b = rng.uniform(-bound, bound, size=spec.fan_out)
-            if i == len(specs) - 1:
-                w *= final_scale
-                b *= final_scale
-            weights.append(w)
-            biases.append(b)
-        return cls(tuple(specs), weights, biases)
 
     @property
     def input_dim(self) -> int:
@@ -155,10 +140,7 @@ class Mlp:
 class Adam:
     """Bias-corrected Adam state for one network."""
 
-    def __init__(self, net: Mlp, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, net: Mlp):
         self.step_count = 0
         self.m = [np.zeros_like(p) for p in net.parameters()]
         self.v = [np.zeros_like(p) for p in net.parameters()]
@@ -170,14 +152,14 @@ class Adam:
             raise ValueError("gradient layout does not match parameters")
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        bc1 = 1.0 - ADAM_BETA1**t
+        bc2 = 1.0 - ADAM_BETA2**t
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def finite_diff_check(net: Mlp, x: np.ndarray, eps: float = 1e-5) -> float:
@@ -268,11 +250,25 @@ def mlp_from_widths(
     rng: np.random.Generator,
     final_scale: float = 1.0,
 ) -> Mlp:
-    """Convenience builder: widths (in, h1, ..., out) to an initialized net."""
+    """Widths (in, h1, ..., out) to a freshly initialized net.
+
+    Each layer draws its weights, then its biases; `final_scale` shrinks
+    the output layer's.
+    """
     if len(widths) < 2:
         raise ValueError("need at least input and output widths")
-    specs = []
+    specs, weights, biases = [], [], []
     for i in range(len(widths) - 1):
-        act = output_activation if i == len(widths) - 2 else hidden_activation
-        specs.append(LayerSpec(widths[i], widths[i + 1], act))
-    return Mlp.initialize(tuple(specs), rng, final_scale=final_scale)
+        last = i == len(widths) - 2
+        act = output_activation if last else hidden_activation
+        spec = LayerSpec(widths[i], widths[i + 1], act)
+        bound = 1.0 / np.sqrt(spec.fan_in)
+        w = rng.uniform(-bound, bound, size=(spec.fan_in, spec.fan_out))
+        b = rng.uniform(-bound, bound, size=spec.fan_out)
+        if last:
+            w *= final_scale
+            b *= final_scale
+        specs.append(spec)
+        weights.append(w)
+        biases.append(b)
+    return Mlp(tuple(specs), weights, biases)

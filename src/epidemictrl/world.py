@@ -31,7 +31,7 @@ _DECEASED = int(Compartment.DECEASED)
 _N_COMPARTMENTS = len(Compartment)
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorldConfig:
     population_size: int = 100_000
     household_size: int = 4
@@ -42,7 +42,7 @@ class WorldConfig:
     violator_fraction: float = 0.10
     episode_days: int = 100
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.population_size < 1:
             raise ValueError("population_size must be at least 1")
         if self.household_size < 1:
@@ -139,7 +139,6 @@ def synthesize_population(config: WorldConfig, streams: RngStreams) -> WorldStat
     into offices, students into schools, in index order. Everyone starts at
     home with the clock at tick 0.
     """
-    config.validate()
     rng = streams.population
     n = config.population_size
 

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from epidemictrl import ddpg
 from epidemictrl.ddpg import (
+    EVAL_REPEATS,
     EVAL_SEED_OFFSET,
     ActorCritic,
     DdpgHyperParams,
@@ -34,20 +36,20 @@ def eval_means(log) -> list[float]:
 def test_hyperparameter_defaults_match_protocol():
     h = DdpgHyperParams()
     assert h.seed == 0
-    assert h.expl_noise == 0.1
-    assert h.batch_size == 32
+    assert ddpg.EXPL_NOISE == 0.1
+    assert ddpg.BATCH_SIZE == 32
     assert h.train_iterations == 150
-    assert h.burn_in == 10
-    assert h.eval_every == 10
-    assert h.eval_repeats == 5
-    assert h.replicates_per_action == 2
+    assert ddpg.BURN_IN == 10
+    assert ddpg.EVAL_EVERY == 10
+    assert ddpg.EVAL_REPEATS == 5
+    assert ddpg.REPLICATES_PER_ACTION == 2
 
 
 def test_hyper_validation():
     with pytest.raises(ValueError):
-        _hyper(burn_in=200).validate()
+        _hyper(train_iterations=5)  # burn-in 10
     with pytest.raises(ValueError):
-        _hyper(train_iterations=9, burn_in=5).validate()  # eval_every 10
+        _hyper(train_iterations=9)  # evaluation every 10
 
 
 def test_select_action_no_noise_is_actor_output():
@@ -170,7 +172,7 @@ def test_train_returns_the_evaluation_of_its_best_actor():
     hyper = _hyper(train_iterations=60)
     task = QuadraticBandit()
     res = train(task, hyper)
-    again = evaluate(res.best_actor, task, hyper.eval_repeats)
+    again = evaluate(res.best_actor, task, EVAL_REPEATS)
     assert res.best_eval.mean == again.mean
     assert res.best_eval.sd == again.sd
     assert res.best_eval.rewards == again.rewards

@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epidemictrl.economy import (
-    EconomyConfig,
-    below_poverty_count,
-    economy_day_step,
-    init_house_ledgers,
-)
+from epidemictrl.economy import below_poverty_count, economy_day_step
 from epidemictrl.epidemic import Compartment
 
 from conftest import make_world

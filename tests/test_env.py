@@ -15,7 +15,7 @@ from epidemictrl.env import (
     run_episode,
     total_reward,
 )
-from epidemictrl.epidemic import Compartment, DiseaseParams
+from epidemictrl.epidemic import Compartment
 from epidemictrl.interventions import (
     InterventionSchedule,
     VaccinationPolicyConfig,
@@ -77,7 +77,7 @@ def test_total_reward_linear_in_kappa():
 
 def test_reward_weights_reject_negative():
     with pytest.raises(ValueError, match="kappa"):
-        ExperimentConfig(kappa=-0.1).validate()
+        ExperimentConfig(kappa=-0.1)
 
 
 @given(

@@ -2,17 +2,17 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
-from dataclasses import fields, is_dataclass
+from dataclasses import FrozenInstanceError, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from epidemictrl.ddpg import DdpgHyperParams
 from epidemictrl.economy import EconomyConfig
 from epidemictrl.env import EpisodeTrace, ExperimentConfig, run_episode
 from epidemictrl.epidemic import AgeBandRates, DEFAULT_AGE_BANDS, DiseaseParams
@@ -387,6 +387,25 @@ def test_from_dict_types_are_strict():
             from_dict(ExperimentConfig, data, ExperimentConfig())
 
 
+@pytest.mark.parametrize(
+    "cls, name, bad",
+    [
+        (WorldConfig, "population_size", 0),
+        (EconomyConfig, "savings_sd", -1),
+        (VaccinationPolicyConfig, "coverage_cap", 1.5),
+        (ExperimentConfig, "kappa", -0.1),
+        (DdpgHyperParams, "train_iterations", 5),
+        (DiseaseParams, "beta_base", -1),
+    ],
+    ids=["world", "economy", "vaccination", "experiment", "ddpg", "disease"],
+)
+def test_configs_are_checked_when_built_and_frozen(cls, name, bad):
+    with pytest.raises(ValueError, match=name):
+        cls(**{name: bad})
+    with pytest.raises(FrozenInstanceError):
+        setattr(cls(), name, bad)
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"world": {"population_size": 100, "bogus": 1}}))
@@ -536,6 +555,12 @@ ACTOR_WIDTHS = (6, 4, 8)
             None,
             "world.population_size must be at least 1, got -1000",
         ),
+        (
+            ["simulate", "--baseline", "NoL_NoV", "--population", "100"],
+            {"world": {"population_size": 0}},
+            None,
+            "world: population_size must be at least 1",
+        ),
     ],
     ids=[
         "population-0",
@@ -550,6 +575,7 @@ ACTOR_WIDTHS = (6, 4, 8)
         "household-size-float",
         "episode-days-bool",
         "population-negative",
+        "config-population-0-under-flag",
     ],
 )
 def test_cli_bad_input_is_one_error_line(tmp_path, capsys, argv, config, checkpoint, message):
