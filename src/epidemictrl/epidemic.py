@@ -75,9 +75,6 @@ _DECEASED = int(Compartment.DECEASED)
 #: `WorldState.due_tick` of an agent outside the timed compartments.
 NOT_DUE = -1
 
-# Shedding weight of an infectious agent, indexed by its vaccinated flag.
-_SOURCE_WEIGHT = np.array([1.0, VACCINATED_SOURCE_WEIGHT])
-
 # Search keys for the stage bounds in `progression_step`: in the sorted due
 # compartments, compartment c spans [bounds[c], bounds[c + 1]).
 _STAGE_BOUNDS = np.arange(_HOSPITALIZED + 2)
@@ -146,12 +143,29 @@ def lognormal_underlying(mean: float, sd: float) -> tuple[float, float]:
     return mu, math.sqrt(var)
 
 
+class _ReadOnlyDict(dict):
+    """A dict that refuses writes after it is built; it pickles and
+    deep-copies as a fresh read-only copy."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class DiseaseParams:
     """Disease dynamics knobs; defaults follow the published factor tables.
 
     The per-band lookup tables and the log-normal parameters are derived
-    once, at construction, so they always match the fields.
+    once, at construction, so they always match the fields. The engine
+    keeps values derived from a params object for as long as it sees that
+    object, so nothing in it can change: `stage_durations` is read-only
+    and the tables are not writeable.
     """
 
     beta_base: float = 0.5
@@ -182,7 +196,10 @@ class DiseaseParams:
             "band_death_given_hospitalized": [b.death_given_hospitalized for b in bands],
         }
         for name, values in tables.items():
-            object.__setattr__(self, name, np.array(values))
+            table = np.array(values)
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
+        object.__setattr__(self, "stage_durations", _ReadOnlyDict(self.stage_durations))
         mu_sigma = {
             comp: lognormal_underlying(*self.stage_durations[comp])
             for comp in TIMED_COMPARTMENTS
@@ -225,15 +242,26 @@ def infection_probability(beta_agent, infectious_weight, occupants):
     """Per-tick infection probability from frequency-dependent mixing.
 
     p = 1 - exp(-beta_agent * (infectious_weight / occupants) * tick_days),
-    elementwise over aligned arrays.
+    elementwise over aligned arrays. `exposure_step` forms the same rate
+    from a per-location weight per occupant and shares the exponential.
     """
-    return -np.expm1(-(beta_agent * (infectious_weight / occupants) * TICK_DAYS))
+    rate = np.asarray(beta_agent * (infectious_weight / occupants), dtype=np.float64)
+    return _rate_to_probability(rate)
+
+
+def _rate_to_probability(rate: np.ndarray) -> np.ndarray:
+    """Overwrite a daily infection rate with its tick's probability,
+    1 - exp(-rate * tick_days)."""
+    rate *= TICK_DAYS
+    np.negative(rate, out=rate)
+    np.expm1(rate, out=rate)
+    return np.negative(rate, out=rate)
 
 
 def _expose(
     world: "WorldState", ids: np.ndarray, params: DiseaseParams, rng: np.random.Generator
 ) -> None:
-    """Move `ids` to Exposed with a sampled incubation.
+    """Move the susceptible `ids` to Exposed with a sampled incubation.
 
     The exposure tick's own progression step already counts toward the
     stay, so incubation ends one tick before the sampled dwell. This is the
@@ -244,6 +272,8 @@ def _expose(
     world.due_tick[ids] = (
         world.tick + sample_duration_ticks(_EXPOSED, rng, size=ids.size, params=params) - 1
     )
+    world.compartment_totals[_SUSCEPTIBLE] -= ids.size
+    world.compartment_totals[_EXPOSED] += ids.size
 
 
 def seed_initial_infections(
@@ -273,38 +303,62 @@ def exposure_step(
     ascending id. Elsewhere the infection probability is 0 and a draw
     could not fall below it. A tick with no loaded susceptible draws
     nothing. Returns the number of new exposures.
+
+    Every population-sized intermediate goes into the world's scratch
+    buffers. `take` writes there with mode="clip", since the default mode
+    copies `out` first; the indices are in range either way.
     """
+    if world.transmissibility_params is not params:
+        # Multiplied in this order, as the bit-exact traces require.
+        world.transmissibility = (
+            params.beta_base
+            * params.band_beta_multiplier.take(world.age // 10)
+            * world.vax_susceptibility
+        )
+        world.transmissibility_params = params
     comp = world.compartment
-    loc = world.location_of
+    mask, other = world.scratch_masks
+    ids, values = world.scratch_ids, world.scratch_values
 
     # The infectious run, Asymptomatic to InfectedSevere, is one range.
-    sources = ((comp >= _ASYMPTOMATIC) & (comp <= _INFECTED_SEVERE)).nonzero()[0]
+    np.greater_equal(comp, _ASYMPTOMATIC, out=mask)
+    mask &= np.less_equal(comp, _INFECTED_SEVERE, out=other)
+    sources = mask.nonzero()[0]
     if sources.size == 0 or params.beta_base == 0.0:
         return 0
 
+    # Shifted by one, the deceased's location -1 falls in slot 0, where no
+    # source and no susceptible sits.
+    loc = np.add(world.location_of, 1, out=world.scratch_location)
+    n_slots = world.n_locations + 1
+    k = sources.size
+    weight = values[0, :k]
+    weight.fill(1.0)
+    vaccinated = world.vaccinated.take(sources, out=mask[:k], mode="clip")
+    np.copyto(weight, VACCINATED_SOURCE_WEIGHT, where=vaccinated)
     weight_by_loc = np.bincount(
-        loc.take(sources),
-        weights=_SOURCE_WEIGHT.take(world.vaccinated.take(sources)),
-        minlength=world.n_locations,
+        loc.take(sources, out=ids[:k], mode="clip"), weights=weight, minlength=n_slots
     )
-    # The deceased's location -1 picks the last place's flag, but they are
-    # not susceptible.
-    loaded = ((comp == _SUSCEPTIBLE) & (weight_by_loc > 0).take(loc)).nonzero()[0]
+
+    in_loaded = (weight_by_loc > 0).take(loc, out=mask, mode="clip")
+    in_loaded &= np.equal(comp, _SUSCEPTIBLE, out=other)
+    loaded = in_loaded.nonzero()[0]
     if loaded.size == 0:
         return 0
 
-    # The deceased sit at location -1; shifted by one they fall in bin 0.
-    count_by_loc = np.bincount(loc + 1, minlength=world.n_locations + 1)[1:]
-    sus_loc = loc.take(loaded)
-    beta_agent = (
-        params.beta_base
-        * params.band_beta_multiplier.take(world.age.take(loaded) // 10)
-        * world.vax_susceptibility.take(loaded)
-    )
-    p = infection_probability(
-        beta_agent, weight_by_loc.take(sus_loc), count_by_loc.take(sus_loc)
-    )
-    newly = loaded[rng.random(loaded.size) < p]
+    # Infectious weight per occupant; every gathered place holds at least
+    # the susceptible itself.
+    count_by_loc = np.bincount(loc, minlength=n_slots)
+    np.maximum(count_by_loc, 1, out=count_by_loc)
+    rate_by_loc = np.divide(weight_by_loc, count_by_loc, out=weight_by_loc)
+
+    k = loaded.size
+    sus_loc = loc.take(loaded, out=ids[:k], mode="clip")
+    rate = rate_by_loc.take(sus_loc, out=values[0, :k], mode="clip")
+    rate *= world.transmissibility.take(loaded, out=values[1, :k], mode="clip")
+    p = _rate_to_probability(rate)
+    hit = np.less(rng.random(out=values[1, :k]), p, out=mask[:k])
+    newly = loaded[hit]
     if newly.size == 0:
         return 0
     _expose(world, newly, params, rng)
@@ -345,10 +399,14 @@ def progression_step(
     def _stage(c: int) -> np.ndarray:
         return due[bounds[c] : bounds[c + 1]]
 
-    def _enter(ids: np.ndarray, target: int) -> None:
+    totals = world.compartment_totals
+
+    def _enter(ids: np.ndarray, source: int, target: int) -> None:
         if ids.size == 0:
             return
         comp[ids] = target
+        totals[source] -= ids.size
+        totals[target] += ids.size
         if target == _RECOVERED or target == _DECEASED:
             due_tick[ids] = NOT_DUE
         else:
@@ -360,20 +418,20 @@ def progression_step(
     if ids.size:
         p_death = params.band_death_given_hospitalized.take(age.take(ids) // 10)
         dies = rng.random(ids.size) < p_death
-        _enter(ids[dies], _DECEASED)
-        _enter(ids[~dies], _RECOVERED)
+        _enter(ids[dies], _HOSPITALIZED, _DECEASED)
+        _enter(ids[~dies], _HOSPITALIZED, _RECOVERED)
 
-    _enter(_stage(_INFECTED_SEVERE), _HOSPITALIZED)
+    _enter(_stage(_INFECTED_SEVERE), _INFECTED_SEVERE, _HOSPITALIZED)
 
     ids = _stage(_INFECTED_MILD)
     if ids.size:
         p_worse = params.band_severe_prob.take(age.take(ids) // 10)
         worsens = rng.random(ids.size) < p_worse
-        _enter(ids[worsens], _INFECTED_SEVERE)
-        _enter(ids[~worsens], _RECOVERED)
+        _enter(ids[worsens], _INFECTED_MILD, _INFECTED_SEVERE)
+        _enter(ids[~worsens], _INFECTED_MILD, _RECOVERED)
 
-    _enter(_stage(_PRE_SYMPTOMATIC), _INFECTED_MILD)
-    _enter(_stage(_ASYMPTOMATIC), _RECOVERED)
+    _enter(_stage(_PRE_SYMPTOMATIC), _PRE_SYMPTOMATIC, _INFECTED_MILD)
+    _enter(_stage(_ASYMPTOMATIC), _ASYMPTOMATIC, _RECOVERED)
 
     ids = _stage(_EXPOSED)
     if ids.size:
@@ -382,6 +440,6 @@ def progression_step(
             world.vaccinated.take(ids),
         )
         silent = rng.random(ids.size) < gamma
-        _enter(ids[silent], _ASYMPTOMATIC)
-        _enter(ids[~silent], _PRE_SYMPTOMATIC)
+        _enter(ids[silent], _EXPOSED, _ASYMPTOMATIC)
+        _enter(ids[~silent], _EXPOSED, _PRE_SYMPTOMATIC)
 

@@ -253,8 +253,12 @@ def experiment_config(
     file_cfg = file_cfg or {}
     try:
         if population is None:
-            default = table_config(DEFAULT_POPULATION)
-            population = from_dict(ExperimentConfig, file_cfg, default).world.population_size
+            # only the file's population; the one build below checks the rest
+            world_cfg = file_cfg.get("world")
+            population = DEFAULT_POPULATION
+            if isinstance(world_cfg, dict) and "population_size" in world_cfg:
+                raw = world_cfg["population_size"]
+                population = _read(int, raw, None, "world.population_size")
         # checked before the table scales its doses by it
         if population < 1:
             raise ConfigError(

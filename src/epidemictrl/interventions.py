@@ -118,13 +118,19 @@ def lockdown_active(schedule: InterventionSchedule, day: int) -> bool:
 def apply_vaccine_effects(
     world: WorldState, agent_ids: np.ndarray, spec: VaccineSpec, vaccine_number: int
 ) -> None:
-    """Mark agents vaccinated and scale down their susceptibility."""
+    """Mark agents vaccinated and scale down their susceptibility, and
+    their kept transmissibility once the engine has derived it."""
     agent_ids = np.atleast_1d(np.asarray(agent_ids))
     if world.vaccinated[agent_ids].any():
         raise ValueError("agent already vaccinated")
     world.vaccinated[agent_ids] = True
     world.vaccine_index[agent_ids] = vaccine_number
-    world.vax_susceptibility[agent_ids] = 1.0 - spec.effectiveness
+    susceptibility = 1.0 - spec.effectiveness
+    world.vax_susceptibility[agent_ids] = susceptibility
+    if world.transmissibility_params is not None:
+        # Unvaccinated, an agent's susceptibility is 1, so scaling its kept
+        # beta_base x multiplier gives the product in the engine's order.
+        world.transmissibility[agent_ids] *= susceptibility
 
 
 def vaccination_day_step(

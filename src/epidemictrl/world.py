@@ -17,13 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .epidemic import NOT_DUE, Compartment
+from .epidemic import NOT_DUE, Compartment, DiseaseParams
 from .rng import RngStreams
 
 EMPLOYMENT_AGE = 30  # strictly older than this means employed
 PEOPLE_PER_HOSPITAL = 25_000
 
 # Plain ints for the per-tick code (see epidemic.py).
+_SUSCEPTIBLE = int(Compartment.SUSCEPTIBLE)
 _INFECTED_MILD = int(Compartment.INFECTED_MILD)
 _INFECTED_SEVERE = int(Compartment.INFECTED_SEVERE)
 _HOSPITALIZED = int(Compartment.HOSPITALIZED)
@@ -73,6 +74,11 @@ class WorldState:
     absolute tick whose progression step moves it on; it is -1 for every
     other agent. `epidemic.progression_step` touches only the agents whose
     due tick equals `tick`.
+
+    The engine keeps `compartment_totals` and `transmissibility` current
+    as it writes compartments and vaccines, and `epidemic.exposure_step`
+    works in the `scratch_*` buffers, so a tick allocates nothing sized by
+    the population.
     """
 
     config: WorldConfig
@@ -100,6 +106,19 @@ class WorldState:
     n_schools: int
     n_hospitals: int
 
+    # agents per compartment, kept by `epidemic._expose` and `progression_step`
+    compartment_totals: np.ndarray
+    # location_of + 1 as intp, so the deceased's -1 indexes slot 0
+    scratch_location: np.ndarray = field(repr=False)
+    scratch_masks: np.ndarray = field(repr=False)  # (2, population) bool
+    scratch_ids: np.ndarray = field(repr=False)  # intp
+    scratch_values: np.ndarray = field(repr=False)  # (2, population) float64
+
+    # beta_base x band beta multiplier x vaccine susceptibility per agent,
+    # derived by `epidemic.exposure_step` for `transmissibility_params`
+    transmissibility: np.ndarray | None = field(default=None, repr=False)
+    transmissibility_params: DiseaseParams | None = field(default=None, repr=False)
+
     # set by economy.init_house_ledgers
     savings_cents: np.ndarray | None = None
     income_cents: np.ndarray | None = None
@@ -114,7 +133,7 @@ class WorldState:
         return self.n_houses + self.n_offices + self.n_schools + self.n_hospitals
 
     def compartment_counts(self) -> np.ndarray:
-        return np.bincount(self.compartment, minlength=_N_COMPARTMENTS)
+        return self.compartment_totals.copy()
 
 
 def house_heads(age: np.ndarray, household_size: int) -> np.ndarray:
@@ -169,6 +188,9 @@ def synthesize_population(config: WorldConfig, streams: RngStreams) -> WorldStat
 
     hospital_loc = (hospital_base + np.arange(n) % n_hospitals).astype(np.int32)
 
+    totals = np.zeros(_N_COMPARTMENTS, dtype=np.int64)
+    totals[_SUSCEPTIBLE] = n
+
     return WorldState(
         config=config,
         tick=0,
@@ -190,6 +212,11 @@ def synthesize_population(config: WorldConfig, streams: RngStreams) -> WorldStat
         n_offices=n_offices,
         n_schools=n_schools,
         n_hospitals=n_hospitals,
+        compartment_totals=totals,
+        scratch_location=np.empty(n, dtype=np.intp),
+        scratch_masks=np.empty((2, n), dtype=bool),
+        scratch_ids=np.empty(n, dtype=np.intp),
+        scratch_values=np.empty((2, n), dtype=np.float64),
     )
 
 

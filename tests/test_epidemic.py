@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import copy
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +23,10 @@ from epidemictrl.epidemic import (
     sample_duration_ticks,
     seed_initial_infections,
 )
+from epidemictrl import env
+from epidemictrl.env import run_episode
+from epidemictrl.harness import baseline_schedule, experiment_config, parse_baseline
+from epidemictrl.interventions import vaccination_day_step
 from epidemictrl.world import apply_movement
 
 from conftest import make_world, rng
@@ -381,3 +387,126 @@ def test_duration_oracle_day_draws_match_table():
         draws = duration_days(comp, g, size=1_000_000, params=params)
         assert abs(draws.mean() - mean) / mean < 0.01, comp
         assert abs(draws.std() - sd) / sd < 0.03, comp
+
+
+# ---------------------------------------------------------------------------
+# State the engine keeps current, and what a tick allocates.
+
+
+def _derived_transmissibility(world, params):
+    return (
+        params.beta_base
+        * params.band_beta_multiplier[world.age // 10]
+        * world.vax_susceptibility
+    )
+
+
+def _assert_kept_state(world, params):
+    recount = np.bincount(world.compartment, minlength=len(Compartment))
+    assert np.array_equal(world.compartment_counts(), recount)
+    assert world.transmissibility_params is params
+    assert np.array_equal(world.transmissibility, _derived_transmissibility(world, params))
+
+
+@pytest.mark.parametrize("experiment, baseline", [(1, "NoL_NoV"), (2, "FullL_FullV")])
+def test_kept_state_matches_a_recount_after_every_tick(monkeypatch, experiment, baseline):
+    config = experiment_config(experiment, 1, population=2_000)
+    days = config.world.episode_days
+    schedule = baseline_schedule(parse_baseline(baseline), days)
+    ticks = []
+
+    def progress(world, params, rng):
+        progression_step(world, params, rng)
+        _assert_kept_state(world, params)
+        ticks.append(world.tick)
+
+    def vaccinate(world, schedule, policy, day, rng):
+        given = vaccination_day_step(world, schedule, policy, day, rng)
+        _assert_kept_state(world, config.disease)
+        return given
+
+    monkeypatch.setattr(env, "progression_step", progress)
+    monkeypatch.setattr(env, "vaccination_day_step", vaccinate)
+    trace = run_episode(config, schedule, seed=0)
+    assert ticks == list(range(2 * days))
+    assert trace.deceased[-1] > 0
+    if baseline == "FullL_FullV":
+        assert schedule.lockdown == (0.0, days)
+        assert trace.doses.sum() > 0
+
+
+def test_exposure_rederives_transmissibility_for_other_params():
+    world = make_world(population=2_000, with_ledgers=False)
+    first, second = DiseaseParams(), DiseaseParams(beta_base=2.0)
+    g = rng(21)
+    seed_initial_infections(world, first, 0.3, g)
+    world.vax_susceptibility[::7] = 0.4
+    for params in (first, second, DiseaseParams(), first):
+        for _ in range(12):
+            apply_movement(world)
+            exposure_step(world, params, g)
+            progression_step(world, params, g)
+            world.tick += 1
+        _assert_kept_state(world, params)
+
+
+def test_exposure_tick_and_census_allocate_nothing_population_sized(monkeypatch):
+    # Day 15's work tick of a 10k-agent epidemic: most agents share a place
+    # with an infectious one. The bounds leave room for arrays sized by the
+    # sources and the loaded susceptibles, and for per-location arrays.
+    config = experiment_config(1, 1, population=10_000)
+    schedule = baseline_schedule(parse_baseline("NoL_NoV"), config.world.episode_days)
+    peaks = {}
+
+    def measured(world, params, rng):
+        if world.tick != 31:
+            return exposure_step(world, params, rng)
+        tracemalloc.start()
+        try:
+            exposed = exposure_step(world, params, rng)
+            peaks["exposure"] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            world.compartment_counts()
+            peaks["census"] = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert exposed > 0
+        return exposed
+
+    monkeypatch.setattr(env, "exposure_step", measured)
+    run_episode(config, schedule, seed=0)
+    assert peaks["exposure"] / config.world.population_size <= 18.0
+    assert peaks["census"] < 1024
+
+
+def test_disease_params_cannot_change_after_construction():
+    params = DiseaseParams()
+    with pytest.raises(TypeError):
+        params.stage_durations[Compartment.EXPOSED] = (1.0, 0.0)
+    with pytest.raises(TypeError):
+        params.stage_durations.update({Compartment.EXPOSED: (1.0, 0.0)})
+    with pytest.raises(TypeError):
+        del params.stage_durations[Compartment.EXPOSED]
+    for table in (
+        params.band_beta_multiplier,
+        params.band_asymptomatic_prob,
+        params.band_severe_prob,
+        params.band_death_given_hospitalized,
+    ):
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+    assert params.stage_durations == DEFAULT_STAGE_DURATIONS
+
+
+def test_pickled_disease_params_run_the_same_episode():
+    config = experiment_config(1, 1, population=1_000)
+    copied = pickle.loads(pickle.dumps(config))
+    assert copied.disease is not config.disease and copied.disease == config.disease
+    with pytest.raises(TypeError):
+        copied.disease.stage_durations[Compartment.EXPOSED] = (1.0, 0.0)
+    schedule = baseline_schedule(parse_baseline("FullL_FullV"), config.world.episode_days)
+    a, b = run_episode(config, schedule, seed=3), run_episode(copied, schedule, seed=3)
+    assert np.array_equal(a.compartments, b.compartments)
+    assert np.array_equal(a.below_poverty, b.below_poverty)
+    assert np.array_equal(a.doses, b.doses)

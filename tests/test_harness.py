@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from epidemictrl import harness
 from epidemictrl.ddpg import DdpgHyperParams
 from epidemictrl.economy import EconomyConfig
 from epidemictrl.env import EpisodeTrace, ExperimentConfig, run_episode
@@ -319,6 +320,16 @@ def test_train_and_evaluate_sidecars_rerun_identically(tmp_path):
     first, second = _rerun_from_sidecar(tmp_path / "evaluate", argv)
     evaluation = (first / "evaluation.json").read_text()
     assert evaluation == (second / "evaluation.json").read_text()
+
+
+def test_config_file_population_is_read_without_an_extra_build(monkeypatch):
+    built = []
+    read = harness.from_dict
+    monkeypatch.setattr(harness, "from_dict", lambda cls, *a: built.append(cls) or read(cls, *a))
+    config = experiment_config(2, 3, file_cfg={"world": {"population_size": 5_000}})
+    assert built == [ExperimentConfig]
+    assert config.world.population_size == 5_000
+    assert config.vaccination.specs[0].daily_doses == 22  # scaled from 450
 
 
 def test_population_flag_applies_over_config_file():
