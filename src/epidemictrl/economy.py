@@ -13,15 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .epidemic import Compartment
+from .epidemic import _INFECTED_MILD, _RECOVERED
 from .world import WorldState
 
 CENTS = 100
-
-# Plain ints for the per-tick code (see epidemic.py).
-_INFECTED_MILD = int(Compartment.INFECTED_MILD)
-_RECOVERED = int(Compartment.RECOVERED)
-_DECEASED = int(Compartment.DECEASED)
 
 
 @dataclass(frozen=True)
@@ -64,28 +59,13 @@ def _require_ledgers(world: WorldState) -> EconomyConfig:
     return world.economy_config
 
 
-def _live_members(world: WorldState) -> np.ndarray:
-    """Living members per house: each house's size less its deceased.
-
-    Houses are filled in id order, so every house holds `household_size`
-    agents but the last, which holds the remainder. Only the deceased are
-    counted, which is far fewer agents than the living.
-    """
-    hs = world.config.household_size
-    members = np.full(world.n_houses, hs, dtype=np.int64)
-    members[-1] = world.population - (world.n_houses - 1) * hs
-    dead = (world.compartment == _DECEASED).nonzero()[0]
-    if dead.size:
-        members -= np.bincount(world.house_id.take(dead), minlength=world.n_houses)
-    return members
-
-
 def economy_day_step(world: WorldState, lockdown_active: bool) -> None:
     """Post one day of income and expenses to every house.
 
     The head earns iff alive, not symptomatic or hospitalized, and either
     no lockdown applies or they are essential or a violator. Expenses are
-    charged per living member. Call exactly once per simulated day.
+    charged per living member (`world.live_members`). Call exactly once
+    per simulated day.
     """
     config = _require_ledgers(world)
     head = world.house_head
@@ -99,7 +79,7 @@ def economy_day_step(world: WorldState, lockdown_active: bool) -> None:
     expense_cents = int(round(config.expense_per_person * CENTS))
     world.savings_cents += (
         np.where(earning, world.income_cents, 0)
-        - expense_cents * _live_members(world)
+        - expense_cents * world.live_members
     )
 
 
@@ -108,4 +88,4 @@ def below_poverty_count(world: WorldState) -> int:
     config = _require_ledgers(world)
     line_cents = int(round(config.poverty_line * CENTS))
     poor = world.savings_cents < line_cents
-    return int(_live_members(world)[poor].sum())
+    return int(world.live_members[poor].sum())

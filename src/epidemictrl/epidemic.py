@@ -60,8 +60,8 @@ TIMED_COMPARTMENTS = (
     Compartment.HOSPITALIZED,
 )
 
-# Plain ints for the per-tick code: an IntEnum member lookup costs a
-# Python-level attribute access on every use.
+# Plain ints for the per-tick code of every module: an IntEnum member
+# lookup costs a Python-level attribute access on every use.
 _SUSCEPTIBLE = int(Compartment.SUSCEPTIBLE)
 _EXPOSED = int(Compartment.EXPOSED)
 _ASYMPTOMATIC = int(Compartment.ASYMPTOMATIC)
@@ -238,17 +238,6 @@ def sample_duration_ticks(
     return days.astype(np.int32)
 
 
-def infection_probability(beta_agent, infectious_weight, occupants):
-    """Per-tick infection probability from frequency-dependent mixing.
-
-    p = 1 - exp(-beta_agent * (infectious_weight / occupants) * tick_days),
-    elementwise over aligned arrays. `exposure_step` forms the same rate
-    from a per-location weight per occupant and shares the exponential.
-    """
-    rate = np.asarray(beta_agent * (infectious_weight / occupants), dtype=np.float64)
-    return _rate_to_probability(rate)
-
-
 def _rate_to_probability(rate: np.ndarray) -> np.ndarray:
     """Overwrite a daily infection rate with its tick's probability,
     1 - exp(-rate * tick_days)."""
@@ -258,22 +247,41 @@ def _rate_to_probability(rate: np.ndarray) -> np.ndarray:
     return np.negative(rate, out=rate)
 
 
-def _expose(
-    world: "WorldState", ids: np.ndarray, params: DiseaseParams, rng: np.random.Generator
+def _enter(
+    world: "WorldState",
+    ids: np.ndarray,
+    source: int,
+    target: int,
+    params: DiseaseParams,
+    rng: np.random.Generator,
 ) -> None:
-    """Move the susceptible `ids` to Exposed with a sampled incubation.
+    """Move `ids`, all in `source`, to `target`: the one writer of
+    `compartment`, `due_tick`, `compartment_totals` and `live_members`.
 
-    The exposure tick's own progression step already counts toward the
-    stay, so incubation ends one tick before the sampled dwell. This is the
+    A timed target gets a sampled dwell; Recovered and Deceased are never
+    due, and each death leaves its house's living members. A death is a
+    `subtract.at`, not a subscripted `-=`, so that two deaths in one house
+    on one tick both count.
+
+    An exposure's own progression step already counts toward the stay, so
+    incubation ends one tick before the sampled dwell. This is the
     incubation off-by-one of ROADMAP.md item 1, kept as the `- 1` below
     until its fix re-pins the golden traces.
     """
-    world.compartment[ids] = _EXPOSED
-    world.due_tick[ids] = (
-        world.tick + sample_duration_ticks(_EXPOSED, rng, size=ids.size, params=params) - 1
-    )
-    world.compartment_totals[_SUSCEPTIBLE] -= ids.size
-    world.compartment_totals[_EXPOSED] += ids.size
+    if ids.size == 0:
+        return
+    world.compartment[ids] = target
+    world.compartment_totals[source] -= ids.size
+    world.compartment_totals[target] += ids.size
+    if target == _RECOVERED or target == _DECEASED:
+        world.due_tick[ids] = NOT_DUE
+        if target == _DECEASED:
+            np.subtract.at(world.live_members, world.house_id.take(ids), 1)
+    else:
+        due = world.tick + sample_duration_ticks(target, rng, size=ids.size, params=params)
+        if target == _EXPOSED:
+            due -= 1
+        world.due_tick[ids] = due
 
 
 def seed_initial_infections(
@@ -288,7 +296,8 @@ def seed_initial_infections(
     count = int(round(fraction * world.population))
     if count == 0:
         return 0
-    _expose(world, rng.choice(world.population, size=count, replace=False), params, rng)
+    ids = rng.choice(world.population, size=count, replace=False)
+    _enter(world, ids, _SUSCEPTIBLE, _EXPOSED, params, rng)
     return count
 
 
@@ -361,7 +370,7 @@ def exposure_step(
     newly = loaded[hit]
     if newly.size == 0:
         return 0
-    _expose(world, newly, params, rng)
+    _enter(world, newly, _SUSCEPTIBLE, _EXPOSED, params, rng)
     return int(newly.size)
 
 
@@ -382,9 +391,7 @@ def progression_step(
     never processed twice and the random draws keep a fixed order. A stage
     entered at tick t with a sampled dwell of d ticks is due at t + d.
     """
-    tick = world.tick
-    due_tick = world.due_tick
-    due = (due_tick == tick).nonzero()[0]
+    due = (world.due_tick == world.tick).nonzero()[0]
     if due.size == 0:
         return
     comp = world.compartment
@@ -399,39 +406,24 @@ def progression_step(
     def _stage(c: int) -> np.ndarray:
         return due[bounds[c] : bounds[c + 1]]
 
-    totals = world.compartment_totals
-
-    def _enter(ids: np.ndarray, source: int, target: int) -> None:
-        if ids.size == 0:
-            return
-        comp[ids] = target
-        totals[source] -= ids.size
-        totals[target] += ids.size
-        if target == _RECOVERED or target == _DECEASED:
-            due_tick[ids] = NOT_DUE
-        else:
-            due_tick[ids] = tick + sample_duration_ticks(
-                target, rng, size=ids.size, params=params
-            )
-
     ids = _stage(_HOSPITALIZED)
     if ids.size:
         p_death = params.band_death_given_hospitalized.take(age.take(ids) // 10)
         dies = rng.random(ids.size) < p_death
-        _enter(ids[dies], _HOSPITALIZED, _DECEASED)
-        _enter(ids[~dies], _HOSPITALIZED, _RECOVERED)
+        _enter(world, ids[dies], _HOSPITALIZED, _DECEASED, params, rng)
+        _enter(world, ids[~dies], _HOSPITALIZED, _RECOVERED, params, rng)
 
-    _enter(_stage(_INFECTED_SEVERE), _INFECTED_SEVERE, _HOSPITALIZED)
+    _enter(world, _stage(_INFECTED_SEVERE), _INFECTED_SEVERE, _HOSPITALIZED, params, rng)
 
     ids = _stage(_INFECTED_MILD)
     if ids.size:
         p_worse = params.band_severe_prob.take(age.take(ids) // 10)
         worsens = rng.random(ids.size) < p_worse
-        _enter(ids[worsens], _INFECTED_MILD, _INFECTED_SEVERE)
-        _enter(ids[~worsens], _INFECTED_MILD, _RECOVERED)
+        _enter(world, ids[worsens], _INFECTED_MILD, _INFECTED_SEVERE, params, rng)
+        _enter(world, ids[~worsens], _INFECTED_MILD, _RECOVERED, params, rng)
 
-    _enter(_stage(_PRE_SYMPTOMATIC), _PRE_SYMPTOMATIC, _INFECTED_MILD)
-    _enter(_stage(_ASYMPTOMATIC), _ASYMPTOMATIC, _RECOVERED)
+    _enter(world, _stage(_PRE_SYMPTOMATIC), _PRE_SYMPTOMATIC, _INFECTED_MILD, params, rng)
+    _enter(world, _stage(_ASYMPTOMATIC), _ASYMPTOMATIC, _RECOVERED, params, rng)
 
     ids = _stage(_EXPOSED)
     if ids.size:
@@ -440,6 +432,6 @@ def progression_step(
             world.vaccinated.take(ids),
         )
         silent = rng.random(ids.size) < gamma
-        _enter(ids[silent], _EXPOSED, _ASYMPTOMATIC)
-        _enter(ids[~silent], _EXPOSED, _PRE_SYMPTOMATIC)
+        _enter(world, ids[silent], _EXPOSED, _ASYMPTOMATIC, params, rng)
+        _enter(world, ids[~silent], _EXPOSED, _PRE_SYMPTOMATIC, params, rng)
 

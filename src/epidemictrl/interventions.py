@@ -19,15 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .epidemic import Compartment
+from .epidemic import _DECEASED, _HOSPITALIZED
 from .world import WorldState
 
 #: Inclusive age bounds of the three vaccination strata.
 AGE_STRATA = ((0, 17), (18, 59), (60, 99))
-
-# Plain ints for the per-day code (see epidemic.py).
-_HOSPITALIZED = int(Compartment.HOSPITALIZED)
-_DECEASED = int(Compartment.DECEASED)
 
 DayWindow = tuple[float, float]
 
@@ -115,16 +111,13 @@ def lockdown_active(schedule: InterventionSchedule, day: int) -> bool:
     return window_active(schedule.lockdown, day)
 
 
-def apply_vaccine_effects(
-    world: WorldState, agent_ids: np.ndarray, spec: VaccineSpec, vaccine_number: int
-) -> None:
+def apply_vaccine_effects(world: WorldState, agent_ids: np.ndarray, spec: VaccineSpec) -> None:
     """Mark agents vaccinated and scale down their susceptibility, and
     their kept transmissibility once the engine has derived it."""
     agent_ids = np.atleast_1d(np.asarray(agent_ids))
     if world.vaccinated[agent_ids].any():
         raise ValueError("agent already vaccinated")
     world.vaccinated[agent_ids] = True
-    world.vaccine_index[agent_ids] = vaccine_number
     susceptibility = 1.0 - spec.effectiveness
     world.vax_susceptibility[agent_ids] = susceptibility
     if world.transmissibility_params is not None:
@@ -183,11 +176,9 @@ def vaccination_day_step(
     # not with the eligible pool.
     queue = rng.choice(ids, size=min(budget, ids.size), replace=False)
     given = 0
-    for number, spec in enumerate(policy.specs, start=1):
+    for spec in policy.specs:
         take = min(spec.daily_doses, queue.size - given)
         if take > 0:
-            apply_vaccine_effects(
-                world, queue[given : given + take], spec, number
-            )
+            apply_vaccine_effects(world, queue[given : given + take], spec)
             given += take
     return given

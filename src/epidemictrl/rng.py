@@ -16,7 +16,6 @@ STREAM_NAMES = ("population", "disease", "economy", "vaccination")
 
 @dataclass
 class RngStreams:
-    seed: int
     population: np.random.Generator
     disease: np.random.Generator
     economy: np.random.Generator
@@ -25,4 +24,4 @@ class RngStreams:
     @classmethod
     def from_seed(cls, seed: int) -> "RngStreams":
         children = np.random.SeedSequence(seed).spawn(len(STREAM_NAMES))
-        return cls(seed, *(np.random.Generator(np.random.PCG64(c)) for c in children))
+        return cls(*(np.random.Generator(np.random.PCG64(c)) for c in children))

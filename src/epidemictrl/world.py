@@ -17,19 +17,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .epidemic import NOT_DUE, Compartment, DiseaseParams
+from .epidemic import (
+    _DECEASED,
+    _HOSPITALIZED,
+    _INFECTED_MILD,
+    _INFECTED_SEVERE,
+    _SUSCEPTIBLE,
+    NOT_DUE,
+    Compartment,
+    DiseaseParams,
+)
 from .rng import RngStreams
 
 EMPLOYMENT_AGE = 30  # strictly older than this means employed
 PEOPLE_PER_HOSPITAL = 25_000
-
-# Plain ints for the per-tick code (see epidemic.py).
-_SUSCEPTIBLE = int(Compartment.SUSCEPTIBLE)
-_INFECTED_MILD = int(Compartment.INFECTED_MILD)
-_INFECTED_SEVERE = int(Compartment.INFECTED_SEVERE)
-_HOSPITALIZED = int(Compartment.HOSPITALIZED)
-_DECEASED = int(Compartment.DECEASED)
-_N_COMPARTMENTS = len(Compartment)
 
 
 @dataclass(frozen=True)
@@ -75,17 +76,18 @@ class WorldState:
     other agent. `epidemic.progression_step` touches only the agents whose
     due tick equals `tick`.
 
-    The engine keeps `compartment_totals` and `transmissibility` current
-    as it writes compartments and vaccines, and `epidemic.exposure_step`
-    works in the `scratch_*` buffers, so a tick allocates nothing sized by
-    the population.
+    `epidemic._enter` is the one writer of `compartment`, `due_tick`,
+    `compartment_totals` and `live_members`, and
+    `interventions.apply_vaccine_effects` the one writer of `vaccinated`
+    and `vax_susceptibility`, so the kept tallies and `transmissibility`
+    stay current. `epidemic.exposure_step` works in the `scratch_*`
+    buffers, so a tick allocates nothing sized by the population.
     """
 
     config: WorldConfig
     tick: int
 
     age: np.ndarray
-    employed: np.ndarray
     house_id: np.ndarray
     workplace_loc: np.ndarray
     hospital_loc: np.ndarray
@@ -95,7 +97,6 @@ class WorldState:
     compartment: np.ndarray
     due_tick: np.ndarray
     vaccinated: np.ndarray
-    vaccine_index: np.ndarray
     vax_susceptibility: np.ndarray
 
     house_head: np.ndarray
@@ -106,8 +107,9 @@ class WorldState:
     n_schools: int
     n_hospitals: int
 
-    # agents per compartment, kept by `epidemic._expose` and `progression_step`
+    # agents per compartment, and living members per house
     compartment_totals: np.ndarray
+    live_members: np.ndarray
     # location_of + 1 as intp, so the deceased's -1 indexes slot 0
     scratch_location: np.ndarray = field(repr=False)
     scratch_masks: np.ndarray = field(repr=False)  # (2, population) bool
@@ -188,14 +190,15 @@ def synthesize_population(config: WorldConfig, streams: RngStreams) -> WorldStat
 
     hospital_loc = (hospital_base + np.arange(n) % n_hospitals).astype(np.int32)
 
-    totals = np.zeros(_N_COMPARTMENTS, dtype=np.int64)
+    totals = np.zeros(len(Compartment), dtype=np.int64)
     totals[_SUSCEPTIBLE] = n
+    live_members = np.full(n_houses, hs, dtype=np.int64)
+    live_members[-1] = n - (n_houses - 1) * hs  # the last house may be smaller
 
     return WorldState(
         config=config,
         tick=0,
         age=age,
-        employed=employed,
         house_id=house_id,
         workplace_loc=workplace_loc,
         hospital_loc=hospital_loc,
@@ -204,7 +207,6 @@ def synthesize_population(config: WorldConfig, streams: RngStreams) -> WorldStat
         compartment=np.full(n, Compartment.SUSCEPTIBLE, dtype=np.int8),
         due_tick=np.full(n, NOT_DUE, dtype=np.int32),
         vaccinated=np.zeros(n, dtype=bool),
-        vaccine_index=np.zeros(n, dtype=np.int8),
         vax_susceptibility=np.ones(n, dtype=np.float64),
         house_head=house_heads(age, hs),
         location_of=house_id.astype(np.int32).copy(),
@@ -213,6 +215,7 @@ def synthesize_population(config: WorldConfig, streams: RngStreams) -> WorldStat
         n_schools=n_schools,
         n_hospitals=n_hospitals,
         compartment_totals=totals,
+        live_members=live_members,
         scratch_location=np.empty(n, dtype=np.intp),
         scratch_masks=np.empty((2, n), dtype=bool),
         scratch_ids=np.empty(n, dtype=np.intp),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from epidemictrl.economy import EconomyConfig, init_house_ledgers
+from epidemictrl.epidemic import DiseaseParams, _enter
 from epidemictrl.rng import RngStreams
 from epidemictrl.world import WorldConfig, WorldState, synthesize_population
 
@@ -20,6 +21,18 @@ def make_world(
     if with_ledgers:
         init_house_ledgers(world, EconomyConfig(), streams.economy)
     return world
+
+
+def move_to(world: WorldState, ids, target) -> None:
+    """Move agents to `target`, any compartment but Susceptible, through
+    the engine's one writer, `epidemic._enter`, one source compartment at
+    a time, so the kept tallies stay current. Agents already in `target`
+    stay put."""
+    ids = np.atleast_1d(np.asarray(ids, dtype=np.intp))
+    sources = world.compartment[ids]
+    for source in np.unique(sources):
+        if source != target:
+            _enter(world, ids[sources == source], int(source), int(target), DiseaseParams(), rng())
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
-"""The engine's earlier random-draw contract, kept as a reference.
+"""The engine's earlier random-draw contract, kept as a reference, and the
+aligned-array infection probability the tests compare the engine against.
 
 These steps draw more than the engine does but sample the same model:
 
@@ -21,10 +22,21 @@ import numpy as np
 from epidemictrl.epidemic import (
     VACCINATED_SOURCE_WEIGHT,
     Compartment,
-    _expose,
-    infection_probability,
+    _enter,
+    _rate_to_probability,
 )
 from epidemictrl.interventions import AGE_STRATA, apply_vaccine_effects, window_active
+
+
+def infection_probability(beta_agent, infectious_weight, occupants):
+    """Per-tick infection probability from frequency-dependent mixing.
+
+    p = 1 - exp(-beta_agent * (infectious_weight / occupants) * tick_days),
+    elementwise over aligned arrays. `exposure_step` forms the same rate
+    from a per-location weight per occupant and shares the exponential.
+    """
+    rate = np.asarray(beta_agent * (infectious_weight / occupants), dtype=np.float64)
+    return _rate_to_probability(rate)
 
 
 def exposure_step_drawing_all(world, params, rng):
@@ -57,7 +69,7 @@ def exposure_step_drawing_all(world, params, rng):
     newly = sus_ids[draws < p]
     if newly.size == 0:
         return 0
-    _expose(world, newly, params, rng)
+    _enter(world, newly, Compartment.SUSCEPTIBLE, Compartment.EXPOSED, params, rng)
     return int(newly.size)
 
 
@@ -87,10 +99,10 @@ def vaccination_day_step_by_mask(world, schedule, policy, day, order):
         return 0
     queue = order(ids, budget)
     given = 0
-    for number, spec in enumerate(policy.specs, start=1):
+    for spec in policy.specs:
         take = min(spec.daily_doses, budget - given, queue.size - given)
         if take > 0:
-            apply_vaccine_effects(world, queue[given : given + take], spec, number)
+            apply_vaccine_effects(world, queue[given : given + take], spec)
             given += take
     return given
 

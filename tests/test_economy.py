@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from epidemictrl.economy import below_poverty_count, economy_day_step
 from epidemictrl.epidemic import Compartment
 
-from conftest import make_world
+from conftest import make_world, move_to
 
 
 def _fix_house(world, house, savings, income):
@@ -26,7 +26,7 @@ def test_healthy_head_income_minus_expenses():
 def test_hospitalized_head_loses_income():
     world = make_world(population=4, household_size=4)
     _fix_house(world, 0, savings=500.0, income=100.0)
-    world.compartment[world.house_head[0]] = Compartment.HOSPITALIZED
+    move_to(world, world.house_head[0], Compartment.HOSPITALIZED)
     economy_day_step(world, lockdown_active=False)
     assert world.savings_cents[0] == 46_000  # 500 - 40
 
@@ -35,7 +35,6 @@ def test_essential_head_earns_under_lockdown():
     world = make_world(population=4, household_size=4)
     _fix_house(world, 0, savings=500.0, income=100.0)
     head = world.house_head[0]
-    world.employed[head] = True
     world.is_essential[head] = True
     world.is_violator[head] = False
     economy_day_step(world, lockdown_active=True)
@@ -66,7 +65,7 @@ def test_deceased_members_stop_expenses():
     world = make_world(population=4, household_size=4)
     _fix_house(world, 0, savings=500.0, income=0.0)
     dead = [i for i in range(4) if i != world.house_head[0]][0]
-    world.compartment[dead] = Compartment.DECEASED
+    move_to(world, dead, Compartment.DECEASED)
     economy_day_step(world, lockdown_active=False)
     assert world.savings_cents[0] == 47_000  # 500 - 3*10
 
@@ -89,14 +88,14 @@ def test_below_poverty_all_above():
 def test_below_poverty_excludes_deceased_members():
     world = make_world(population=4, household_size=4)
     _fix_house(world, 0, savings=0.0, income=0.0)
-    world.compartment[0] = Compartment.DECEASED
+    move_to(world, 0, Compartment.DECEASED)
     assert below_poverty_count(world) == 3
 
 
 def test_savings_may_go_negative():
     world = make_world(population=4, household_size=4)
     _fix_house(world, 0, savings=10.0, income=0.0)
-    world.compartment[world.house_head[0]] = Compartment.INFECTED_MILD
+    move_to(world, world.house_head[0], Compartment.INFECTED_MILD)
     economy_day_step(world, lockdown_active=False)
     assert world.savings_cents[0] == -3_000
 
@@ -169,9 +168,10 @@ def test_live_members_match_a_count_of_the_living(population, household_size, se
     # a ragged last house and deaths anywhere, the head included
     world = make_world(population=population, household_size=household_size, seed=seed)
     dead = np.random.default_rng(seed).random(population) < death_share
-    world.compartment[dead] = Compartment.DECEASED
+    move_to(world, dead.nonzero()[0], Compartment.DECEASED)
     alive = world.compartment != Compartment.DECEASED
     live = np.bincount(world.house_id[alive], minlength=world.n_houses)
+    assert np.array_equal(world.live_members, live)
     line_cents = round(world.economy_config.poverty_line * 100)
     assert below_poverty_count(world) == live[world.savings_cents < line_cents].sum()
 

@@ -17,7 +17,6 @@ from epidemictrl.epidemic import (
     VACCINATED_SOURCE_WEIGHT,
     duration_days,
     exposure_step,
-    infection_probability,
     lognormal_underlying,
     progression_step,
     sample_duration_ticks,
@@ -30,7 +29,7 @@ from epidemictrl.interventions import vaccination_day_step
 from epidemictrl.world import apply_movement
 
 from conftest import make_world, rng
-from reference_draws import exposure_step_drawing_all
+from reference_draws import exposure_step_drawing_all, infection_probability
 
 # The published transition-factor table, one row per decade:
 # (beta multiplier, symptomatic prob, severe prob, death weight sigma).
@@ -404,6 +403,10 @@ def _derived_transmissibility(world, params):
 def _assert_kept_state(world, params):
     recount = np.bincount(world.compartment, minlength=len(Compartment))
     assert np.array_equal(world.compartment_counts(), recount)
+    alive = world.compartment != Compartment.DECEASED
+    assert np.array_equal(
+        world.live_members, np.bincount(world.house_id[alive], minlength=world.n_houses)
+    )
     assert world.transmissibility_params is params
     assert np.array_equal(world.transmissibility, _derived_transmissibility(world, params))
 

@@ -111,7 +111,7 @@ def test_small_pool_gets_vaccine_one_first():
     given = vaccination_day_step(world, _full_windows(), policy, day=0, rng=rng(1))
     assert given == 10
     assert world.vaccinated.all()
-    assert (world.vaccine_index == 1).all()
+    assert (world.vax_susceptibility == 1.0 - policy.specs[0].effectiveness).all()
     assert np.allclose(world.vax_susceptibility, 0.2)
 
 
@@ -120,11 +120,10 @@ def test_vaccine_two_used_after_vaccine_one():
     policy = VaccinationPolicyConfig(specs=(VaccineSpec(0.8, 10), VaccineSpec(0.6, 10)))
     given = vaccination_day_step(world, _full_windows(), policy, day=0, rng=rng(2))
     assert given == 20
-    assert (world.vaccine_index == 1).sum() == 10
-    assert (world.vaccine_index == 2).sum() == 10
-    assert np.allclose(
-        world.vax_susceptibility[world.vaccine_index == 2], 0.4
-    )
+    # the vaccines' distinct effectiveness tells their recipients apart
+    susceptibility = world.vax_susceptibility[world.vaccinated]
+    assert np.count_nonzero(susceptibility == 1.0 - policy.specs[0].effectiveness) == 10
+    assert np.count_nonzero(np.isclose(susceptibility, 0.4)) == 10
 
 
 def mask_vaccination_day_step(world, schedule, policy, day, rng):
@@ -148,7 +147,7 @@ def test_vaccination_matches_mask_oracle_for_every_open_subset(open_strata):
         world.compartment[:20] = Compartment.HOSPITALIZED
         world.compartment[20:40] = Compartment.DECEASED
         world.compartment[40:60] = Compartment.INFECTED_MILD
-        apply_vaccine_effects(world, np.arange(60, 80), policy.specs[1], 2)
+        apply_vaccine_effects(world, np.arange(60, 80), policy.specs[1])
         worlds.append(world)
     fast, slow = worlds
     g_fast, g_slow = rng(9), rng(9)
@@ -157,7 +156,6 @@ def test_vaccination_matches_mask_oracle_for_every_open_subset(open_strata):
             mask_vaccination_day_step(slow, schedule, policy, day, g_slow)
         )
         assert np.array_equal(fast.vaccinated, slow.vaccinated)
-        assert np.array_equal(fast.vaccine_index, slow.vaccine_index)
         assert np.array_equal(fast.vax_susceptibility, slow.vax_susceptibility)
         assert g_fast.bit_generator.state == g_slow.bit_generator.state
     assert fast.vaccinated[80:].any() == (open_strata != 0)
@@ -169,7 +167,7 @@ def _sampler_world():
     world = _world_for_vax(population=60, seed=2)
     world.compartment[:6] = Compartment.HOSPITALIZED
     world.compartment[6:12] = Compartment.DECEASED
-    apply_vaccine_effects(world, np.arange(12, 16), VaccineSpec(0.6, 4), 2)
+    apply_vaccine_effects(world, np.arange(12, 16), VaccineSpec(0.6, 4))
     return world
 
 
@@ -178,15 +176,15 @@ def test_day_sample_includes_each_eligible_id_uniformly_with_vaccine_one_first()
         specs=(VaccineSpec(0.8, 7), VaccineSpec(0.6, 5)), coverage_cap=1.0
     )
     world = _sampler_world()
-    start = (world.vaccinated.copy(), world.vaccine_index.copy(), world.vax_susceptibility.copy())
+    start = (world.vaccinated.copy(), world.vax_susceptibility.copy())
     eligible = np.arange(16, 60)
     budget, seeds = 12, 3000
     counts = np.zeros((2, world.population), dtype=np.int64)  # per vaccine
     for seed in range(seeds):
-        world.vaccinated[:], world.vaccine_index[:], world.vax_susceptibility[:] = start
+        world.vaccinated[:], world.vax_susceptibility[:] = start
         assert vaccination_day_step(world, _full_windows(), policy, 0, rng(seed)) == budget
-        for number in (1, 2):
-            counts[number - 1] += world.vaccine_index == number
+        for k, spec in enumerate(policy.specs):
+            counts[k] += world.vax_susceptibility == 1.0 - spec.effectiveness
     counts[1, 12:16] -= seeds  # the four vaccinated beforehand
     assert counts[:, :16].sum() == 0
 
@@ -205,7 +203,7 @@ def test_days_without_doses_leave_the_stream_untouched():
     none_eligible = _sampler_world()
     none_eligible.compartment[16:] = Compartment.HOSPITALIZED
     capped = _sampler_world()
-    apply_vaccine_effects(capped, np.arange(16, 54), policy.specs[0], 1)  # 42 = 0.7 * 60
+    apply_vaccine_effects(capped, np.arange(16, 54), policy.specs[0])  # 42 = 0.7 * 60
     cases = [
         (_sampler_world(), later, policy, 9),  # before the window opens
         (_sampler_world(), later, policy, 20),  # the day it closes
@@ -261,9 +259,9 @@ def test_coverage_cap_is_hard():
 def test_double_vaccination_rejected():
     world = _world_for_vax(population=10)
     spec = VaccineSpec(0.8, 10)
-    apply_vaccine_effects(world, np.array([0]), spec, 1)
+    apply_vaccine_effects(world, np.array([0]), spec)
     with pytest.raises(ValueError):
-        apply_vaccine_effects(world, np.array([0]), spec, 2)
+        apply_vaccine_effects(world, np.array([0]), VaccineSpec(0.6, 10))
 
 
 def test_gamma_boost_cap():

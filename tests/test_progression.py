@@ -27,7 +27,6 @@ from epidemictrl.epidemic import (
     DiseaseParams,
     _effective_asymptomatic_prob,
     exposure_step,
-    infection_probability,
     progression_step,
     sample_duration_ticks,
     seed_initial_infections,
@@ -41,6 +40,7 @@ from epidemictrl.interventions import (
 from epidemictrl.world import WorldConfig, apply_movement
 
 from conftest import make_world
+from reference_draws import infection_probability
 
 # ---------------------------------------------------------------------------
 # The countdown reference.

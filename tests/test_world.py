@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from epidemictrl.epidemic import Compartment
 from epidemictrl.rng import RngStreams
 from epidemictrl.world import (
+    EMPLOYMENT_AGE,
     WorldConfig,
     WorldState,
     apply_movement,
@@ -120,13 +121,15 @@ def test_house_heads_match_lexsort_oracle(population, household_size, data):
 
 
 def test_role_rule_matches_age():
+    # over 30 works at an office, everyone else goes to school
     world = make_world(population=500, with_ledgers=False)
-    assert np.array_equal(world.employed, world.age > 30)
+    office = world.workplace_loc < kind_base(world, LocationKind.SCHOOL)
+    assert np.array_equal(office, world.age > 30)
 
 
 def test_essential_only_on_employed():
     world = make_world(population=2000, with_ledgers=False)
-    assert not (world.is_essential & ~world.employed).any()
+    assert not (world.is_essential & ~(world.age > EMPLOYMENT_AGE)).any()
     # with the default 20% fraction some employed agent is essential
     assert world.is_essential.any()
 
@@ -139,11 +142,12 @@ def test_rejects_empty_population():
 def test_capacity_respected_at_synthesis():
     world = make_world(population=3000, office_capacity=50, school_capacity=200,
                        with_ledgers=False)
+    employed = world.age > EMPLOYMENT_AGE
     office_load = np.bincount(
-        world.workplace_loc[world.employed] - kind_base(world, LocationKind.OFFICE)
+        world.workplace_loc[employed] - kind_base(world, LocationKind.OFFICE)
     )
     school_load = np.bincount(
-        world.workplace_loc[~world.employed] - kind_base(world, LocationKind.SCHOOL)
+        world.workplace_loc[~employed] - kind_base(world, LocationKind.SCHOOL)
     )
     assert office_load.max() <= 50
     assert school_load.max() <= 200
@@ -158,8 +162,8 @@ def test_everyone_starts_at_home():
 def test_synthesis_deterministic():
     a = make_world(population=300, seed=5, with_ledgers=False)
     b = make_world(population=300, seed=5, with_ledgers=False)
-    for field in ("age", "employed", "is_essential", "is_violator",
-                  "workplace_loc", "house_head"):
+    for field in ("age", "is_essential", "is_violator",
+                  "workplace_loc", "house_head", "live_members"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
@@ -172,9 +176,8 @@ def test_hospital_default_count():
 def _force_agent(world, i, *, age=None, compartment=None, essential=None, violator=None):
     if age is not None:
         world.age[i] = age
-        world.employed[i] = age > 30
         # keep the workplace consistent with the (possibly new) role
-        kind = LocationKind.OFFICE if world.employed[i] else LocationKind.SCHOOL
+        kind = LocationKind.OFFICE if age > EMPLOYMENT_AGE else LocationKind.SCHOOL
         world.workplace_loc[i] = kind_base(world, kind)
     if compartment is not None:
         world.compartment[i] = compartment

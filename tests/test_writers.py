@@ -1,0 +1,126 @@
+"""Each piece of kept agent state has one writer in the package.
+
+The engine keeps tallies (`compartment_totals`, `live_members`) and the
+per-agent `transmissibility` current as it writes compartments and
+vaccines. Code that wrote `compartment` or the vaccine state anywhere
+else would leave them stale without a word, so this walks the package's
+source and finds every write to those attributes: an assignment, whole
+or subscripted, plain or augmented, and numpy's in-place writes through
+a call (`out=`, `np.copyto`, a ufunc's `.at`, `.fill`, `.put`, `.sort`).
+"""
+
+from __future__ import annotations
+
+import ast
+from collections import defaultdict
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "epidemictrl"
+
+#: Kept attribute -> the only function (module.qualname) that may write it.
+WRITERS = {
+    "compartment": "epidemic._enter",
+    "due_tick": "epidemic._enter",
+    "compartment_totals": "epidemic._enter",
+    "live_members": "epidemic._enter",
+    "vaccinated": "interventions.apply_vaccine_effects",
+    "vax_susceptibility": "interventions.apply_vaccine_effects",
+}
+
+
+def _written_attributes(target: ast.expr):
+    """Attribute names an assignment target writes, whole or subscripted."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            yield from _written_attributes(element)
+    elif isinstance(target, (ast.Starred, ast.Subscript)):
+        yield from _written_attributes(target.value)
+    elif isinstance(target, ast.Attribute):
+        yield target.attr
+
+
+def _call_targets(call: ast.Call) -> list[ast.expr]:
+    """The arrays a numpy call writes into."""
+    targets = [kw.value for kw in call.keywords if kw.arg == "out"]
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        if func.attr in ("at", "copyto") and call.args:
+            targets.append(call.args[0])
+        elif func.attr in ("fill", "put", "sort"):
+            targets.append(func.value)
+    return targets
+
+
+def attribute_writes(source: str, module: str) -> list[tuple[str, str]]:
+    """(attribute, writing scope) for every write to an attribute in a
+    module's source; a nested function is a scope of its own."""
+    found = []
+
+    def visit(node: ast.AST, scope: list[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Assign):
+                targets = child.targets
+            elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
+                targets = [child.target]
+            elif isinstance(child, ast.Call):
+                targets = _call_targets(child)
+            else:
+                targets = []
+            for target in targets:
+                for attr in _written_attributes(target):
+                    found.append((attr, ".".join([module, *scope])))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_kept_agent_state_has_one_writer():
+    writers = defaultdict(set)
+    for path in sorted(PACKAGE.glob("*.py")):
+        for attr, scope in attribute_writes(path.read_text(), path.stem):
+            if attr in WRITERS:
+                writers[attr].add(scope)
+    # every kept attribute is written, and only by its writer
+    assert dict(writers) == {attr: {writer} for attr, writer in WRITERS.items()}
+
+
+def test_writes_are_found_in_every_form_and_scope():
+    source = """
+def step(world, ids):
+    world.compartment[ids] = 3
+    world.live_members -= 1
+    world.vaccinated[:], (other.due_tick, *rest) = a, b
+    totals = world.compartment_totals
+    totals[0] += 1
+    np.less(world.age, 3, out=world.scratch_masks[0])
+    np.copyto(world.transmissibility, 1.0, where=mask)
+
+    def inner():
+        world.compartment_totals[0] += 1
+        np.subtract.at(world.live_members, houses, 1)
+        world.due_tick.fill(-1)
+
+class Holder:
+    def reset(self):
+        self.vax_susceptibility: object = None
+        self.compartment.put(ids, 0)
+        self.age.take(ids, out=self.compartment)
+"""
+    assert sorted(attribute_writes(source, "m")) == [
+        ("compartment", "m.Holder.reset"),
+        ("compartment", "m.Holder.reset"),
+        ("compartment", "m.step"),
+        ("compartment_totals", "m.step.inner"),
+        ("due_tick", "m.step"),
+        ("due_tick", "m.step.inner"),
+        ("live_members", "m.step"),
+        ("live_members", "m.step.inner"),
+        ("scratch_masks", "m.step"),
+        ("transmissibility", "m.step"),
+        ("vaccinated", "m.step"),
+        ("vax_susceptibility", "m.Holder.reset"),
+    ]
