@@ -75,6 +75,10 @@ _DECEASED = int(Compartment.DECEASED)
 #: `WorldState.due_tick` of an agent outside the timed compartments.
 NOT_DUE = -1
 
+# The rows of `place` that give a mildly ill agent's seats by day: the two
+# day rows, then the night row (the house) once for each.
+_DAY_THEN_HOME = np.array([1, 2, 0, 0])
+
 # Search keys for the stage bounds in `progression_step`: in the sorted due
 # compartments, compartment c spans [bounds[c], bounds[c + 1]).
 _STAGE_BOUNDS = np.arange(_HOSPITALIZED + 2)
@@ -241,8 +245,7 @@ def sample_duration_ticks(
 def _rate_to_probability(rate: np.ndarray) -> np.ndarray:
     """Overwrite a daily infection rate with its tick's probability,
     1 - exp(-rate * tick_days)."""
-    rate *= TICK_DAYS
-    np.negative(rate, out=rate)
+    rate *= -TICK_DAYS  # the same as scaling, then negating
     np.expm1(rate, out=rate)
     return np.negative(rate, out=rate)
 
@@ -256,12 +259,21 @@ def _enter(
     rng: np.random.Generator,
 ) -> None:
     """Move `ids`, all in `source`, to `target`: the one writer of
-    `compartment`, `due_tick`, `compartment_totals` and `live_members`.
+    `compartment`, `due_tick`, `compartment_totals`, `live_members`,
+    `is_source` and `occupancy`.
 
     A timed target gets a sampled dwell; Recovered and Deceased are never
     due, and each death leaves its house's living members. A death is a
     `subtract.at`, not a subscripted `-=`, so that two deaths in one house
     on one tick both count.
+
+    Four moves change the occupancy (see `WorldState`; row 0 of `place`
+    holds the houses): PS->IM and IM->R move an agent between its day
+    places and its house on the two day rows, IS->H takes it out of its
+    house on all three rows, and H->R puts it back at its well places.
+    Each gathers its slots as flat occupancy indices and counts them with
+    `subtract.at` / `add.at` on 1-D indices: a `ufunc.at` given a 2-D
+    index and broadcast values has written garbage (numpy 2.4.6).
 
     An exposure's own progression step already counts toward the stay, so
     incubation ends one tick before the sampled dwell. This is the
@@ -273,15 +285,36 @@ def _enter(
     world.compartment[ids] = target
     world.compartment_totals[source] -= ids.size
     world.compartment_totals[target] += ids.size
+    shedding = _ASYMPTOMATIC <= target <= _INFECTED_SEVERE
+    if shedding != (_ASYMPTOMATIC <= source <= _INFECTED_SEVERE):
+        world.is_source[ids] = shedding
+
     if target == _RECOVERED or target == _DECEASED:
         world.due_tick[ids] = NOT_DUE
         if target == _DECEASED:
-            np.subtract.at(world.live_members, world.house_id.take(ids), 1)
+            np.subtract.at(world.live_members, world.place[0].take(ids) - 1, 1)
     else:
-        due = world.tick + sample_duration_ticks(target, rng, size=ids.size, params=params)
-        if target == _EXPOSED:
-            due -= 1
-        world.due_tick[ids] = due
+        start = world.tick - 1 if target == _EXPOSED else world.tick
+        world.due_tick[ids] = start + sample_duration_ticks(
+            target, rng, size=ids.size, params=params
+        )
+
+    if target == _INFECTED_MILD or (source == _INFECTED_MILD and target == _RECOVERED):
+        # By day the mildly ill sit at home: their seats on the two day
+        # rows, then their house's seats (night row) on the same rows.
+        seats = world.place.take(ids, axis=1).take(_DAY_THEN_HOME, axis=0)
+        seats += world.day_home_offsets
+        day, home = seats[:2], seats[2:]
+        left, entered = (day, home) if target == _INFECTED_MILD else (home, day)
+        np.subtract.at(world.occupancy.ravel(), left.ravel(), 1)
+        np.add.at(world.occupancy.ravel(), entered.ravel(), 1)
+    elif target == _HOSPITALIZED:
+        home = world.place[0].take(ids) + world.row_offsets
+        np.subtract.at(world.occupancy.ravel(), home.ravel(), 1)
+    elif source == _HOSPITALIZED and target == _RECOVERED:
+        well = world.place.take(ids, axis=1)
+        well += world.row_offsets
+        np.add.at(world.occupancy.ravel(), well.ravel(), 1)
 
 
 def seed_initial_infections(
@@ -306,12 +339,13 @@ def exposure_step(
 ) -> int:
     """Infect susceptible occupants from their location's infectious load.
 
-    Occupancy must be current for this tick (apply_movement ran first).
-    Only susceptibles in a loaded place (one holding an infectious
-    occupant) can be infected, so only they draw: one uniform each, in
-    ascending id. Elsewhere the infection probability is 0 and a draw
-    could not fall below it. A tick with no loaded susceptible draws
-    nothing. Returns the number of new exposures.
+    Places are those of `world.row` (apply_movement ran first). A
+    susceptible sits at its well place, and so does a source, except that
+    by day the sick stay home. Only susceptibles in a loaded place (one
+    holding an infectious occupant) can be infected, so only they draw:
+    one uniform each, in ascending id. Elsewhere the infection probability
+    is 0 and a draw could not fall below it. A tick with no loaded
+    susceptible draws nothing. Returns the number of new exposures.
 
     Every population-sized intermediate goes into the world's scratch
     buffers. `take` writes there with mode="clip", since the default mode
@@ -325,31 +359,35 @@ def exposure_step(
             * world.vax_susceptibility
         )
         world.transmissibility_params = params
+    sources = world.is_source.nonzero()[0]
+    if sources.size == 0 or params.beta_base == 0.0:
+        return 0
     comp = world.compartment
     mask, other = world.scratch_masks
     ids, values = world.scratch_ids, world.scratch_values
+    row = world.row
+    place = world.place[row]
 
-    # The infectious run, Asymptomatic to InfectedSevere, is one range.
-    np.greater_equal(comp, _ASYMPTOMATIC, out=mask)
-    mask &= np.less_equal(comp, _INFECTED_SEVERE, out=other)
-    sources = mask.nonzero()[0]
-    if sources.size == 0 or params.beta_base == 0.0:
-        return 0
-
-    # Shifted by one, the deceased's location -1 falls in slot 0, where no
-    # source and no susceptible sits.
-    loc = np.add(world.location_of, 1, out=world.scratch_location)
-    n_slots = world.n_locations + 1
     k = sources.size
+    if row:
+        # By day InfectedMild and InfectedSevere sources stay home: they
+        # read their place from row 0 of the flattened `place`. The flat
+        # indices borrow the second value row, unused until the gathers.
+        well = np.less(comp.take(sources), _INFECTED_MILD, out=mask[:k])
+        flat = np.multiply(well, row * world.population, out=values[1, :k].view(np.int64))
+        flat += sources
+        source_place = world.place.ravel().take(flat, out=ids[:k], mode="clip")
+    else:
+        source_place = place.take(sources, out=ids[:k], mode="clip")
     weight = values[0, :k]
     weight.fill(1.0)
     vaccinated = world.vaccinated.take(sources, out=mask[:k], mode="clip")
     np.copyto(weight, VACCINATED_SOURCE_WEIGHT, where=vaccinated)
     weight_by_loc = np.bincount(
-        loc.take(sources, out=ids[:k], mode="clip"), weights=weight, minlength=n_slots
+        source_place, weights=weight, minlength=world.occupancy.shape[1]
     )
 
-    in_loaded = (weight_by_loc > 0).take(loc, out=mask, mode="clip")
+    in_loaded = (weight_by_loc > 0).take(place, out=mask, mode="clip")
     in_loaded &= np.equal(comp, _SUSCEPTIBLE, out=other)
     loaded = in_loaded.nonzero()[0]
     if loaded.size == 0:
@@ -357,13 +395,11 @@ def exposure_step(
 
     # Infectious weight per occupant; every gathered place holds at least
     # the susceptible itself.
-    count_by_loc = np.bincount(loc, minlength=n_slots)
-    np.maximum(count_by_loc, 1, out=count_by_loc)
-    rate_by_loc = np.divide(weight_by_loc, count_by_loc, out=weight_by_loc)
-
+    occupants = np.maximum(world.occupancy[row], 1)
+    rate_by_loc = np.divide(weight_by_loc, occupants, out=weight_by_loc)
     k = loaded.size
-    sus_loc = loc.take(loaded, out=ids[:k], mode="clip")
-    rate = rate_by_loc.take(sus_loc, out=values[0, :k], mode="clip")
+    sus_place = place.take(loaded, out=ids[:k], mode="clip")
+    rate = rate_by_loc.take(sus_place, out=values[0, :k], mode="clip")
     rate *= world.transmissibility.take(loaded, out=values[1, :k], mode="clip")
     p = _rate_to_probability(rate)
     hit = np.less(rng.random(out=values[1, :k]), p, out=mask[:k])

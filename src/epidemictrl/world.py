@@ -8,6 +8,9 @@ work/school phase. Agents over 30 are employed and commute to offices,
 everyone else is a student and commutes to school. Symptomatic agents stay
 home, hospitalized agents stay in a hospital, and during a lockdown only
 essential workers and lockdown violators commute.
+
+A well agent's place depends only on the phase and the lockdown, so the
+places are built once, one row per case, and movement only selects a row.
 """
 
 from __future__ import annotations
@@ -17,20 +20,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .epidemic import (
-    _DECEASED,
-    _HOSPITALIZED,
-    _INFECTED_MILD,
-    _INFECTED_SEVERE,
-    _SUSCEPTIBLE,
-    NOT_DUE,
-    Compartment,
-    DiseaseParams,
-)
+from .epidemic import _SUSCEPTIBLE, NOT_DUE, Compartment, DiseaseParams
 from .rng import RngStreams
 
 EMPLOYMENT_AGE = 30  # strictly older than this means employed
 PEOPLE_PER_HOSPITAL = 25_000
+
+# The rows of `WorldState.place`.
+NIGHT, DAY, LOCKDOWN_DAY = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -71,26 +68,37 @@ class WorldConfig:
 class WorldState:
     """One world's agents, houses and clock, as flat per-agent arrays.
 
-    `due_tick` (int32) holds, for each agent in a timed compartment, the
-    absolute tick whose progression step moves it on; it is -1 for every
-    other agent. `epidemic.progression_step` touches only the agents whose
-    due tick equals `tick`.
+    `place` (3, population) holds each agent's place while well, as intp
+    location + 1, in three rows: `NIGHT` (the house), `DAY` (the office
+    or school) and `LOCKDOWN_DAY` (the workplace for essential workers and
+    violators, else the house). `synthesize_population` builds it and
+    freezes it; `apply_movement` only sets `row`, the row of this tick.
+    The sick override it: InfectedMild and InfectedSevere agents sit at
+    home on every row, Hospitalized ones in a hospital, and the deceased
+    nowhere.
+
+    `occupancy` (3, n_locations + 1) counts, per row, the agents sitting
+    in each house, office and school, the sick overrides included. No
+    susceptible and no source ever sits in a hospital, so exposure never
+    reads a hospital's count and none is kept: hospital slots and slot 0
+    stay 0. `is_source` marks the infectious agents, Asymptomatic to
+    InfectedSevere. `due_tick` (int32) holds, for each agent in a timed
+    compartment, the absolute tick whose progression step moves it on; it
+    is -1 for every other agent.
 
     `epidemic._enter` is the one writer of `compartment`, `due_tick`,
-    `compartment_totals` and `live_members`, and
-    `interventions.apply_vaccine_effects` the one writer of `vaccinated`
-    and `vax_susceptibility`, so the kept tallies and `transmissibility`
-    stay current. `epidemic.exposure_step` works in the `scratch_*`
-    buffers, so a tick allocates nothing sized by the population.
+    `compartment_totals`, `live_members`, `is_source` and `occupancy`,
+    and keeps them current per move. `interventions.apply_vaccine_effects`
+    is the one writer of `vaccinated` and `vax_susceptibility`, so
+    `transmissibility` stays current. `epidemic.exposure_step` works in
+    the `scratch_*` buffers, so a tick allocates nothing sized by the
+    population.
     """
 
     config: WorldConfig
     tick: int
 
     age: np.ndarray
-    house_id: np.ndarray
-    workplace_loc: np.ndarray
-    hospital_loc: np.ndarray
     is_essential: np.ndarray
     is_violator: np.ndarray
 
@@ -100,18 +108,25 @@ class WorldState:
     vax_susceptibility: np.ndarray
 
     house_head: np.ndarray
-    location_of: np.ndarray
+    place: np.ndarray  # (3, population) intp, read-only
+    row: int
 
     n_houses: int
     n_offices: int
     n_schools: int
     n_hospitals: int
 
-    # agents per compartment, and living members per house
+    # agents per compartment, living members per house, agents per slot
+    # and row, and the infectious
     compartment_totals: np.ndarray
     live_members: np.ndarray
-    # location_of + 1 as intp, so the deceased's -1 indexes slot 0
-    scratch_location: np.ndarray = field(repr=False)
+    occupancy: np.ndarray
+    is_source: np.ndarray
+    # Where each row starts in the flattened `occupancy` (slot s of row r
+    # is r * (n_locations + 1) + s), as (3, 1), and for the day,
+    # day-under-lockdown, day, day-under-lockdown rows as (4, 1).
+    row_offsets: np.ndarray = field(repr=False)
+    day_home_offsets: np.ndarray = field(repr=False)
     scratch_masks: np.ndarray = field(repr=False)  # (2, population) bool
     scratch_ids: np.ndarray = field(repr=False)  # intp
     scratch_values: np.ndarray = field(repr=False)  # (2, population) float64
@@ -172,36 +187,35 @@ def synthesize_population(config: WorldConfig, streams: RngStreams) -> WorldStat
 
     hs = config.household_size
     n_houses = math.ceil(n / hs)
-    house_id = (np.arange(n) // hs).astype(np.int32)
 
     emp_ids = np.flatnonzero(employed)
     stu_ids = np.flatnonzero(~employed)
     n_offices = math.ceil(emp_ids.size / config.office_capacity) if emp_ids.size else 0
     n_schools = math.ceil(stu_ids.size / config.school_capacity) if stu_ids.size else 0
     n_hospitals = config.hospital_count
+    n_slots = n_houses + n_offices + n_schools + n_hospitals + 1
 
-    office_base = n_houses
-    school_base = n_houses + n_offices
-    hospital_base = n_houses + n_offices + n_schools
-
-    workplace_loc = np.empty(n, dtype=np.int32)
-    workplace_loc[emp_ids] = office_base + np.arange(emp_ids.size) // config.office_capacity
-    workplace_loc[stu_ids] = school_base + np.arange(stu_ids.size) // config.school_capacity
-
-    hospital_loc = (hospital_base + np.arange(n) % n_hospitals).astype(np.int32)
+    # Location + 1 per row; offices follow the houses, then the schools.
+    office_slot = n_houses + 1
+    school_slot = office_slot + n_offices
+    place = np.empty((3, n), dtype=np.intp)
+    np.floor_divide(np.arange(n), hs, out=place[NIGHT])  # houses are id blocks
+    place[NIGHT] += 1
+    place[DAY, emp_ids] = office_slot + np.arange(emp_ids.size) // config.office_capacity
+    place[DAY, stu_ids] = school_slot + np.arange(stu_ids.size) // config.school_capacity
+    np.copyto(place[LOCKDOWN_DAY], place[NIGHT])
+    np.copyto(place[LOCKDOWN_DAY], place[DAY], where=is_essential | is_violator)
+    row_offsets = np.arange(3, dtype=np.intp).reshape(3, 1) * n_slots
 
     totals = np.zeros(len(Compartment), dtype=np.int64)
     totals[_SUSCEPTIBLE] = n
     live_members = np.full(n_houses, hs, dtype=np.int64)
     live_members[-1] = n - (n_houses - 1) * hs  # the last house may be smaller
 
-    return WorldState(
+    world = WorldState(
         config=config,
         tick=0,
         age=age,
-        house_id=house_id,
-        workplace_loc=workplace_loc,
-        hospital_loc=hospital_loc,
         is_essential=is_essential,
         is_violator=is_violator,
         compartment=np.full(n, Compartment.SUSCEPTIBLE, dtype=np.int8),
@@ -209,44 +223,33 @@ def synthesize_population(config: WorldConfig, streams: RngStreams) -> WorldStat
         vaccinated=np.zeros(n, dtype=bool),
         vax_susceptibility=np.ones(n, dtype=np.float64),
         house_head=house_heads(age, hs),
-        location_of=house_id.astype(np.int32).copy(),
+        place=place,
+        row=NIGHT,
         n_houses=n_houses,
         n_offices=n_offices,
         n_schools=n_schools,
         n_hospitals=n_hospitals,
         compartment_totals=totals,
         live_members=live_members,
-        scratch_location=np.empty(n, dtype=np.intp),
+        occupancy=np.stack([np.bincount(places, minlength=n_slots) for places in place]),
+        is_source=np.zeros(n, dtype=bool),
+        row_offsets=row_offsets,
+        day_home_offsets=row_offsets[[DAY, LOCKDOWN_DAY, DAY, LOCKDOWN_DAY]],
         scratch_masks=np.empty((2, n), dtype=bool),
         scratch_ids=np.empty(n, dtype=np.intp),
         scratch_values=np.empty((2, n), dtype=np.float64),
     )
-
-
-def scheduled_locations(
-    world: WorldState, tick: int, lockdown_active: bool
-) -> np.ndarray:
-    """Vectorized movement: location index per agent, -1 for the deceased."""
-    comp = world.compartment
-    home = world.house_id  # house location == house id
-
-    if tick % 2 == 1:  # work/school phase
-        commutes = (comp != _INFECTED_MILD) & (comp != _INFECTED_SEVERE)
-        if lockdown_active:
-            commutes &= world.is_essential | world.is_violator
-        loc = np.where(commutes, world.workplace_loc, home).astype(np.int32, copy=False)
-    else:
-        loc = home.astype(np.int32, copy=True)
-
-    np.copyto(loc, world.hospital_loc, where=comp == _HOSPITALIZED)
-    loc[comp == _DECEASED] = -1
-    return loc
+    world.place.flags.writeable = False  # places are fixed from here on
+    return world
 
 
 def apply_movement(world: WorldState, lockdown_active: bool = False) -> None:
-    """Place every live agent for the current tick."""
+    """Select the row of `place` that holds this tick's places."""
     if world.tick >= 2 * world.config.episode_days:
         raise ValueError(
             f"tick {world.tick} past the end of the {world.config.episode_days}-day episode"
         )
-    world.location_of = scheduled_locations(world, world.tick, lockdown_active)
+    if world.tick % 2 == 0:
+        world.row = NIGHT
+    else:
+        world.row = LOCKDOWN_DAY if lockdown_active else DAY

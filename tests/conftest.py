@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from epidemictrl.economy import EconomyConfig, init_house_ledgers
-from epidemictrl.epidemic import DiseaseParams, _enter
+from epidemictrl.epidemic import Compartment, DiseaseParams, _enter
 from epidemictrl.rng import RngStreams
 from epidemictrl.world import WorldConfig, WorldState, synthesize_population
 
@@ -23,16 +23,81 @@ def make_world(
     return world
 
 
+def _next_compartment(source: Compartment, target: Compartment) -> Compartment:
+    """The engine's move out of `source` on the way to `target`."""
+    C = Compartment
+    if source == C.SUSCEPTIBLE:
+        return C.EXPOSED
+    if source == C.EXPOSED:
+        silent = target in (C.ASYMPTOMATIC, C.RECOVERED)
+        return C.ASYMPTOMATIC if silent else C.PRE_SYMPTOMATIC
+    if source == C.ASYMPTOMATIC or (source, target) == (C.INFECTED_MILD, C.RECOVERED):
+        return C.RECOVERED
+    if source in (C.PRE_SYMPTOMATIC, C.INFECTED_MILD, C.INFECTED_SEVERE):
+        return C(source + 1)
+    if source == C.HOSPITALIZED and target in (C.RECOVERED, C.DECEASED):
+        return target
+    raise ValueError(f"no move from {source.name} toward {target.name}")
+
+
 def move_to(world: WorldState, ids, target) -> None:
     """Move agents to `target`, any compartment but Susceptible, through
-    the engine's one writer, `epidemic._enter`, one source compartment at
-    a time, so the kept tallies stay current. Agents already in `target`
-    stay put."""
+    the engine's one writer, `epidemic._enter`, one engine move at a time
+    (Susceptible to Deceased goes through Exposed, PreSymptomatic,
+    InfectedMild, InfectedSevere and Hospitalized), so the kept state stays
+    current. Agents already in `target` stay put."""
     ids = np.atleast_1d(np.asarray(ids, dtype=np.intp))
-    sources = world.compartment[ids]
-    for source in np.unique(sources):
-        if source != target:
-            _enter(world, ids[sources == source], int(source), int(target), DiseaseParams(), rng())
+    target = Compartment(target)
+    while True:
+        sources = world.compartment[ids]
+        if (sources == target).all():
+            return
+        for source in np.unique(sources[sources != target]):
+            source = Compartment(source)
+            step = _next_compartment(source, target)
+            _enter(world, ids[sources == source], source, step, DiseaseParams(), rng())
+
+
+def house_id(world: WorldState) -> np.ndarray:
+    """Each agent's house: houses are blocks of consecutive ids."""
+    return np.arange(world.population) // world.config.household_size
+
+
+def scheduled_locations(world: WorldState, tick: int, lockdown_active: bool) -> np.ndarray:
+    """Location per agent by the movement rules, -1 for the deceased: the
+    oracle for the engine's kept places and occupancy."""
+    comp = world.compartment
+    home = house_id(world)
+    if tick % 2 == 1:  # work/school phase
+        commutes = (comp != Compartment.INFECTED_MILD) & (comp != Compartment.INFECTED_SEVERE)
+        if lockdown_active:
+            commutes &= world.is_essential | world.is_violator
+        loc = np.where(commutes, world.place[1] - 1, home)
+    else:
+        loc = home
+    first_hospital = world.n_locations - world.n_hospitals
+    hospital = first_hospital + np.arange(world.population) % world.n_hospitals
+    np.copyto(loc, hospital, where=comp == Compartment.HOSPITALIZED)
+    loc[comp == Compartment.DECEASED] = -1
+    return loc
+
+
+def occupant_counts(world: WorldState, tick: int, lockdown_active: bool) -> np.ndarray:
+    """Agents per slot (location + 1) by `scheduled_locations`, as the
+    engine keeps them in a row of `occupancy`: hospitals and slot 0 (the
+    deceased) are not counted."""
+    counts = np.bincount(
+        scheduled_locations(world, tick, lockdown_active) + 1, minlength=world.n_locations + 1
+    )
+    counts[0] = 0
+    counts[world.n_locations + 1 - world.n_hospitals :] = 0
+    return counts
+
+
+def current_locations(world: WorldState) -> np.ndarray:
+    """`scheduled_locations` for the tick phase and lockdown of the row
+    that `apply_movement` selected last."""
+    return scheduled_locations(world, tick=1 if world.row else 0, lockdown_active=world.row == 2)
 
 
 @pytest.fixture

@@ -27,6 +27,8 @@ from epidemictrl.epidemic import (
 )
 from epidemictrl.interventions import AGE_STRATA, apply_vaccine_effects, window_active
 
+from conftest import current_locations
+
 
 def infection_probability(beta_agent, infectious_weight, occupants):
     """Per-tick infection probability from frequency-dependent mixing.
@@ -41,7 +43,7 @@ def infection_probability(beta_agent, infectious_weight, occupants):
 
 def exposure_step_drawing_all(world, params, rng):
     comp = world.compartment
-    loc = world.location_of
+    loc = current_locations(world)
 
     infectious = (comp >= Compartment.ASYMPTOMATIC) & (comp <= Compartment.INFECTED_SEVERE)
     if not infectious.any() or params.beta_base == 0.0:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from epidemictrl.economy import below_poverty_count, economy_day_step
 from epidemictrl.epidemic import Compartment
 
-from conftest import make_world, move_to
+from conftest import house_id, make_world, move_to
 
 
 def _fix_house(world, house, savings, income):
@@ -150,7 +150,7 @@ def test_accounting_identity_exact(seed, days):
         if lock:
             works &= world.is_essential[head] | world.is_violator[head]
         alive = world.compartment != Compartment.DECEASED
-        live = np.bincount(world.house_id[alive], minlength=world.n_houses)
+        live = np.bincount(house_id(world)[alive], minlength=world.n_houses)
         earned += np.where(works, world.income_cents, 0)
         spent += 1000 * live
         economy_day_step(world, lockdown_active=lock)
@@ -170,7 +170,7 @@ def test_live_members_match_a_count_of_the_living(population, household_size, se
     dead = np.random.default_rng(seed).random(population) < death_share
     move_to(world, dead.nonzero()[0], Compartment.DECEASED)
     alive = world.compartment != Compartment.DECEASED
-    live = np.bincount(world.house_id[alive], minlength=world.n_houses)
+    live = np.bincount(house_id(world)[alive], minlength=world.n_houses)
     assert np.array_equal(world.live_members, live)
     line_cents = round(world.economy_config.poverty_line * 100)
     assert below_poverty_count(world) == live[world.savings_cents < line_cents].sum()

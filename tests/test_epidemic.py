@@ -28,7 +28,7 @@ from epidemictrl.harness import baseline_schedule, experiment_config, parse_base
 from epidemictrl.interventions import vaccination_day_step
 from epidemictrl.world import apply_movement
 
-from conftest import make_world, rng
+from conftest import house_id, make_world, move_to, occupant_counts, rng
 from reference_draws import exposure_step_drawing_all, infection_probability
 
 # The published transition-factor table, one row per decade:
@@ -167,9 +167,8 @@ def test_exposure_with_zero_beta_is_empty():
     world = make_world(population=100, with_ledgers=False)
     params = DiseaseParams(beta_base=0.0)
     seed_initial_infections(world, params, 0.5, rng(3))
-    world.compartment[world.compartment == Compartment.EXPOSED] = (
-        Compartment.PRE_SYMPTOMATIC
-    )
+    exposed = np.flatnonzero(world.compartment == Compartment.EXPOSED)
+    move_to(world, exposed, Compartment.PRE_SYMPTOMATIC)
     apply_movement(world)
     assert exposure_step(world, params, rng(4)) == 0
 
@@ -184,7 +183,7 @@ def _world_with_an_infectious_house():
     # House 0 is all infectious and everyone is home, so no susceptible
     # shares a place with a source.
     world = make_world(population=40, household_size=4, with_ledgers=False)
-    world.compartment[:4] = Compartment.PRE_SYMPTOMATIC
+    move_to(world, range(4), Compartment.PRE_SYMPTOMATIC)
     apply_movement(world)
     return world
 
@@ -215,7 +214,7 @@ def test_exposure_draws_one_uniform_per_loaded_susceptible_then_incubations():
     # Houses 0 and 2 each hold one infectious agent and five susceptibles;
     # everyone is home, so exactly those ten susceptibles are loaded.
     world = make_world(population=60, household_size=6, with_ledgers=False)
-    world.compartment[[0, 12]] = Compartment.INFECTED_MILD
+    move_to(world, [0, 12], Compartment.INFECTED_MILD)
     world.vaccinated[12] = True
     world.vax_susceptibility[3] = 0.2
     world.tick = 6
@@ -257,15 +256,13 @@ def test_two_agent_household_exposure_matches_closed_form():
     runs = 10_000
     exposed = 0
     g = rng(12345)
-    world = make_world(population=2, household_size=2, with_ledgers=False)
-    world.age[:] = 25  # beta multiplier 1.0
+    start = make_world(population=2, household_size=2, with_ledgers=False)
+    start.age[:] = 25  # beta multiplier 1.0
+    move_to(start, 0, Compartment.ASYMPTOMATIC)
     for _ in range(runs):
-        world.compartment[:] = (Compartment.ASYMPTOMATIC, Compartment.SUSCEPTIBLE)
-        world.due_tick[:] = (10_000, -1)
-        world.tick = 0
+        world = copy.deepcopy(start)
         hit = False
         for tick in range(200):
-            world.location_of = world.house_id.astype(np.int32)
             if exposure_step(world, params, g):
                 hit = True
                 break
@@ -401,17 +398,27 @@ def _derived_transmissibility(world, params):
 
 
 def _assert_kept_state(world, params):
-    recount = np.bincount(world.compartment, minlength=len(Compartment))
+    comp = world.compartment
+    recount = np.bincount(comp, minlength=len(Compartment))
     assert np.array_equal(world.compartment_counts(), recount)
-    alive = world.compartment != Compartment.DECEASED
+    alive = comp != Compartment.DECEASED
     assert np.array_equal(
-        world.live_members, np.bincount(world.house_id[alive], minlength=world.n_houses)
+        world.live_members, np.bincount(house_id(world)[alive], minlength=world.n_houses)
     )
+    assert np.array_equal(
+        world.is_source,
+        (comp >= Compartment.ASYMPTOMATIC) & (comp <= Compartment.INFECTED_SEVERE),
+    )
+    # The rows of `place`: night, day, and day under lockdown.
+    for row, (tick, lockdown) in enumerate(((0, False), (1, False), (1, True))):
+        assert np.array_equal(world.occupancy[row], occupant_counts(world, tick, lockdown)), row
     assert world.transmissibility_params is params
     assert np.array_equal(world.transmissibility, _derived_transmissibility(world, params))
 
 
-@pytest.mark.parametrize("experiment, baseline", [(1, "NoL_NoV"), (2, "FullL_FullV")])
+@pytest.mark.parametrize(
+    "experiment, baseline", [(1, "NoL_NoV"), (2, "FullL_FullV"), (2, "L30_FullV")]
+)
 def test_kept_state_matches_a_recount_after_every_tick(monkeypatch, experiment, baseline):
     config = experiment_config(experiment, 1, population=2_000)
     days = config.world.episode_days
@@ -433,9 +440,13 @@ def test_kept_state_matches_a_recount_after_every_tick(monkeypatch, experiment, 
     trace = run_episode(config, schedule, seed=0)
     assert ticks == list(range(2 * days))
     assert trace.deceased[-1] > 0
+    if baseline != "NoL_NoV":
+        assert trace.doses.sum() > 0
     if baseline == "FullL_FullV":
         assert schedule.lockdown == (0.0, days)
-        assert trace.doses.sum() > 0
+    if baseline == "L30_FullV":
+        # the lockdown ends inside the episode, so both day rows are used
+        assert 0 < schedule.lockdown[1] < days
 
 
 def test_exposure_rederives_transmissibility_for_other_params():

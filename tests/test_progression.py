@@ -39,7 +39,7 @@ from epidemictrl.interventions import (
 )
 from epidemictrl.world import WorldConfig, apply_movement
 
-from conftest import make_world
+from conftest import current_locations, make_world
 from reference_draws import infection_probability
 
 # ---------------------------------------------------------------------------
@@ -67,7 +67,7 @@ def countdown_seed(world, ticks, params, fraction, rng):
 
 def countdown_exposure_step(world, ticks, params, rng):
     comp = world.compartment
-    loc = world.location_of
+    loc = current_locations(world)
 
     infectious = INFECTIOUS_LUT[comp]
     if not infectious.any() or params.beta_base == 0.0:

@@ -10,16 +10,18 @@ from hypothesis import strategies as st
 from epidemictrl.epidemic import Compartment
 from epidemictrl.rng import RngStreams
 from epidemictrl.world import (
+    DAY,
     EMPLOYMENT_AGE,
+    LOCKDOWN_DAY,
+    NIGHT,
     WorldConfig,
     WorldState,
     apply_movement,
     house_heads,
-    scheduled_locations,
     synthesize_population,
 )
 
-from conftest import make_world
+from conftest import house_id, make_world, move_to, occupant_counts, scheduled_locations
 
 # Reference views of the world's flat arrays. The engine needs none of
 # them: it reads the arrays directly.
@@ -51,6 +53,16 @@ def house_members(world: WorldState, house: int) -> np.ndarray:
     return np.arange(house * size, min((house + 1) * size, world.population))
 
 
+def workplace(world: WorldState) -> np.ndarray:
+    """Each agent's office or school, from the day row of `place`."""
+    return world.place[DAY] - 1
+
+
+def hospital(world: WorldState, i: int) -> int:
+    """The hospital agent `i` goes to: hospitals take agents in turn."""
+    return world.n_locations - world.n_hospitals + i % world.n_hospitals
+
+
 SYMPTOMATIC_COMPARTMENTS = (Compartment.INFECTED_MILD, Compartment.INFECTED_SEVERE)
 
 
@@ -63,14 +75,14 @@ def scheduled_location(world: WorldState, i: int, tick: int, lockdown_active: bo
     if comp == Compartment.DECEASED:
         return -1
     if comp == Compartment.HOSPITALIZED:
-        return world.hospital_loc[i]
+        return hospital(world, i)
     if tick % 2 == 0:  # home phase
-        return world.house_id[i]
+        return house_id(world)[i]
     if comp in SYMPTOMATIC_COMPARTMENTS:
-        return world.house_id[i]
+        return house_id(world)[i]
     if lockdown_active and not (world.is_essential[i] or world.is_violator[i]):
-        return world.house_id[i]
-    return world.workplace_loc[i]
+        return house_id(world)[i]
+    return workplace(world)[i]
 
 
 def test_house_count_from_config():
@@ -96,8 +108,8 @@ def test_head_is_oldest_member():
 def lexsort_house_heads(age: np.ndarray, household_size: int) -> np.ndarray:
     """Reference: sort by house, then oldest first, then lowest id."""
     n = age.size
-    house_id = np.arange(n) // household_size
-    order = np.lexsort((np.arange(n), -age.astype(np.int64), house_id))
+    houses = np.arange(n) // household_size
+    order = np.lexsort((np.arange(n), -age.astype(np.int64), houses))
     n_houses = -(-n // household_size)
     return order[np.arange(n_houses) * household_size]
 
@@ -123,7 +135,7 @@ def test_house_heads_match_lexsort_oracle(population, household_size, data):
 def test_role_rule_matches_age():
     # over 30 works at an office, everyone else goes to school
     world = make_world(population=500, with_ledgers=False)
-    office = world.workplace_loc < kind_base(world, LocationKind.SCHOOL)
+    office = workplace(world) < kind_base(world, LocationKind.SCHOOL)
     assert np.array_equal(office, world.age > 30)
 
 
@@ -144,10 +156,10 @@ def test_capacity_respected_at_synthesis():
                        with_ledgers=False)
     employed = world.age > EMPLOYMENT_AGE
     office_load = np.bincount(
-        world.workplace_loc[employed] - kind_base(world, LocationKind.OFFICE)
+        workplace(world)[employed] - kind_base(world, LocationKind.OFFICE)
     )
     school_load = np.bincount(
-        world.workplace_loc[~employed] - kind_base(world, LocationKind.SCHOOL)
+        workplace(world)[~employed] - kind_base(world, LocationKind.SCHOOL)
     )
     assert office_load.max() <= 50
     assert school_load.max() <= 200
@@ -156,14 +168,31 @@ def test_capacity_respected_at_synthesis():
 def test_everyone_starts_at_home():
     world = make_world(population=100, with_ledgers=False)
     assert world.tick == 0
-    assert np.array_equal(world.location_of, world.house_id)
+    assert world.row == NIGHT
+    assert np.array_equal(world.place[NIGHT] - 1, house_id(world))
+
+
+def test_lockdown_row_keeps_only_essential_workers_and_violators_away():
+    world = make_world(population=2000, with_ledgers=False)
+    away = world.is_essential | world.is_violator
+    assert np.array_equal(world.place[LOCKDOWN_DAY][away], world.place[DAY][away])
+    assert np.array_equal(world.place[LOCKDOWN_DAY][~away], world.place[NIGHT][~away])
+
+
+def test_places_are_fixed_and_counted():
+    world = make_world(population=300, with_ledgers=False)
+    with pytest.raises(ValueError):
+        world.place[DAY, 0] = 1
+    for row in (NIGHT, DAY, LOCKDOWN_DAY):
+        recount = np.bincount(world.place[row], minlength=world.n_locations + 1)
+        assert np.array_equal(world.occupancy[row], recount)
 
 
 def test_synthesis_deterministic():
     a = make_world(population=300, seed=5, with_ledgers=False)
     b = make_world(population=300, seed=5, with_ledgers=False)
     for field in ("age", "is_essential", "is_violator",
-                  "workplace_loc", "house_head", "live_members"):
+                  "place", "house_head", "live_members"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
@@ -173,12 +202,12 @@ def test_hospital_default_count():
     assert WorldConfig(population_size=25_001).hospital_count == 2
 
 
-def _force_agent(world, i, *, age=None, compartment=None, essential=None, violator=None):
-    if age is not None:
-        world.age[i] = age
-        # keep the workplace consistent with the (possibly new) role
-        kind = LocationKind.OFFICE if age > EMPLOYMENT_AGE else LocationKind.SCHOOL
-        world.workplace_loc[i] = kind_base(world, kind)
+def _agent(world, employed: bool) -> int:
+    """The lowest id of an employed agent, or of a student."""
+    return int(np.flatnonzero((world.age > EMPLOYMENT_AGE) == employed)[0])
+
+
+def _force_agent(world, i, *, compartment=None, essential=None, violator=None):
     if compartment is not None:
         world.compartment[i] = compartment
     if essential is not None:
@@ -189,36 +218,41 @@ def _force_agent(world, i, *, age=None, compartment=None, essential=None, violat
 
 def test_scheduled_location_work_phase_healthy():
     world = make_world(population=10, with_ledgers=False)
-    _force_agent(world, 0, age=40, essential=False, violator=False)
-    assert scheduled_location(world, 0, tick=1, lockdown_active=False) == world.workplace_loc[0]
-    assert location_kind(world, world.workplace_loc[0]) is LocationKind.OFFICE
+    i = _agent(world, employed=True)
+    _force_agent(world, i, essential=False, violator=False)
+    assert scheduled_location(world, i, tick=1, lockdown_active=False) == workplace(world)[i]
+    assert location_kind(world, workplace(world)[i]) is LocationKind.OFFICE
 
 
 def test_scheduled_location_lockdown_keeps_home():
     world = make_world(population=10, with_ledgers=False)
-    _force_agent(world, 0, age=40, essential=False, violator=False)
-    assert scheduled_location(world, 0, tick=1, lockdown_active=True) == world.house_id[0]
+    i = _agent(world, employed=True)
+    _force_agent(world, i, essential=False, violator=False)
+    assert scheduled_location(world, i, tick=1, lockdown_active=True) == house_id(world)[i]
 
 
 def test_student_violator_ignores_lockdown():
     # hand trace on a 10-agent world: a violating student still commutes
     world = make_world(population=10, with_ledgers=False)
-    _force_agent(world, 3, age=12, essential=False, violator=True)
-    loc = scheduled_location(world, 3, tick=1, lockdown_active=True)
-    assert loc == world.workplace_loc[3]
+    i = _agent(world, employed=False)
+    _force_agent(world, i, essential=False, violator=True)
+    loc = scheduled_location(world, i, tick=1, lockdown_active=True)
+    assert loc == workplace(world)[i]
     assert location_kind(world, loc) is LocationKind.SCHOOL
 
 
 def test_essential_worker_commutes_under_lockdown():
     world = make_world(population=10, with_ledgers=False)
-    _force_agent(world, 0, age=45, essential=True, violator=False)
-    assert scheduled_location(world, 0, tick=1, lockdown_active=True) == world.workplace_loc[0]
+    i = _agent(world, employed=True)
+    _force_agent(world, i, essential=True, violator=False)
+    assert scheduled_location(world, i, tick=1, lockdown_active=True) == workplace(world)[i]
 
 
 def test_symptomatic_stays_home_in_work_phase():
     world = make_world(population=10, with_ledgers=False)
-    _force_agent(world, 0, age=45, compartment=Compartment.INFECTED_MILD)
-    assert scheduled_location(world, 0, tick=1, lockdown_active=False) == world.house_id[0]
+    i = _agent(world, employed=True)
+    _force_agent(world, i, compartment=Compartment.INFECTED_MILD)
+    assert scheduled_location(world, i, tick=1, lockdown_active=False) == house_id(world)[i]
 
 
 def test_hospitalized_in_hospital_any_phase():
@@ -226,38 +260,41 @@ def test_hospitalized_in_hospital_any_phase():
     _force_agent(world, 2, compartment=Compartment.HOSPITALIZED)
     for tick in (0, 1):
         loc = scheduled_location(world, 2, tick, lockdown_active=False)
-        assert loc == world.hospital_loc[2]
+        assert loc == hospital(world, 2)
         assert location_kind(world, loc) is LocationKind.HOSPITAL
 
 
 def test_home_phase_everyone_home():
     world = make_world(population=200, with_ledgers=False)
     apply_movement(world, lockdown_active=False)  # tick 0 is a home phase
-    at_home = world.location_of < world.n_houses
+    assert world.row == NIGHT
+    at_home = world.place[world.row] - 1 < world.n_houses
     assert at_home.all()
 
 
 def test_partition_invariant_across_states():
     world = make_world(population=60, with_ledgers=False)
-    world.compartment[0] = Compartment.DECEASED
-    world.compartment[1] = Compartment.HOSPITALIZED
-    world.compartment[2] = Compartment.INFECTED_SEVERE
-    alive = world.compartment != Compartment.DECEASED
+    move_to(world, 0, Compartment.DECEASED)
+    move_to(world, 1, Compartment.HOSPITALIZED)
+    move_to(world, 2, Compartment.INFECTED_SEVERE)
     for tick in (0, 1):
         world.tick = tick
         apply_movement(world, lockdown_active=True)
-        occupancy = np.bincount(world.location_of[alive], minlength=world.n_locations)
-        assert occupancy.sum() == alive.sum() == 59
-        assert world.location_of[0] == -1
-        assert world.location_of[1] == world.hospital_loc[1]
+        occupancy = world.occupancy[world.row]
+        # all but the deceased and the hospitalized, who sit in no house,
+        # office or school
+        assert occupancy.sum() == 58
+        assert occupancy[0] == occupancy[hospital(world, 1) + 1] == 0
 
 
 def test_scalar_and_vector_movement_agree():
-    world = make_world(population=150, seed=9, with_ledgers=False)
-    world.compartment[4] = Compartment.INFECTED_MILD
-    world.compartment[5] = Compartment.HOSPITALIZED
-    world.compartment[6] = Compartment.PRE_SYMPTOMATIC
-    world.compartment[7] = Compartment.DECEASED
+    world = make_world(population=150, seed=9, hospitals=3, with_ledgers=False)
+    move_to(world, 4, Compartment.INFECTED_MILD)
+    move_to(world, [5, 9, 10], Compartment.HOSPITALIZED)  # in hospitals 2, 0 and 1
+    move_to(world, 6, Compartment.PRE_SYMPTOMATIC)
+    move_to(world, [7, 11], Compartment.DECEASED)
+    move_to(world, 12, Compartment.RECOVERED)
+    well = world.compartment == Compartment.SUSCEPTIBLE
     for tick in (0, 1):
         for lockdown in (False, True):
             vec = scheduled_locations(world, tick, lockdown)
@@ -267,6 +304,13 @@ def test_scalar_and_vector_movement_agree():
                     lockdown,
                     i,
                 )
+            # the engine's row for this phase: well agents sit at their
+            # place, and the kept counts match the rule's
+            world.tick = tick
+            apply_movement(world, lockdown)
+            assert np.array_equal(world.place[world.row][well] - 1, vec[well])
+            recount = occupant_counts(world, tick, lockdown)
+            assert np.array_equal(world.occupancy[world.row], recount)
 
 
 def test_movement_rejects_past_episode_end():

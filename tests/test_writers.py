@@ -1,12 +1,14 @@
 """Each piece of kept agent state has one writer in the package.
 
-The engine keeps tallies (`compartment_totals`, `live_members`) and the
-per-agent `transmissibility` current as it writes compartments and
-vaccines. Code that wrote `compartment` or the vaccine state anywhere
-else would leave them stale without a word, so this walks the package's
-source and finds every write to those attributes: an assignment, whole
-or subscripted, plain or augmented, and numpy's in-place writes through
-a call (`out=`, `np.copyto`, a ufunc's `.at`, `.fill`, `.put`, `.sort`).
+The engine keeps tallies (`compartment_totals`, `live_members`,
+`occupancy`), the source mask and the per-agent `transmissibility`
+current as it writes compartments and vaccines. Code that wrote
+`compartment` or the vaccine state anywhere else would leave them stale
+without a word, so this walks the package's source and finds every write
+to those attributes: an assignment, whole or subscripted, plain or
+augmented, numpy's in-place writes through a call (`out=`, `np.copyto`,
+a ufunc's `.at`, `.fill`, `.put`, `.sort`), also into a view made by a
+method call such as `.ravel()`, and a change of the `writeable` flag.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ WRITERS = {
     "due_tick": "epidemic._enter",
     "compartment_totals": "epidemic._enter",
     "live_members": "epidemic._enter",
+    "is_source": "epidemic._enter",
+    "occupancy": "epidemic._enter",
+    "place": "world.synthesize_population",
     "vaccinated": "interventions.apply_vaccine_effects",
     "vax_susceptibility": "interventions.apply_vaccine_effects",
 }
@@ -35,7 +40,13 @@ def _written_attributes(target: ast.expr):
             yield from _written_attributes(element)
     elif isinstance(target, (ast.Starred, ast.Subscript)):
         yield from _written_attributes(target.value)
+    elif isinstance(target, ast.Call) and isinstance(target.func, ast.Attribute):
+        yield from _written_attributes(target.func.value)  # a view, e.g. .ravel()
     elif isinstance(target, ast.Attribute):
+        if target.attr == "writeable" and isinstance(target.value, ast.Attribute):
+            if target.value.attr == "flags":
+                yield from _written_attributes(target.value.value)
+                return
         yield target.attr
 
 
@@ -103,6 +114,8 @@ def step(world, ids):
         world.compartment_totals[0] += 1
         np.subtract.at(world.live_members, houses, 1)
         world.due_tick.fill(-1)
+        np.add.at(world.occupancy.ravel(), seats, 1)
+        world.place.flags.writeable = True
 
 class Holder:
     def reset(self):
@@ -119,6 +132,8 @@ class Holder:
         ("due_tick", "m.step.inner"),
         ("live_members", "m.step"),
         ("live_members", "m.step.inner"),
+        ("occupancy", "m.step.inner"),
+        ("place", "m.step.inner"),
         ("scratch_masks", "m.step"),
         ("transmissibility", "m.step"),
         ("vaccinated", "m.step"),
