@@ -50,7 +50,8 @@ class DdpgHyperParams:
     actor_lr: float = 5e-3
 
     def __post_init__(self) -> None:
-        least = max(BURN_IN, EVAL_EVERY)
+        # A shorter run would take no learner step at all.
+        least = max(BURN_IN, EVAL_EVERY, BATCH_SIZE)
         if self.train_iterations < least:
             raise ValueError(f"train_iterations must be at least {least}")
 

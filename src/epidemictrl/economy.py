@@ -65,7 +65,8 @@ def economy_day_step(world: WorldState, lockdown_active: bool) -> None:
     The head earns iff alive, not symptomatic or hospitalized, and either
     no lockdown applies or they are essential or a violator. Expenses are
     charged per living member (`world.live_members`). Call exactly once
-    per simulated day.
+    per simulated day. Each posting goes through a per-house scratch
+    buffer, so a day allocates no house-sized ledger array.
     """
     config = _require_ledgers(world)
     head = world.house_head
@@ -77,10 +78,9 @@ def economy_day_step(world: WorldState, lockdown_active: bool) -> None:
         earning &= world.is_essential.take(head) | world.is_violator.take(head)
 
     expense_cents = int(round(config.expense_per_person * CENTS))
-    world.savings_cents += (
-        np.where(earning, world.income_cents, 0)
-        - expense_cents * world.live_members
-    )
+    posting = world.scratch_values[0, : world.n_houses].view(np.int64)
+    world.savings_cents += np.multiply(world.income_cents, earning, out=posting)
+    world.savings_cents -= np.multiply(world.live_members, expense_cents, out=posting)
 
 
 def below_poverty_count(world: WorldState) -> int:

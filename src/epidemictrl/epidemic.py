@@ -36,6 +36,7 @@ TICK_DAYS = 0.5
 # 80% (capped at 1) and an infectious vaccinated agent sheds at 80% weight.
 VACCINE_GAMMA_BOOST = 1.8
 VACCINATED_SOURCE_WEIGHT = 0.8
+_VACCINATED_TICK_WEIGHT = -TICK_DAYS * VACCINATED_SOURCE_WEIGHT
 
 
 class Compartment(IntEnum):
@@ -242,14 +243,6 @@ def sample_duration_ticks(
     return days.astype(np.int32)
 
 
-def _rate_to_probability(rate: np.ndarray) -> np.ndarray:
-    """Overwrite a daily infection rate with its tick's probability,
-    1 - exp(-rate * tick_days)."""
-    rate *= -TICK_DAYS  # the same as scaling, then negating
-    np.expm1(rate, out=rate)
-    return np.negative(rate, out=rate)
-
-
 def _enter(
     world: "WorldState",
     ids: np.ndarray,
@@ -260,7 +253,7 @@ def _enter(
 ) -> None:
     """Move `ids`, all in `source`, to `target`: the one writer of
     `compartment`, `due_tick`, `compartment_totals`, `live_members`,
-    `is_source` and `occupancy`.
+    `is_source`, `occupancy` and `susceptible_ids`.
 
     A timed target gets a sampled dwell; Recovered and Deceased are never
     due, and each death leaves its house's living members. A death is a
@@ -275,6 +268,11 @@ def _enter(
     `subtract.at` / `add.at` on 1-D indices: a `ufunc.at` given a 2-D
     index and broadcast values has written garbage (numpy 2.4.6).
 
+    The first S->E move that leaves fewer than half the agents susceptible
+    lists the susceptibles with one scan; later S->E moves drop their ids
+    from the list. S->E is the only move out of Susceptible and none
+    moves in, so the list only shrinks.
+
     An exposure's own progression step already counts toward the stay, so
     incubation ends one tick before the sampled dwell. This is the
     incubation off-by-one of ROADMAP.md item 1, kept as the `- 1` below
@@ -285,6 +283,12 @@ def _enter(
     world.compartment[ids] = target
     world.compartment_totals[source] -= ids.size
     world.compartment_totals[target] += ids.size
+    if source == _SUSCEPTIBLE:
+        listed = world.susceptible_ids
+        if listed is not None:
+            world.susceptible_ids = np.delete(listed, listed.searchsorted(ids))
+        elif 2 * world.compartment_totals[_SUSCEPTIBLE] < world.population:
+            world.susceptible_ids = (world.compartment == _SUSCEPTIBLE).nonzero()[0]
     shedding = _ASYMPTOMATIC <= target <= _INFECTED_SEVERE
     if shedding != (_ASYMPTOMATIC <= source <= _INFECTED_SEVERE):
         world.is_source[ids] = shedding
@@ -347,6 +351,10 @@ def exposure_step(
     is 0 and a draw could not fall below it. A tick with no loaded
     susceptible draws nothing. Returns the number of new exposures.
 
+    Until `world.susceptible_ids` exists, the loaded susceptibles come
+    from a scan of the population; after that, from a gather over the
+    list alone.
+
     Every population-sized intermediate goes into the world's scratch
     buffers. `take` writes there with mode="clip", since the default mode
     copies `out` first; the indices are in range either way.
@@ -379,29 +387,44 @@ def exposure_step(
         source_place = world.place.ravel().take(flat, out=ids[:k], mode="clip")
     else:
         source_place = place.take(sources, out=ids[:k], mode="clip")
+    # Weights come scaled by -tick_days, so the rates below come out as
+    # -rate * tick_days, ready for expm1. Scaling by a power of two
+    # commutes with rounding, so the probabilities are those of scaling
+    # the rate last.
     weight = values[0, :k]
-    weight.fill(1.0)
+    weight.fill(-TICK_DAYS)
     vaccinated = world.vaccinated.take(sources, out=mask[:k], mode="clip")
-    np.copyto(weight, VACCINATED_SOURCE_WEIGHT, where=vaccinated)
+    np.copyto(weight, _VACCINATED_TICK_WEIGHT, where=vaccinated)
     weight_by_loc = np.bincount(
         source_place, weights=weight, minlength=world.occupancy.shape[1]
     )
 
-    in_loaded = (weight_by_loc > 0).take(place, out=mask, mode="clip")
-    in_loaded &= np.equal(comp, _SUSCEPTIBLE, out=other)
-    loaded = in_loaded.nonzero()[0]
+    is_loaded = weight_by_loc < 0
+    listed = world.susceptible_ids
+    if listed is None:
+        in_loaded = is_loaded.take(place, out=mask, mode="clip")
+        in_loaded &= np.equal(comp, _SUSCEPTIBLE, out=other)
+        loaded = in_loaded.nonzero()[0]
+        sus_place = place.take(loaded, out=ids[: loaded.size], mode="clip")
+    else:
+        # Two takes at the loaded positions: a boolean index over the list
+        # is several times slower when about half of it is loaded.
+        k = listed.size
+        listed_place = place.take(listed, out=ids[:k], mode="clip")
+        at = is_loaded.take(listed_place, out=mask[:k], mode="clip").nonzero()[0]
+        loaded = listed.take(at)
+        sus_place = listed_place.take(at)
     if loaded.size == 0:
         return 0
 
     # Infectious weight per occupant; every gathered place holds at least
     # the susceptible itself.
-    occupants = np.maximum(world.occupancy[row], 1)
-    rate_by_loc = np.divide(weight_by_loc, occupants, out=weight_by_loc)
     k = loaded.size
-    sus_place = place.take(loaded, out=ids[:k], mode="clip")
-    rate = rate_by_loc.take(sus_place, out=values[0, :k], mode="clip")
+    rate = weight_by_loc.take(sus_place, out=values[0, :k], mode="clip")
+    rate /= world.occupancy[row].take(sus_place)
     rate *= world.transmissibility.take(loaded, out=values[1, :k], mode="clip")
-    p = _rate_to_probability(rate)
+    np.expm1(rate, out=rate)
+    p = np.negative(rate, out=rate)  # 1 - exp(-rate * tick_days)
     hit = np.less(rng.random(out=values[1, :k]), p, out=mask[:k])
     newly = loaded[hit]
     if newly.size == 0:

@@ -84,14 +84,17 @@ class WorldState:
     stay 0. `is_source` marks the infectious agents, Asymptomatic to
     InfectedSevere. `due_tick` (int32) holds, for each agent in a timed
     compartment, the absolute tick whose progression step moves it on; it
-    is -1 for every other agent.
+    is -1 for every other agent. `susceptible_ids` is None until fewer
+    than half the agents are susceptible, and from then on holds the
+    susceptibles' ids in ascending order.
 
     `epidemic._enter` is the one writer of `compartment`, `due_tick`,
-    `compartment_totals`, `live_members`, `is_source` and `occupancy`,
-    and keeps them current per move. `interventions.apply_vaccine_effects`
-    is the one writer of `vaccinated` and `vax_susceptibility`, so
-    `transmissibility` stays current. `epidemic.exposure_step` works in
-    the `scratch_*` buffers, so a tick allocates nothing sized by the
+    `compartment_totals`, `live_members`, `is_source`, `occupancy` and
+    `susceptible_ids`, and keeps them current per move.
+    `interventions.apply_vaccine_effects` is the one writer of
+    `vaccinated` and `vax_susceptibility`, so `transmissibility` stays
+    current. `epidemic.exposure_step` and `economy.economy_day_step` work
+    in the `scratch_*` buffers, so a tick allocates nothing sized by the
     population.
     """
 
@@ -130,6 +133,9 @@ class WorldState:
     scratch_masks: np.ndarray = field(repr=False)  # (2, population) bool
     scratch_ids: np.ndarray = field(repr=False)  # intp
     scratch_values: np.ndarray = field(repr=False)  # (2, population) float64
+
+    # the susceptibles in ascending id, kept once they are a minority
+    susceptible_ids: np.ndarray | None = field(default=None, repr=False)
 
     # beta_base x band beta multiplier x vaccine susceptibility per agent,
     # derived by `epidemic.exposure_step` for `transmissibility_params`

@@ -19,12 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from epidemictrl.epidemic import (
-    VACCINATED_SOURCE_WEIGHT,
-    Compartment,
-    _enter,
-    _rate_to_probability,
-)
+from epidemictrl.epidemic import TICK_DAYS, VACCINATED_SOURCE_WEIGHT, Compartment, _enter
 from epidemictrl.interventions import AGE_STRATA, apply_vaccine_effects, window_active
 
 from conftest import current_locations
@@ -35,10 +30,11 @@ def infection_probability(beta_agent, infectious_weight, occupants):
 
     p = 1 - exp(-beta_agent * (infectious_weight / occupants) * tick_days),
     elementwise over aligned arrays. `exposure_step` forms the same rate
-    from a per-location weight per occupant and shares the exponential.
+    from a per-location weight per occupant, with the weight already
+    scaled by -tick_days: the same bits as scaling last, as here.
     """
     rate = np.asarray(beta_agent * (infectious_weight / occupants), dtype=np.float64)
-    return _rate_to_probability(rate)
+    return -np.expm1(rate * -TICK_DAYS)
 
 
 def exposure_step_drawing_all(world, params, rng):

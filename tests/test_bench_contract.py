@@ -30,7 +30,7 @@ def test_perfbench_wraps_a_training_run(monkeypatch, tmp_path):
 
     tracer = bench_trace.Tracer()
     log = run.EpisodeLog(bench_workloads)
-    hyper = DdpgHyperParams(seed=0, train_iterations=10)
+    hyper = DdpgHyperParams(seed=0, train_iterations=32)
     with run.tracing(tracer, log, layers=True):
         report = harness.run_experiment(
             2, 1, hyper=hyper, population=300, comparison_seeds=[0], out_dir=tmp_path
@@ -38,12 +38,20 @@ def test_perfbench_wraps_a_training_run(monkeypatch, tmp_path):
 
     assert tracer.episode_accounting_errors() == []
     assert log.messages == [] and log.failed == 0
-    # 20 training, 5 evaluation and 5 comparison episodes
-    assert tracer.calls[bench_trace.EPISODE] == log.attempted == 30
+    # 64 training, 5 evaluation (iterations 20 and 30 reuse iteration
+    # 10's: no learner step comes before iteration 32) and 5 comparison
+    # episodes
+    assert tracer.calls[bench_trace.EPISODE] == log.attempted == 74
     assert tracer.calls[bench_trace.TRAIN] == 1
-    for metric in ("ddpg.rollout_s", "ddpg.evaluate_s", "harness.comparison_s", "harness.io_s"):
+    for metric in (
+        "ddpg.rollout_s",
+        "ddpg.learner_s",
+        "ddpg.evaluate_s",
+        "harness.comparison_s",
+        "harness.io_s",
+    ):
         assert tracer.calls[metric] > 0, metric
     actor, _ = load_mlp(tmp_path / "actor.ckpt")
     assert bench_workloads.actor_digest(actor) == bench_workloads.actor_digest(report.actor)
-    assert report.log.iterations == list(range(1, 11))
+    assert report.log.iterations == list(range(1, 33))
     assert math.isfinite(report.eval_mean)

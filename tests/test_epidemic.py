@@ -210,17 +210,21 @@ def test_exposure_with_no_susceptible_in_a_loaded_place_draws_nothing():
     assert (world.compartment[4:] == Compartment.SUSCEPTIBLE).all()
 
 
-def test_exposure_draws_one_uniform_per_loaded_susceptible_then_incubations():
-    # Houses 0 and 2 each hold one infectious agent and five susceptibles;
-    # everyone is home, so exactly those ten susceptibles are loaded.
+def _world_with_two_loaded_houses():
+    # Houses 0 and 2 each hold one infectious agent and five susceptibles.
     world = make_world(population=60, household_size=6, with_ledgers=False)
     move_to(world, [0, 12], Compartment.INFECTED_MILD)
+    return world
+
+
+def _assert_draws_then_incubations(world, loaded):
+    """One tick of exposure at home draws one uniform for each of
+    `loaded`, in order, then one incubation per new exposure."""
     world.vaccinated[12] = True
     world.vax_susceptibility[3] = 0.2
     world.tick = 6
     apply_movement(world)
     params = DiseaseParams(beta_base=3.0)
-    loaded = np.array([1, 2, 3, 4, 5, 13, 14, 15, 16, 17])
     weight = np.where(loaded < 12, 1.0, VACCINATED_SOURCE_WEIGHT)
     beta_agent = (
         params.beta_base
@@ -243,6 +247,31 @@ def test_exposure_draws_one_uniform_per_loaded_susceptible_then_incubations():
             np.flatnonzero(trial.compartment == Compartment.EXPOSED), newly
         )
         assert np.array_equal(trial.due_tick[newly], 6 + incubation - 1)
+        listed = trial.susceptible_ids
+        if listed is not None:
+            assert np.array_equal(
+                listed, np.flatnonzero(trial.compartment == Compartment.SUSCEPTIBLE)
+            )
+
+
+def test_exposure_draws_one_uniform_per_loaded_susceptible_then_incubations():
+    # Everyone is home, so exactly the ten susceptibles of houses 0 and 2
+    # are loaded.
+    world = _world_with_two_loaded_houses()
+    assert world.susceptible_ids is None
+    _assert_draws_then_incubations(world, np.array([1, 2, 3, 4, 5, 13, 14, 15, 16, 17]))
+
+
+def test_exposure_over_the_susceptible_list_draws_the_same():
+    # Houses 5-9 recover, which leaves fewer than half the agents
+    # susceptible, so exposure gathers over the engine's list. Then agent
+    # 5 recovers too: it stays at home in house 0 but must leave the list,
+    # or it would draw.
+    world = _world_with_two_loaded_houses()
+    move_to(world, range(30, 60), Compartment.RECOVERED)
+    assert world.susceptible_ids is not None
+    move_to(world, 5, Compartment.RECOVERED)
+    _assert_draws_then_incubations(world, np.array([1, 2, 3, 4, 13, 14, 15, 16, 17]))
 
 
 def test_two_agent_household_exposure_matches_closed_form():
@@ -414,6 +443,8 @@ def _assert_kept_state(world, params):
         assert np.array_equal(world.occupancy[row], occupant_counts(world, tick, lockdown)), row
     assert world.transmissibility_params is params
     assert np.array_equal(world.transmissibility, _derived_transmissibility(world, params))
+    listed = world.susceptible_ids
+    assert listed is None or np.array_equal(listed, (comp == Compartment.SUSCEPTIBLE).nonzero()[0])
 
 
 @pytest.mark.parametrize(
@@ -423,12 +454,13 @@ def test_kept_state_matches_a_recount_after_every_tick(monkeypatch, experiment, 
     config = experiment_config(experiment, 1, population=2_000)
     days = config.world.episode_days
     schedule = baseline_schedule(parse_baseline(baseline), days)
-    ticks = []
+    ticks, listed = [], []
 
     def progress(world, params, rng):
         progression_step(world, params, rng)
         _assert_kept_state(world, params)
         ticks.append(world.tick)
+        listed.append(world.susceptible_ids is not None)
 
     def vaccinate(world, schedule, policy, day, rng):
         given = vaccination_day_step(world, schedule, policy, day, rng)
@@ -440,6 +472,17 @@ def test_kept_state_matches_a_recount_after_every_tick(monkeypatch, experiment, 
     trace = run_episode(config, schedule, seed=0)
     assert ticks == list(range(2 * days))
     assert trace.deceased[-1] > 0
+    # Without interventions fewer than half the agents stay susceptible,
+    # from about day 16, and exposure switches to the list; with lockdown
+    # and vaccines they never do.
+    crossed = listed.index(True) if any(listed) else None
+    if baseline == "NoL_NoV":
+        assert 2 * trace.susceptible[-1] < config.world.population_size
+        assert crossed is not None and 20 < crossed < 60
+        assert all(listed[crossed:])
+    else:
+        assert 2 * trace.susceptible.min() >= config.world.population_size
+        assert crossed is None
     if baseline != "NoL_NoV":
         assert trace.doses.sum() > 0
     if baseline == "FullL_FullV":

@@ -1,8 +1,8 @@
 """Each piece of kept agent state has one writer in the package.
 
 The engine keeps tallies (`compartment_totals`, `live_members`,
-`occupancy`), the source mask and the per-agent `transmissibility`
-current as it writes compartments and vaccines. Code that wrote
+`occupancy`), the source mask, the susceptible list and the per-agent
+`transmissibility` current as it writes compartments and vaccines. Code that wrote
 `compartment` or the vaccine state anywhere else would leave them stale
 without a word, so this walks the package's source and finds every write
 to those attributes: an assignment, whole or subscripted, plain or
@@ -27,6 +27,7 @@ WRITERS = {
     "live_members": "epidemic._enter",
     "is_source": "epidemic._enter",
     "occupancy": "epidemic._enter",
+    "susceptible_ids": "epidemic._enter",
     "place": "world.synthesize_population",
     "vaccinated": "interventions.apply_vaccine_effects",
     "vax_susceptibility": "interventions.apply_vaccine_effects",
