@@ -50,8 +50,9 @@ class DdpgHyperParams:
     actor_lr: float = 5e-3
 
     def __post_init__(self) -> None:
-        # A shorter run would take no learner step at all.
-        least = max(BURN_IN, EVAL_EVERY, BATCH_SIZE)
+        # The first evaluation after the first learner step, which waits
+        # for a full batch: a shorter run saves the untrained actor.
+        least = math.ceil(max(BURN_IN, BATCH_SIZE) / EVAL_EVERY) * EVAL_EVERY
         if self.train_iterations < least:
             raise ValueError(f"train_iterations must be at least {least}")
 

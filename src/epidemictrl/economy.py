@@ -63,19 +63,19 @@ def economy_day_step(world: WorldState, lockdown_active: bool) -> None:
     """Post one day of income and expenses to every house.
 
     The head earns iff alive, not symptomatic or hospitalized, and either
-    no lockdown applies or they are essential or a violator. Expenses are
-    charged per living member (`world.live_members`). Call exactly once
-    per simulated day. Each posting goes through a per-house scratch
-    buffer, so a day allocates no house-sized ledger array.
+    no lockdown applies or they commute under it (`world.head_commutes`:
+    essential workers and violators). Expenses are charged per living
+    member (`world.live_members`). Call exactly once per simulated day.
+    Each posting goes through a per-house scratch buffer, so a day
+    allocates no house-sized ledger array.
     """
     config = _require_ledgers(world)
-    head = world.house_head
-    head_comp = world.compartment.take(head)
+    head_comp = world.compartment.take(world.house_head)
 
     # Too sick to earn: InfectedMild to Hospitalized, or Deceased.
     earning = (head_comp < _INFECTED_MILD) | (head_comp == _RECOVERED)
     if lockdown_active:
-        earning &= world.is_essential.take(head) | world.is_violator.take(head)
+        earning &= world.head_commutes
 
     expense_cents = int(round(config.expense_per_person * CENTS))
     posting = world.scratch_values[0, : world.n_houses].view(np.int64)
@@ -87,5 +87,4 @@ def below_poverty_count(world: WorldState) -> int:
     """Living agents in houses whose savings sit strictly below the line."""
     config = _require_ledgers(world)
     line_cents = int(round(config.poverty_line * CENTS))
-    poor = world.savings_cents < line_cents
-    return int(world.live_members[poor].sum())
+    return int(np.dot(world.live_members, world.savings_cents < line_cents))

@@ -166,9 +166,10 @@ class _ReadOnlyDict(dict):
 class DiseaseParams:
     """Disease dynamics knobs; defaults follow the published factor tables.
 
-    The per-band lookup tables and the log-normal parameters are derived
-    once, at construction, so they always match the fields. The engine
-    keeps values derived from a params object for as long as it sees that
+    The per-band lookup tables, the per-age branch tables (one entry per
+    age 0-99) and the log-normal parameters are derived once, at
+    construction, so they always match the fields. The engine keeps
+    values derived from a params object for as long as it sees that
     object, so nothing in it can change: `stage_durations` is read-only
     and the tables are not writeable.
     """
@@ -194,14 +195,23 @@ class DiseaseParams:
             if mean <= 0 or sd < 0:
                 raise ValueError(f"bad duration ({mean}, {sd}) for {comp.name}")
         bands = self.age_bands
+        asymptomatic = np.array([b.asymptomatic_prob for b in bands])
+        severe = np.array([b.severe_prob for b in bands])
+        death = np.array([b.death_given_hospitalized for b in bands])
+        # The vaccine boost is applied per band, capped at 1, then spread
+        # over the ages like the other tables.
+        boosted = np.minimum(1.0, VACCINE_GAMMA_BOOST * asymptomatic)
         tables = {
-            "band_beta_multiplier": [b.beta_multiplier for b in bands],
-            "band_asymptomatic_prob": [b.asymptomatic_prob for b in bands],
-            "band_severe_prob": [b.severe_prob for b in bands],
-            "band_death_given_hospitalized": [b.death_given_hospitalized for b in bands],
+            "band_beta_multiplier": np.array([b.beta_multiplier for b in bands]),
+            "band_asymptomatic_prob": asymptomatic,
+            "band_severe_prob": severe,
+            "band_death_given_hospitalized": death,
+            "age_death_given_hospitalized": death.repeat(10),
+            "age_severe_prob": severe.repeat(10),
+            # row 0 unvaccinated, row 1 vaccinated: flat key age + 100 * vaccinated
+            "age_asymptomatic_prob": np.stack([asymptomatic, boosted]).repeat(10, axis=1),
         }
-        for name, values in tables.items():
-            table = np.array(values)
+        for name, table in tables.items():
             table.flags.writeable = False
             object.__setattr__(self, name, table)
         object.__setattr__(self, "stage_durations", _ReadOnlyDict(self.stage_durations))
@@ -250,6 +260,7 @@ def _enter(
     target: int,
     params: DiseaseParams,
     rng: np.random.Generator,
+    listed_at: np.ndarray | None = None,
 ) -> None:
     """Move `ids`, all in `source`, to `target`: the one writer of
     `compartment`, `due_tick`, `compartment_totals`, `live_members`,
@@ -270,8 +281,9 @@ def _enter(
 
     The first S->E move that leaves fewer than half the agents susceptible
     lists the susceptibles with one scan; later S->E moves drop their ids
-    from the list. S->E is the only move out of Susceptible and none
-    moves in, so the list only shrinks.
+    from the list, at `listed_at` (their positions in it) when the caller
+    holds them, else where a search finds them. S->E is the only move out
+    of Susceptible and none moves in, so the list only shrinks.
 
     An exposure's own progression step already counts toward the stay, so
     incubation ends one tick before the sampled dwell. This is the
@@ -286,7 +298,9 @@ def _enter(
     if source == _SUSCEPTIBLE:
         listed = world.susceptible_ids
         if listed is not None:
-            world.susceptible_ids = np.delete(listed, listed.searchsorted(ids))
+            if listed_at is None:
+                listed_at = listed.searchsorted(ids)
+            world.susceptible_ids = np.delete(listed, listed_at)
         elif 2 * world.compartment_totals[_SUSCEPTIBLE] < world.population:
             world.susceptible_ids = (world.compartment == _SUSCEPTIBLE).nonzero()[0]
     shedding = _ASYMPTOMATIC <= target <= _INFECTED_SEVERE
@@ -429,14 +443,9 @@ def exposure_step(
     newly = loaded[hit]
     if newly.size == 0:
         return 0
-    _enter(world, newly, _SUSCEPTIBLE, _EXPOSED, params, rng)
+    listed_at = None if listed is None else at[hit]
+    _enter(world, newly, _SUSCEPTIBLE, _EXPOSED, params, rng, listed_at)
     return int(newly.size)
-
-
-def _effective_asymptomatic_prob(
-    gamma: np.ndarray, vaccinated: np.ndarray
-) -> np.ndarray:
-    return np.where(vaccinated, np.minimum(1.0, VACCINE_GAMMA_BOOST * gamma), gamma)
 
 
 def progression_step(
@@ -467,7 +476,7 @@ def progression_step(
 
     ids = _stage(_HOSPITALIZED)
     if ids.size:
-        p_death = params.band_death_given_hospitalized.take(age.take(ids) // 10)
+        p_death = params.age_death_given_hospitalized.take(age.take(ids))
         dies = rng.random(ids.size) < p_death
         _enter(world, ids[dies], _HOSPITALIZED, _DECEASED, params, rng)
         _enter(world, ids[~dies], _HOSPITALIZED, _RECOVERED, params, rng)
@@ -476,7 +485,7 @@ def progression_step(
 
     ids = _stage(_INFECTED_MILD)
     if ids.size:
-        p_worse = params.band_severe_prob.take(age.take(ids) // 10)
+        p_worse = params.age_severe_prob.take(age.take(ids))
         worsens = rng.random(ids.size) < p_worse
         _enter(world, ids[worsens], _INFECTED_MILD, _INFECTED_SEVERE, params, rng)
         _enter(world, ids[~worsens], _INFECTED_MILD, _RECOVERED, params, rng)
@@ -486,10 +495,9 @@ def progression_step(
 
     ids = _stage(_EXPOSED)
     if ids.size:
-        gamma = _effective_asymptomatic_prob(
-            params.band_asymptomatic_prob.take(age.take(ids) // 10),
-            world.vaccinated.take(ids),
-        )
+        # vaccinated agents read the boosted row: flat key age + 100
+        key = age.take(ids) + 100 * world.vaccinated.take(ids)
+        gamma = params.age_asymptomatic_prob.take(key)
         silent = rng.random(ids.size) < gamma
         _enter(world, ids[silent], _EXPOSED, _ASYMPTOMATIC, params, rng)
         _enter(world, ids[~silent], _EXPOSED, _PRE_SYMPTOMATIC, params, rng)

@@ -111,14 +111,20 @@ def lockdown_active(schedule: InterventionSchedule, day: int) -> bool:
     return window_active(schedule.lockdown, day)
 
 
-def apply_vaccine_effects(world: WorldState, agent_ids: np.ndarray, spec: VaccineSpec) -> None:
+def apply_vaccine_effects(
+    world: WorldState, agent_ids: np.ndarray, effectiveness: float | np.ndarray
+) -> None:
     """Mark agents vaccinated and scale down their susceptibility, and
-    their kept transmissibility once the engine has derived it."""
+    their kept transmissibility once the engine has derived it.
+
+    `effectiveness` is one vaccine's for every recipient, or an array
+    aligned with `agent_ids`.
+    """
     agent_ids = np.atleast_1d(np.asarray(agent_ids))
     if world.vaccinated[agent_ids].any():
         raise ValueError("agent already vaccinated")
     world.vaccinated[agent_ids] = True
-    susceptibility = 1.0 - spec.effectiveness
+    susceptibility = 1.0 - effectiveness
     world.vax_susceptibility[agent_ids] = susceptibility
     if world.transmissibility_params is not None:
         # Unvaccinated, an agent's susceptibility is 1, so scaling its kept
@@ -175,10 +181,8 @@ def vaccination_day_step(
     # Sample only the day's recipients: the draws scale with the doses,
     # not with the eligible pool.
     queue = rng.choice(ids, size=min(budget, ids.size), replace=False)
-    given = 0
-    for spec in policy.specs:
-        take = min(spec.daily_doses, queue.size - given)
-        if take > 0:
-            apply_vaccine_effects(world, queue[given : given + take], spec)
-            given += take
-    return given
+    first, second = policy.specs
+    effectiveness = np.full(queue.size, second.effectiveness)
+    effectiveness[: first.daily_doses] = first.effectiveness
+    apply_vaccine_effects(world, queue, effectiveness)
+    return int(queue.size)

@@ -73,6 +73,9 @@ class WorldState:
     or school) and `LOCKDOWN_DAY` (the workplace for essential workers and
     violators, else the house). `synthesize_population` builds it and
     freezes it; `apply_movement` only sets `row`, the row of this tick.
+    It also builds and freezes `house_head`, each house's oldest member,
+    and `head_commutes`, whether that head works under lockdown: exactly
+    when its lockdown row of `place` differs from its night row.
     The sick override it: InfectedMild and InfectedSevere agents sit at
     home on every row, Hospitalized ones in a hospital, and the deceased
     nowhere.
@@ -102,15 +105,14 @@ class WorldState:
     tick: int
 
     age: np.ndarray
-    is_essential: np.ndarray
-    is_violator: np.ndarray
 
     compartment: np.ndarray
     due_tick: np.ndarray
     vaccinated: np.ndarray
     vax_susceptibility: np.ndarray
 
-    house_head: np.ndarray
+    house_head: np.ndarray  # intp, read-only
+    head_commutes: np.ndarray  # per house, bool, read-only
     place: np.ndarray  # (3, population) intp, read-only
     row: int
 
@@ -160,7 +162,8 @@ class WorldState:
 
 
 def house_heads(age: np.ndarray, household_size: int) -> np.ndarray:
-    """Id of each house's oldest member, ties broken toward the lower id.
+    """Id (intp) of each house's oldest member, ties broken toward the
+    lower id.
 
     Houses are consecutive blocks of `household_size` ids; the last may be
     smaller. argmax takes the first maximum, which gives the tie-break; the
@@ -170,11 +173,12 @@ def house_heads(age: np.ndarray, household_size: int) -> np.ndarray:
     padded = np.full(n_houses * household_size, -1, dtype=age.dtype)
     padded[: age.size] = age
     oldest = padded.reshape(n_houses, household_size).argmax(axis=1)
-    return (oldest + np.arange(0, padded.size, household_size)).astype(np.int32)
+    return oldest + np.arange(0, padded.size, household_size)
 
 
 def synthesize_population(config: WorldConfig, streams: RngStreams) -> WorldState:
-    """Build a fresh world: ages, households, workplaces and flags.
+    """Build a fresh world: ages, households, workplaces and who commutes
+    under lockdown.
 
     Agents are grouped into households in index order (the last house may be
     smaller); the oldest member heads each house. Employed agents are packed
@@ -187,9 +191,11 @@ def synthesize_population(config: WorldConfig, streams: RngStreams) -> WorldStat
     age = rng.integers(0, 100, size=n).astype(np.int16)
     employed = age > EMPLOYMENT_AGE
 
-    essential_draw = rng.random(n) < config.essential_worker_fraction
-    is_essential = essential_draw & employed  # only employed agents can be essential
-    is_violator = rng.random(n) < config.violator_fraction
+    # Only employed agents can be essential; both uniforms are drawn for
+    # every agent. Essential workers and violators commute under lockdown.
+    commutes = rng.random(n) < config.essential_worker_fraction
+    commutes &= employed
+    commutes |= rng.random(n) < config.violator_fraction
 
     hs = config.household_size
     n_houses = math.ceil(n / hs)
@@ -210,7 +216,9 @@ def synthesize_population(config: WorldConfig, streams: RngStreams) -> WorldStat
     place[DAY, emp_ids] = office_slot + np.arange(emp_ids.size) // config.office_capacity
     place[DAY, stu_ids] = school_slot + np.arange(stu_ids.size) // config.school_capacity
     np.copyto(place[LOCKDOWN_DAY], place[NIGHT])
-    np.copyto(place[LOCKDOWN_DAY], place[DAY], where=is_essential | is_violator)
+    np.copyto(place[LOCKDOWN_DAY], place[DAY], where=commutes)
+    head = house_heads(age, hs)
+    head_commutes = place[LOCKDOWN_DAY].take(head) != place[NIGHT].take(head)
     row_offsets = np.arange(3, dtype=np.intp).reshape(3, 1) * n_slots
 
     totals = np.zeros(len(Compartment), dtype=np.int64)
@@ -222,13 +230,12 @@ def synthesize_population(config: WorldConfig, streams: RngStreams) -> WorldStat
         config=config,
         tick=0,
         age=age,
-        is_essential=is_essential,
-        is_violator=is_violator,
         compartment=np.full(n, Compartment.SUSCEPTIBLE, dtype=np.int8),
         due_tick=np.full(n, NOT_DUE, dtype=np.int32),
         vaccinated=np.zeros(n, dtype=bool),
         vax_susceptibility=np.ones(n, dtype=np.float64),
-        house_head=house_heads(age, hs),
+        house_head=head,
+        head_commutes=head_commutes,
         place=place,
         row=NIGHT,
         n_houses=n_houses,
@@ -245,7 +252,10 @@ def synthesize_population(config: WorldConfig, streams: RngStreams) -> WorldStat
         scratch_ids=np.empty(n, dtype=np.intp),
         scratch_values=np.empty((2, n), dtype=np.float64),
     )
-    world.place.flags.writeable = False  # places are fixed from here on
+    # places, heads and who of them commutes are fixed from here on
+    world.place.flags.writeable = False
+    world.house_head.flags.writeable = False
+    world.head_commutes.flags.writeable = False
     return world
 
 

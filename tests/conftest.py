@@ -6,7 +6,14 @@ import pytest
 from epidemictrl.economy import EconomyConfig, init_house_ledgers
 from epidemictrl.epidemic import Compartment, DiseaseParams, _enter
 from epidemictrl.rng import RngStreams
-from epidemictrl.world import WorldConfig, WorldState, synthesize_population
+from epidemictrl.world import (
+    EMPLOYMENT_AGE,
+    LOCKDOWN_DAY,
+    NIGHT,
+    WorldConfig,
+    WorldState,
+    synthesize_population,
+)
 
 
 def make_world(
@@ -63,15 +70,36 @@ def house_id(world: WorldState) -> np.ndarray:
     return np.arange(world.population) // world.config.household_size
 
 
+def redrawn_roles(config: WorldConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(essential, violator) per agent, re-drawn from a fresh population
+    stream in synthesis's order: ages, then one essential and one violator
+    uniform per agent. Only employed agents can be essential. The oracle
+    for who commutes under lockdown, independent of `place`."""
+    stream = RngStreams.from_seed(seed).population
+    n = config.population_size
+    employed = stream.integers(0, 100, size=n) > EMPLOYMENT_AGE
+    essential = (stream.random(n) < config.essential_worker_fraction) & employed
+    violator = stream.random(n) < config.violator_fraction
+    return essential, violator
+
+
+def redrawn_commuters(config: WorldConfig, seed: int) -> np.ndarray:
+    """Agents who commute under lockdown: essential workers and violators."""
+    essential, violator = redrawn_roles(config, seed)
+    return essential | violator
+
+
 def scheduled_locations(world: WorldState, tick: int, lockdown_active: bool) -> np.ndarray:
     """Location per agent by the movement rules, -1 for the deceased: the
-    oracle for the engine's kept places and occupancy."""
+    oracle for the engine's kept occupancy. Who commutes under lockdown is
+    read from the world's lockdown row of `place`, which
+    `tests/test_world.py` pins against `redrawn_commuters`."""
     comp = world.compartment
     home = house_id(world)
     if tick % 2 == 1:  # work/school phase
         commutes = (comp != Compartment.INFECTED_MILD) & (comp != Compartment.INFECTED_SEVERE)
         if lockdown_active:
-            commutes &= world.is_essential | world.is_violator
+            commutes &= world.place[LOCKDOWN_DAY] != world.place[NIGHT]
         loc = np.where(commutes, world.place[1] - 1, home)
     else:
         loc = home

@@ -1,5 +1,6 @@
 """The engine's earlier random-draw contract, kept as a reference, and the
-aligned-array infection probability the tests compare the engine against.
+aligned-array infection probability and vaccine-boosted asymptomatic
+branch the tests compare the engine against.
 
 These steps draw more than the engine does but sample the same model:
 
@@ -19,7 +20,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from epidemictrl.epidemic import TICK_DAYS, VACCINATED_SOURCE_WEIGHT, Compartment, _enter
+from epidemictrl.epidemic import (
+    TICK_DAYS,
+    VACCINATED_SOURCE_WEIGHT,
+    VACCINE_GAMMA_BOOST,
+    Compartment,
+    _enter,
+)
 from epidemictrl.interventions import AGE_STRATA, apply_vaccine_effects, window_active
 
 from conftest import current_locations
@@ -35,6 +42,12 @@ def infection_probability(beta_agent, infectious_weight, occupants):
     """
     rate = np.asarray(beta_agent * (infectious_weight / occupants), dtype=np.float64)
     return -np.expm1(rate * -TICK_DAYS)
+
+
+def _effective_asymptomatic_prob(gamma, vaccinated):
+    """The asymptomatic branch probability: the band's gamma, widened by
+    the vaccine boost and capped at 1 for vaccinated agents."""
+    return np.where(vaccinated, np.minimum(1.0, VACCINE_GAMMA_BOOST * gamma), gamma)
 
 
 def exposure_step_drawing_all(world, params, rng):
@@ -100,7 +113,7 @@ def vaccination_day_step_by_mask(world, schedule, policy, day, order):
     for spec in policy.specs:
         take = min(spec.daily_doses, budget - given, queue.size - given)
         if take > 0:
-            apply_vaccine_effects(world, queue[given : given + take], spec)
+            apply_vaccine_effects(world, queue[given : given + take], spec.effectiveness)
             given += take
     return given
 

@@ -30,7 +30,7 @@ def test_perfbench_wraps_a_training_run(monkeypatch, tmp_path):
 
     tracer = bench_trace.Tracer()
     log = run.EpisodeLog(bench_workloads)
-    hyper = DdpgHyperParams(seed=0, train_iterations=32)
+    hyper = DdpgHyperParams(seed=0, train_iterations=40)
     with run.tracing(tracer, log, layers=True):
         report = harness.run_experiment(
             2, 1, hyper=hyper, population=300, comparison_seeds=[0], out_dir=tmp_path
@@ -38,10 +38,10 @@ def test_perfbench_wraps_a_training_run(monkeypatch, tmp_path):
 
     assert tracer.episode_accounting_errors() == []
     assert log.messages == [] and log.failed == 0
-    # 64 training, 5 evaluation (iterations 20 and 30 reuse iteration
+    # 80 training, 10 evaluation (iterations 20 and 30 reuse iteration
     # 10's: no learner step comes before iteration 32) and 5 comparison
     # episodes
-    assert tracer.calls[bench_trace.EPISODE] == log.attempted == 74
+    assert tracer.calls[bench_trace.EPISODE] == log.attempted == 95
     assert tracer.calls[bench_trace.TRAIN] == 1
     for metric in (
         "ddpg.rollout_s",
@@ -53,5 +53,5 @@ def test_perfbench_wraps_a_training_run(monkeypatch, tmp_path):
         assert tracer.calls[metric] > 0, metric
     actor, _ = load_mlp(tmp_path / "actor.ckpt")
     assert bench_workloads.actor_digest(actor) == bench_workloads.actor_digest(report.actor)
-    assert report.log.iterations == list(range(1, 33))
+    assert report.log.iterations == list(range(1, 41))
     assert math.isfinite(report.eval_mean)

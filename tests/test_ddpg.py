@@ -50,9 +50,11 @@ def test_hyper_validation():
         _hyper(train_iterations=5)  # burn-in 10
     with pytest.raises(ValueError):
         _hyper(train_iterations=9)  # evaluation every 10
-    with pytest.raises(ValueError, match="at least 32"):
+    with pytest.raises(ValueError, match="at least 40"):
         _hyper(train_iterations=31)  # no learner step before a full batch
-    assert _hyper(train_iterations=32).train_iterations == ddpg.BATCH_SIZE
+    with pytest.raises(ValueError, match="at least 40"):
+        _hyper(train_iterations=39)  # no evaluation after the first step
+    assert _hyper(train_iterations=40).train_iterations == 40
 
 
 def test_select_action_no_noise_is_actor_output():
@@ -217,7 +219,7 @@ def test_bandit_learns_peak():
 
 
 def test_burn_in_uses_uniform_actions():
-    res = train(QuadraticBandit(), _hyper(train_iterations=32))
+    res = train(QuadraticBandit(), _hyper(train_iterations=40))
     # rewards of burn-in iterations come from uniform actions in [-1, 1];
     # with the bandit's reward structure they lie in [-1.96, 0]
     for r in [row["reward"] for row in res.log.rows[:10]]:

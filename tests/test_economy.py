@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from epidemictrl.economy import below_poverty_count, economy_day_step
 from epidemictrl.epidemic import Compartment
+from epidemictrl.world import EMPLOYMENT_AGE
 
-from conftest import house_id, make_world, move_to
+from conftest import house_id, make_world, move_to, redrawn_commuters
 
 
 def _fix_house(world, house, savings, income):
@@ -31,34 +32,40 @@ def test_hospitalized_head_loses_income():
     assert world.savings_cents[0] == 46_000  # 500 - 40
 
 
-def test_essential_head_earns_under_lockdown():
-    world = make_world(population=4, household_size=4)
-    _fix_house(world, 0, savings=500.0, income=100.0)
-    head = world.house_head[0]
-    world.is_essential[head] = True
-    world.is_violator[head] = False
+def _lockdown_day_by_house(essential, violator):
+    """Each house's change in savings over one lockdown day, in a 40-agent
+    world of one-agent houses (so about a third of the heads are students)
+    with the given role fractions and every house at savings 500 and
+    income 100, and whether its head is employed."""
+    world = make_world(
+        population=40,
+        household_size=1,
+        essential_worker_fraction=essential,
+        violator_fraction=violator,
+    )
+    for house in range(world.n_houses):
+        _fix_house(world, house, savings=500.0, income=100.0)
     economy_day_step(world, lockdown_active=True)
-    assert world.savings_cents[0] == 56_000
+    return world.savings_cents - 50_000, world.age[world.house_head] > EMPLOYMENT_AGE
+
+
+def test_essential_head_earns_under_lockdown():
+    # everyone employed is essential: employed heads earn, student heads
+    # do not
+    change, employed = _lockdown_day_by_house(essential=1.0, violator=0.0)
+    assert employed.any() and not employed.all()
+    assert np.array_equal(change, np.where(employed, 9_000, -1_000))
 
 
 def test_ordinary_head_stops_earning_under_lockdown():
-    world = make_world(population=4, household_size=4)
-    _fix_house(world, 0, savings=500.0, income=100.0)
-    head = world.house_head[0]
-    world.is_essential[head] = False
-    world.is_violator[head] = False
-    economy_day_step(world, lockdown_active=True)
-    assert world.savings_cents[0] == 46_000
+    change, _ = _lockdown_day_by_house(essential=0.0, violator=0.0)
+    assert (change == -1_000).all()
 
 
 def test_violator_head_earns_under_lockdown():
-    world = make_world(population=4, household_size=4)
-    _fix_house(world, 0, savings=500.0, income=100.0)
-    head = world.house_head[0]
-    world.is_essential[head] = False
-    world.is_violator[head] = True
-    economy_day_step(world, lockdown_active=True)
-    assert world.savings_cents[0] == 56_000
+    # students can violate too
+    change, employed = _lockdown_day_by_house(essential=0.0, violator=1.0)
+    assert not employed.all() and (change == 9_000).all()
 
 
 def test_deceased_members_stop_expenses():
@@ -129,7 +136,7 @@ def test_no_poverty_without_epidemic_or_lockdown(savings, income, days):
 @settings(max_examples=20, deadline=None)
 def test_accounting_identity_exact(seed, days):
     world = make_world(population=24, household_size=4, seed=seed)
-    config = world.economy_config
+    commuters = redrawn_commuters(world.config, seed)
     start = world.savings_cents.copy()
     earned = np.zeros(world.n_houses, dtype=np.int64)
     spent = np.zeros(world.n_houses, dtype=np.int64)
@@ -148,7 +155,7 @@ def test_accounting_identity_exact(seed, days):
         )
         works = ~blocked
         if lock:
-            works &= world.is_essential[head] | world.is_violator[head]
+            works &= commuters[head]
         alive = world.compartment != Compartment.DECEASED
         live = np.bincount(house_id(world)[alive], minlength=world.n_houses)
         earned += np.where(works, world.income_cents, 0)

@@ -10,6 +10,7 @@ import pytest
 
 from epidemictrl.epidemic import (
     DEFAULT_AGE_BANDS,
+    AgeBandRates,
     Compartment,
     DEFAULT_STAGE_DURATIONS,
     DiseaseParams,
@@ -29,7 +30,11 @@ from epidemictrl.interventions import vaccination_day_step
 from epidemictrl.world import apply_movement
 
 from conftest import house_id, make_world, move_to, occupant_counts, rng
-from reference_draws import exposure_step_drawing_all, infection_probability
+from reference_draws import (
+    _effective_asymptomatic_prob,
+    exposure_step_drawing_all,
+    infection_probability,
+)
 
 # The published transition-factor table, one row per decade:
 # (beta multiplier, symptomatic prob, severe prob, death weight sigma).
@@ -71,6 +76,33 @@ def test_age_band_table_exact():
     assert np.array_equal(params.band_beta_multiplier, table[:, 0])
     assert np.array_equal(params.band_asymptomatic_prob, 1.0 - table[:, 1])
     assert np.array_equal(params.band_severe_prob, table[:, 2])
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        DiseaseParams(),
+        # a band whose boosted share saturates at 1
+        DiseaseParams(age_bands=(AgeBandRates(0.34, 0.3, 0.0005, 0.0001),) + DEFAULT_AGE_BANDS[1:]),
+    ],
+)
+def test_per_age_branch_tables_spread_the_bands(params):
+    ages = np.arange(100)
+    band = ages // 10
+    assert np.array_equal(
+        params.age_death_given_hospitalized, params.band_death_given_hospitalized[band]
+    )
+    assert np.array_equal(params.age_severe_prob, params.band_severe_prob[band])
+    # every age, vaccinated and not, against the oracle, bit for bit
+    for vaccinated in (False, True):
+        expected = _effective_asymptomatic_prob(
+            params.band_asymptomatic_prob[band], np.full(100, vaccinated)
+        )
+        assert np.array_equal(params.age_asymptomatic_prob[int(vaccinated)], expected)
+        key = ages + 100 * vaccinated
+        assert np.array_equal(params.age_asymptomatic_prob.take(key), expected)
+    assert params.age_asymptomatic_prob.shape == (2, 100)
+    assert params.age_asymptomatic_prob.max() <= 1.0
 
 
 def test_age_band_examples():
@@ -550,6 +582,9 @@ def test_disease_params_cannot_change_after_construction():
         params.band_asymptomatic_prob,
         params.band_severe_prob,
         params.band_death_given_hospitalized,
+        params.age_death_given_hospitalized,
+        params.age_severe_prob,
+        params.age_asymptomatic_prob,
     ):
         with pytest.raises(ValueError):
             table[0] = 1.0

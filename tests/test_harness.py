@@ -311,7 +311,7 @@ def test_config_file_round_trip(tmp_path):
 
 
 def test_train_and_evaluate_sidecars_rerun_identically(tmp_path):
-    argv = ["train", "--iterations", "32", "--seeds", "0"]
+    argv = ["train", "--iterations", "40", "--seeds", "0"]
     first, second = _rerun_from_sidecar(tmp_path / "train", argv)
     _assert_same_traces(first / "traces", second / "traces")
     assert (first / "actor.ckpt").read_bytes() == (second / "actor.ckpt").read_bytes()
@@ -543,7 +543,8 @@ ACTOR_WIDTHS = (6, 4, 8)
             "savings_sd",
         ),
         (["train", "--iterations", "0"], None, None, "invalid training settings"),
-        (["train", "--iterations", "20"], None, None, "at least 32"),
+        (["train", "--iterations", "20"], None, None, "at least 40"),
+        (["train", "--iterations", "35"], None, None, "at least 40"),
         (["simulate", "--baseline", "NoL_NoV", "--seeds", "x"], None, None, "bad seed list"),
         (["evaluate"], None, b"", "cannot load checkpoint"),
         (["evaluate", "--repeats", "0"], None, ACTOR_WIDTHS, "--repeats must be at least 1"),
@@ -580,6 +581,7 @@ ACTOR_WIDTHS = (6, 4, 8)
         "savings-sd-negative",
         "iterations-0",
         "iterations-20-below-batch",
+        "iterations-35-before-first-evaluation-after-a-step",
         "seeds-x",
         "empty-checkpoint",
         "repeats-0",

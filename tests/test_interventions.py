@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency, chisquare
 
-from epidemictrl.epidemic import Compartment
+from epidemictrl.epidemic import DEFAULT_AGE_BANDS, AgeBandRates, Compartment, DiseaseParams
 from epidemictrl.env import ExperimentConfig, run_episode
 from epidemictrl.interventions import (
     InterventionSchedule,
@@ -147,7 +147,7 @@ def test_vaccination_matches_mask_oracle_for_every_open_subset(open_strata):
         world.compartment[:20] = Compartment.HOSPITALIZED
         world.compartment[20:40] = Compartment.DECEASED
         world.compartment[40:60] = Compartment.INFECTED_MILD
-        apply_vaccine_effects(world, np.arange(60, 80), policy.specs[1])
+        apply_vaccine_effects(world, np.arange(60, 80), policy.specs[1].effectiveness)
         worlds.append(world)
     fast, slow = worlds
     g_fast, g_slow = rng(9), rng(9)
@@ -167,7 +167,7 @@ def _sampler_world():
     world = _world_for_vax(population=60, seed=2)
     world.compartment[:6] = Compartment.HOSPITALIZED
     world.compartment[6:12] = Compartment.DECEASED
-    apply_vaccine_effects(world, np.arange(12, 16), VaccineSpec(0.6, 4))
+    apply_vaccine_effects(world, np.arange(12, 16), 0.6)
     return world
 
 
@@ -203,7 +203,8 @@ def test_days_without_doses_leave_the_stream_untouched():
     none_eligible = _sampler_world()
     none_eligible.compartment[16:] = Compartment.HOSPITALIZED
     capped = _sampler_world()
-    apply_vaccine_effects(capped, np.arange(16, 54), policy.specs[0])  # 42 = 0.7 * 60
+    # 42 = 0.7 * 60
+    apply_vaccine_effects(capped, np.arange(16, 54), policy.specs[0].effectiveness)
     cases = [
         (_sampler_world(), later, policy, 9),  # before the window opens
         (_sampler_world(), later, policy, 20),  # the day it closes
@@ -258,21 +259,35 @@ def test_coverage_cap_is_hard():
 
 def test_double_vaccination_rejected():
     world = _world_for_vax(population=10)
-    spec = VaccineSpec(0.8, 10)
-    apply_vaccine_effects(world, np.array([0]), spec)
+    apply_vaccine_effects(world, np.array([0]), 0.8)
     with pytest.raises(ValueError):
-        apply_vaccine_effects(world, np.array([0]), VaccineSpec(0.6, 10))
+        apply_vaccine_effects(world, np.array([0]), 0.6)
+    with pytest.raises(ValueError):  # one already vaccinated among others
+        apply_vaccine_effects(world, np.array([1, 0]), np.array([0.8, 0.6]))
+    assert not world.vaccinated[1]
+
+
+def test_per_recipient_effectiveness():
+    world = _world_for_vax(population=10)
+    apply_vaccine_effects(world, np.array([3, 1, 7]), np.array([0.8, 0.6, 0.6]))
+    assert np.array_equal(world.vaccinated.nonzero()[0], [1, 3, 7])
+    assert world.vax_susceptibility.tolist() == [
+        1.0, 1.0 - 0.6, 1.0, 1.0 - 0.8, 1.0, 1.0, 1.0, 1.0 - 0.6, 1.0, 1.0
+    ]
 
 
 def test_gamma_boost_cap():
-    # synthetic asymptomatic share 0.9 boosted by 1.8 saturates at 1.0
-    from epidemictrl.epidemic import _effective_asymptomatic_prob
-
-    boosted = _effective_asymptomatic_prob(
-        np.array([0.9, 0.4]), np.array([True, True])
+    # synthetic asymptomatic shares 0.9 and 0.4 boosted by 1.8: the first
+    # saturates at 1.0, in the vaccinated row of the per-age table
+    bands = (
+        AgeBandRates(1.0, 0.1, 0.1, 0.0),
+        AgeBandRates(1.0, 0.6, 0.1, 0.0),
+        *DEFAULT_AGE_BANDS[2:],
     )
-    assert boosted[0] == 1.0
-    assert boosted[1] == pytest.approx(0.72)
+    table = DiseaseParams(age_bands=bands).age_asymptomatic_prob
+    assert table[1, 9] == 1.0
+    assert table[1, 10] == pytest.approx(0.72)
+    assert table[0, 9] == pytest.approx(0.9)
 
 
 def test_daily_dose_budget_respected():

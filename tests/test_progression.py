@@ -25,7 +25,6 @@ from epidemictrl.epidemic import (
     VACCINATED_SOURCE_WEIGHT,
     Compartment,
     DiseaseParams,
-    _effective_asymptomatic_prob,
     exposure_step,
     progression_step,
     sample_duration_ticks,
@@ -40,7 +39,7 @@ from epidemictrl.interventions import (
 from epidemictrl.world import WorldConfig, apply_movement
 
 from conftest import current_locations, make_world
-from reference_draws import infection_probability
+from reference_draws import _effective_asymptomatic_prob, infection_probability
 
 # ---------------------------------------------------------------------------
 # The countdown reference.

@@ -21,7 +21,15 @@ from epidemictrl.world import (
     synthesize_population,
 )
 
-from conftest import house_id, make_world, move_to, occupant_counts, scheduled_locations
+from conftest import (
+    house_id,
+    make_world,
+    move_to,
+    occupant_counts,
+    redrawn_commuters,
+    redrawn_roles,
+    scheduled_locations,
+)
 
 # Reference views of the world's flat arrays. The engine needs none of
 # them: it reads the arrays directly.
@@ -66,8 +74,11 @@ def hospital(world: WorldState, i: int) -> int:
 SYMPTOMATIC_COMPARTMENTS = (Compartment.INFECTED_MILD, Compartment.INFECTED_SEVERE)
 
 
-def scheduled_location(world: WorldState, i: int, tick: int, lockdown_active: bool) -> int:
+def scheduled_location(
+    world: WorldState, i: int, tick: int, lockdown_active: bool, commuters: np.ndarray
+) -> int:
     """Where agent `i` belongs at `tick`, rule by rule; -1 for the deceased.
+    `commuters` marks who commutes under lockdown (`redrawn_commuters`).
 
     Scalar reference for the vectorized `scheduled_locations`.
     """
@@ -80,7 +91,7 @@ def scheduled_location(world: WorldState, i: int, tick: int, lockdown_active: bo
         return house_id(world)[i]
     if comp in SYMPTOMATIC_COMPARTMENTS:
         return house_id(world)[i]
-    if lockdown_active and not (world.is_essential[i] or world.is_violator[i]):
+    if lockdown_active and not commuters[i]:
         return house_id(world)[i]
     return workplace(world)[i]
 
@@ -128,7 +139,7 @@ def test_house_heads_match_lexsort_oracle(population, household_size, data):
         dtype=np.int16,
     )
     heads = house_heads(age, household_size)
-    assert heads.dtype == np.int32
+    assert heads.dtype == np.intp
     assert np.array_equal(heads, lexsort_house_heads(age, household_size))
 
 
@@ -140,10 +151,13 @@ def test_role_rule_matches_age():
 
 
 def test_essential_only_on_employed():
-    world = make_world(population=2000, with_ledgers=False)
-    assert not (world.is_essential & ~(world.age > EMPLOYMENT_AGE)).any()
+    # without violators, the agents away from home under lockdown are the
+    # essential workers
+    world = make_world(population=2000, violator_fraction=0.0, with_ledgers=False)
+    away = world.place[LOCKDOWN_DAY] != world.place[NIGHT]
+    assert not (away & ~(world.age > EMPLOYMENT_AGE)).any()
     # with the default 20% fraction some employed agent is essential
-    assert world.is_essential.any()
+    assert away.any()
 
 
 def test_rejects_empty_population():
@@ -173,16 +187,40 @@ def test_everyone_starts_at_home():
 
 
 def test_lockdown_row_keeps_only_essential_workers_and_violators_away():
-    world = make_world(population=2000, with_ledgers=False)
-    away = world.is_essential | world.is_violator
-    assert np.array_equal(world.place[LOCKDOWN_DAY][away], world.place[DAY][away])
-    assert np.array_equal(world.place[LOCKDOWN_DAY][~away], world.place[NIGHT][~away])
+    for seed in (0, 7):
+        world = make_world(population=2000, seed=seed, with_ledgers=False)
+        away = redrawn_commuters(world.config, seed)
+        assert np.array_equal(world.place[LOCKDOWN_DAY][away], world.place[DAY][away])
+        assert np.array_equal(world.place[LOCKDOWN_DAY][~away], world.place[NIGHT][~away])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    population=st.integers(1, 300),
+    household_size=st.integers(1, 6),
+    essential=st.sampled_from([0.0, 0.2, 1.0]),
+    violator=st.sampled_from([0.0, 0.1, 1.0]),
+    seed=st.integers(0, 10_000),
+)
+def test_commuting_heads_match_the_redrawn_roles(
+    population, household_size, essential, violator, seed
+):
+    config = dict(
+        household_size=household_size,
+        essential_worker_fraction=essential,
+        violator_fraction=violator,
+    )
+    world = make_world(population=population, seed=seed, with_ledgers=False, **config)
+    commuters = redrawn_commuters(world.config, seed)
+    assert world.head_commutes.dtype == bool
+    assert np.array_equal(world.head_commutes, commuters[world.house_head])
 
 
 def test_places_are_fixed_and_counted():
     world = make_world(population=300, with_ledgers=False)
-    with pytest.raises(ValueError):
-        world.place[DAY, 0] = 1
+    for frozen in (world.place[DAY], world.house_head, world.head_commutes):
+        with pytest.raises(ValueError):
+            frozen[0] = 1
     for row in (NIGHT, DAY, LOCKDOWN_DAY):
         recount = np.bincount(world.place[row], minlength=world.n_locations + 1)
         assert np.array_equal(world.occupancy[row], recount)
@@ -191,8 +229,7 @@ def test_places_are_fixed_and_counted():
 def test_synthesis_deterministic():
     a = make_world(population=300, seed=5, with_ledgers=False)
     b = make_world(population=300, seed=5, with_ledgers=False)
-    for field in ("age", "is_essential", "is_violator",
-                  "place", "house_head", "live_members"):
+    for field in ("age", "place", "house_head", "head_commutes", "live_members"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
@@ -202,64 +239,68 @@ def test_hospital_default_count():
     assert WorldConfig(population_size=25_001).hospital_count == 2
 
 
-def _agent(world, employed: bool) -> int:
-    """The lowest id of an employed agent, or of a student."""
-    return int(np.flatnonzero((world.age > EMPLOYMENT_AGE) == employed)[0])
+ROLES_SEED = 3
 
 
-def _force_agent(world, i, *, compartment=None, essential=None, violator=None):
-    if compartment is not None:
-        world.compartment[i] = compartment
-    if essential is not None:
-        world.is_essential[i] = essential
-    if violator is not None:
-        world.is_violator[i] = violator
+def _roles_world():
+    """A 200-agent world and who in it commutes under lockdown."""
+    world = make_world(population=200, seed=ROLES_SEED, with_ledgers=False)
+    return world, redrawn_commuters(world.config, ROLES_SEED)
+
+
+def _agent(world, employed: bool, essential: bool = False, violator: bool = False) -> int:
+    """The lowest id of an employed agent, or of a student, with the given
+    re-drawn roles."""
+    is_essential, is_violator = redrawn_roles(world.config, ROLES_SEED)
+    match = (world.age > EMPLOYMENT_AGE) == employed
+    match &= (is_essential == essential) & (is_violator == violator)
+    return int(np.flatnonzero(match)[0])
 
 
 def test_scheduled_location_work_phase_healthy():
-    world = make_world(population=10, with_ledgers=False)
+    world, commuters = _roles_world()
     i = _agent(world, employed=True)
-    _force_agent(world, i, essential=False, violator=False)
-    assert scheduled_location(world, i, tick=1, lockdown_active=False) == workplace(world)[i]
+    loc = scheduled_location(world, i, tick=1, lockdown_active=False, commuters=commuters)
+    assert loc == workplace(world)[i]
     assert location_kind(world, workplace(world)[i]) is LocationKind.OFFICE
 
 
 def test_scheduled_location_lockdown_keeps_home():
-    world = make_world(population=10, with_ledgers=False)
+    world, commuters = _roles_world()
     i = _agent(world, employed=True)
-    _force_agent(world, i, essential=False, violator=False)
-    assert scheduled_location(world, i, tick=1, lockdown_active=True) == house_id(world)[i]
+    loc = scheduled_location(world, i, tick=1, lockdown_active=True, commuters=commuters)
+    assert loc == house_id(world)[i]
 
 
 def test_student_violator_ignores_lockdown():
-    # hand trace on a 10-agent world: a violating student still commutes
-    world = make_world(population=10, with_ledgers=False)
-    i = _agent(world, employed=False)
-    _force_agent(world, i, essential=False, violator=True)
-    loc = scheduled_location(world, i, tick=1, lockdown_active=True)
+    # a violating student still commutes
+    world, commuters = _roles_world()
+    i = _agent(world, employed=False, violator=True)
+    loc = scheduled_location(world, i, tick=1, lockdown_active=True, commuters=commuters)
     assert loc == workplace(world)[i]
     assert location_kind(world, loc) is LocationKind.SCHOOL
 
 
 def test_essential_worker_commutes_under_lockdown():
-    world = make_world(population=10, with_ledgers=False)
-    i = _agent(world, employed=True)
-    _force_agent(world, i, essential=True, violator=False)
-    assert scheduled_location(world, i, tick=1, lockdown_active=True) == workplace(world)[i]
+    world, commuters = _roles_world()
+    i = _agent(world, employed=True, essential=True)
+    loc = scheduled_location(world, i, tick=1, lockdown_active=True, commuters=commuters)
+    assert loc == workplace(world)[i]
 
 
 def test_symptomatic_stays_home_in_work_phase():
-    world = make_world(population=10, with_ledgers=False)
+    world, commuters = _roles_world()
     i = _agent(world, employed=True)
-    _force_agent(world, i, compartment=Compartment.INFECTED_MILD)
-    assert scheduled_location(world, i, tick=1, lockdown_active=False) == house_id(world)[i]
+    world.compartment[i] = Compartment.INFECTED_MILD
+    loc = scheduled_location(world, i, tick=1, lockdown_active=False, commuters=commuters)
+    assert loc == house_id(world)[i]
 
 
 def test_hospitalized_in_hospital_any_phase():
-    world = make_world(population=10, with_ledgers=False)
-    _force_agent(world, 2, compartment=Compartment.HOSPITALIZED)
+    world, commuters = _roles_world()
+    world.compartment[2] = Compartment.HOSPITALIZED
     for tick in (0, 1):
-        loc = scheduled_location(world, 2, tick, lockdown_active=False)
+        loc = scheduled_location(world, 2, tick, lockdown_active=False, commuters=commuters)
         assert loc == hospital(world, 2)
         assert location_kind(world, loc) is LocationKind.HOSPITAL
 
@@ -295,11 +336,12 @@ def test_scalar_and_vector_movement_agree():
     move_to(world, [7, 11], Compartment.DECEASED)
     move_to(world, 12, Compartment.RECOVERED)
     well = world.compartment == Compartment.SUSCEPTIBLE
+    commuters = redrawn_commuters(world.config, 9)
     for tick in (0, 1):
         for lockdown in (False, True):
             vec = scheduled_locations(world, tick, lockdown)
             for i in range(world.population):
-                assert vec[i] == scheduled_location(world, i, tick, lockdown), (
+                assert vec[i] == scheduled_location(world, i, tick, lockdown, commuters), (
                     tick,
                     lockdown,
                     i,

@@ -4,7 +4,9 @@ The engine keeps tallies (`compartment_totals`, `live_members`,
 `occupancy`), the source mask, the susceptible list and the per-agent
 `transmissibility` current as it writes compartments and vaccines. Code that wrote
 `compartment` or the vaccine state anywhere else would leave them stale
-without a word, so this walks the package's source and finds every write
+without a word. `place`, `house_head` and `head_commutes` are built and
+frozen by synthesis, and the per-move and per-day steps read them as
+fixed. So this walks the package's source and finds every write
 to those attributes: an assignment, whole or subscripted, plain or
 augmented, numpy's in-place writes through a call (`out=`, `np.copyto`,
 a ufunc's `.at`, `.fill`, `.put`, `.sort`), also into a view made by a
@@ -29,6 +31,8 @@ WRITERS = {
     "occupancy": "epidemic._enter",
     "susceptible_ids": "epidemic._enter",
     "place": "world.synthesize_population",
+    "house_head": "world.synthesize_population",
+    "head_commutes": "world.synthesize_population",
     "vaccinated": "interventions.apply_vaccine_effects",
     "vax_susceptibility": "interventions.apply_vaccine_effects",
 }
