@@ -35,6 +35,7 @@ BURN_IN = 10
 EVAL_EVERY = 10
 EVAL_REPEATS = 5
 REPLICATES_PER_ACTION = 2
+ACTOR_LR = 5e-3
 CRITIC_LR = 1e-2
 # Extra critic regression steps per iteration. With only ~150 samples
 # total, a 1:1 critic/actor update ratio leaves the fitted value surface
@@ -47,7 +48,6 @@ HIDDEN = (64, 64)
 class DdpgHyperParams:
     seed: int = 0
     train_iterations: int = 150
-    actor_lr: float = 5e-3
 
     def __post_init__(self) -> None:
         # The first evaluation after the first learner step, which waits
@@ -73,8 +73,7 @@ def select_action(
 class ActorCritic:
     """Actor and critic networks plus their optimizer states."""
 
-    def __init__(self, actor: Mlp, critic: Mlp, hyper: DdpgHyperParams):
-        self.hyper = hyper
+    def __init__(self, actor: Mlp, critic: Mlp):
         self.actor = actor
         self.critic = critic
         self.actor_adam = Adam(actor)
@@ -85,7 +84,6 @@ class ActorCritic:
         cls,
         obs_dim: int,
         action_dim: int,
-        hyper: DdpgHyperParams,
         rng: np.random.Generator,
     ) -> "ActorCritic":
         h1, h2 = HIDDEN
@@ -97,7 +95,7 @@ class ActorCritic:
         critic = mlp_from_widths(
             (obs_dim + action_dim, h1, h2, 1), "relu", "identity", rng
         )
-        return cls(actor, critic, hyper)
+        return cls(actor, critic)
 
     def _critic_action_gradient(self, obs: np.ndarray, action: np.ndarray):
         """dQ/da at (obs, action), plus the Q values."""
@@ -139,7 +137,7 @@ class ActorCritic:
         actor_objective = float(np.mean(q_pi))
         # Ascend mean Q: descend its negative through the actor.
         actor_grads, _ = self.actor.backward(actor_cache, -dq_da / n)
-        self.actor_adam.update(self.actor, actor_grads, self.hyper.actor_lr)
+        self.actor_adam.update(self.actor, actor_grads, ACTOR_LR)
         return critic_loss, actor_objective
 
 
@@ -228,7 +226,7 @@ def train(task, hyper: DdpgHyperParams | None = None) -> TrainResult:
 
     obs = task.observation()
     action_dim = task.action_dim
-    agent = ActorCritic.initialize(obs.size, action_dim, hyper, init_rng)
+    agent = ActorCritic.initialize(obs.size, action_dim, init_rng)
     actions = np.zeros((hyper.train_iterations, action_dim))
     rewards = np.zeros(hyper.train_iterations)
     obs_batch = np.tile(obs, (BATCH_SIZE, 1))

@@ -5,7 +5,6 @@ Subcommands:
   train      optimize a schedule for one experiment/scenario, then compare
              it against all four baselines on matched seeds
   evaluate   score a saved actor checkpoint
-  gradcheck  finite-difference sweep over random networks
 
 Every run writes a resolved-config JSON sidecar next to its outputs so it
 can be reproduced exactly. EPIDEMICTRL_THREADS caps how many worker
@@ -18,7 +17,6 @@ import argparse
 import csv
 import html
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, fields, is_dataclass, replace
@@ -48,7 +46,7 @@ from .interventions import (
     VaccineSpec,
     empty_schedule,
 )
-from .neural import Mlp, finite_diff_check, load_mlp, mlp_from_widths, save_mlp
+from .neural import Mlp, load_mlp, save_mlp
 from .world import WorldConfig
 
 #: Dose availabilities in the experiment table are quoted at this scale and
@@ -294,17 +292,6 @@ def sanity_config(population: int = 2_000, episode_days: int = 100) -> Experimen
         kappa=0.2,
         lockdown_affects_economy=False,
     )
-
-
-def sanity_hyper(seed: int = 0) -> DdpgHyperParams:
-    """Learner settings for the check scenario.
-
-    Past roughly 60 lockdown days the reward surface is flat (the epidemic
-    dies out under containment at this scale), so the actor runs slightly
-    hotter than the default to reach output saturation before plateau
-    noise can stall it.
-    """
-    return DdpgHyperParams(seed=seed, actor_lr=7e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +542,6 @@ def write_series_plots(
 @dataclass
 class Comparison:
     results: list[tuple[str, int, EpisodeTrace]]  # (label, seed, trace)
-    rows: list[dict]
     summary: dict[str, dict[str, float]]
 
 
@@ -590,7 +576,7 @@ def compare(
         write_comparison_csv(rows, out_dir / "comparison.csv")
         write_summary_csv(summary, out_dir / "summary.csv")
         write_series_plots(results, out_dir)
-    return Comparison(results, rows, summary)
+    return Comparison(results, summary)
 
 
 @dataclass
@@ -601,7 +587,6 @@ class ExperimentReport:
     eval_sd: float
     log: TrainLog
     summary: dict[str, dict[str, float]]
-    rows: list[dict]
     actor: Mlp
 
 
@@ -612,7 +597,6 @@ def run_experiment(
     population: int | None = None,
     comparison_seeds: list[int] | None = None,
     out_dir: Path | None = None,
-    file_cfg: dict | None = None,
     config: ExperimentConfig | None = None,
 ) -> ExperimentReport:
     """Train a policy for one experiment/scenario and compare it with the
@@ -622,7 +606,7 @@ def run_experiment(
     if comparison_seeds is None:
         comparison_seeds = list(range(5))
     if config is None:
-        config = experiment_config(exp_id, scenario_id, population, file_cfg=file_cfg)
+        config = experiment_config(exp_id, scenario_id, population)
 
     result = train(EpidemicTask(config, seed_base=hyper.seed), hyper)
     final = result.best_eval
@@ -648,44 +632,8 @@ def run_experiment(
         eval_sd=final.sd,
         log=result.log,
         summary=run.summary,
-        rows=run.rows,
         actor=result.best_actor,
     )
-
-
-def gradcheck_sweep(
-    n_nets: int = 100, eps: float = 1e-5, seed: int = 0
-) -> float:
-    """Worst finite-difference relative error over random small networks.
-
-    Inputs are redrawn when a rectifier pre-activation sits within 1e-3 of
-    its kink, where a central difference stops being a valid derivative
-    estimate.
-    """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_nets):
-        depth = int(rng.integers(1, 3))
-        widths = tuple(int(w) for w in rng.integers(2, 12, size=depth + 2))
-        hidden = str(rng.choice(["relu", "tanh"]))
-        output = str(rng.choice(["tanh", "identity"]))
-        net = mlp_from_widths(widths, hidden, output, rng)
-        for _ in range(50):
-            x = rng.normal(size=widths[0])
-            if _kink_margin(net, x) > 1e-3:
-                break
-        worst = max(worst, finite_diff_check(net, x, eps))
-    return worst
-
-
-def _kink_margin(net: Mlp, x: np.ndarray) -> float:
-    """Smallest |pre-activation| over rectifier layers (inf if none)."""
-    _, (cache, _) = net.forward_cached(x)
-    margin = math.inf
-    for spec, (_, z) in zip(net.specs, cache):
-        if spec.activation == "relu":
-            margin = min(margin, float(np.abs(z).min()))
-    return margin
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +641,8 @@ def _kink_margin(net: Mlp, x: np.ndarray) -> float:
 
 
 def parse_seeds(text: str) -> list[int]:
-    """Accept '0..4', '3', or '0,2,5'; anything naming no seed is an error."""
+    """Accept '0..4', '3', or '0,2,5'; anything naming no seed, or a
+    negative one (SeedSequence takes none), is an error."""
     text = text.strip()
     try:
         if ".." in text:
@@ -703,9 +652,21 @@ def parse_seeds(text: str) -> list[int]:
             seeds = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         seeds = []
-    if not seeds:
-        raise ConfigError(f"bad seed list {text!r}; expected e.g. 0..4, 3 or 0,2,5")
+    if not seeds or min(seeds) < 0:
+        raise ConfigError(
+            f"bad seed list {text!r}; expected nonnegative seeds, e.g. 0..4, 3 or 0,2,5"
+        )
     return seeds
+
+
+def _make_out_dir(out: Path) -> Path:
+    """Create `--out` after every other input check and before the first
+    episode, so a path that cannot be a directory costs no run."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -745,26 +706,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--seed", type=int, default=0, help="evaluation seed base")
     p.add_argument("--out", type=Path, default=None)
-
-    p = sub.add_parser("gradcheck", help="finite-difference gradient sweep")
-    p.add_argument("--nets", type=int, default=100)
-    p.add_argument("--eps", type=float, default=1e-5)
-    p.add_argument("--seed", type=int, default=0)
     return parser
 
 
-def _load_file_cfg(args) -> dict | None:
-    return load_config_file(args.config) if args.config else None
+def _experiment_config(args) -> ExperimentConfig:
+    file_cfg = load_config_file(args.config) if args.config else None
+    return experiment_config(args.experiment, args.scenario, args.population, file_cfg=file_cfg)
 
 
 def _cmd_simulate(args) -> int:
     _worker_count(1)  # a bad EPIDEMICTRL_THREADS fails before any episode runs
     baseline = parse_baseline(args.baseline)
-    config = experiment_config(
-        args.experiment, args.scenario, args.population, file_cfg=_load_file_cfg(args)
-    )
+    config = _experiment_config(args)
     schedule = baseline_schedule(baseline, config.world.episode_days)
-    run = compare(config, {baseline.value: schedule}, parse_seeds(args.seeds), Path(args.out))
+    seeds = parse_seeds(args.seeds)
+    run = compare(config, {baseline.value: schedule}, seeds, _make_out_dir(args.out))
     print(f"baseline {baseline.value}: {format_schedule(schedule)}")
     for label, metrics in run.summary.items():
         print(
@@ -778,18 +734,21 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_train(args) -> int:
     _worker_count(1)  # a bad EPIDEMICTRL_THREADS fails before training starts
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     try:
         hyper = DdpgHyperParams(seed=args.seed, train_iterations=args.iterations)
     except ValueError as exc:
         raise ConfigError(f"invalid training settings: {exc}") from exc
+    seeds = parse_seeds(args.seeds)
+    config = _experiment_config(args)
     report = run_experiment(
         args.experiment,
         args.scenario,
         hyper=hyper,
-        population=args.population,
-        comparison_seeds=parse_seeds(args.seeds),
-        out_dir=Path(args.out),
-        file_cfg=_load_file_cfg(args),
+        comparison_seeds=seeds,
+        out_dir=_make_out_dir(args.out),
+        config=config,
     )
     print(
         f"experiment {args.experiment} scenario {args.scenario} "
@@ -806,6 +765,8 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     if args.repeats < 1:
         raise ConfigError(f"--repeats must be at least 1, got {args.repeats}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     try:
         actor, _ = load_mlp(args.checkpoint)
     except (OSError, ValueError) as exc:
@@ -816,16 +777,13 @@ def _cmd_evaluate(args) -> int:
             f"checkpoint maps {widths[0]} inputs to {widths[1]} outputs; "
             f"an actor maps {OBSERVATION_DIM} to {ACTION_DIM}"
         )
-    config = experiment_config(
-        args.experiment, args.scenario, args.population, file_cfg=_load_file_cfg(args)
-    )
+    config = _experiment_config(args)
+    out = None if args.out is None else _make_out_dir(args.out)
     task = EpidemicTask(config, seed_base=args.seed)
     result = evaluate(actor, task, args.repeats)
     print(f"schedule: {format_schedule(result.schedule)}")
     print(f"reward (scaled): {result.mean:.4f} +- {result.sd:.4f} over {args.repeats} repeats")
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         write_resolved_config(config, out)
         with open(out / "evaluation.json", "w") as fh:
             json.dump(
@@ -843,16 +801,6 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _cmd_gradcheck(args) -> int:
-    worst = gradcheck_sweep(args.nets, args.eps, args.seed)
-    print(f"worst relative gradient error over {args.nets} nets: {worst:.3e}")
-    if worst >= 1e-4:
-        print("FAIL: exceeds 1e-4")
-        return 1
-    print("OK")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -862,8 +810,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_train(args)
         if args.command == "evaluate":
             return _cmd_evaluate(args)
-        if args.command == "gradcheck":
-            return _cmd_gradcheck(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

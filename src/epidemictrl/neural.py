@@ -1,8 +1,8 @@
 """Small dense networks with hand-derived reverse-mode gradients.
 
 Arrays are float64 throughout and every gradient is written out by hand
-(no autograd framework); `finite_diff_check` validates the backward pass
-against central differences. Weights initialize uniformly in
+(no autograd framework); the tests check the backward pass against
+central differences. Weights initialize uniformly in
 +-1/sqrt(fan_in); an optional scale shrinks the output layer for policies
 that should start near zero.
 """
@@ -70,10 +70,6 @@ class Mlp:
     @property
     def input_dim(self) -> int:
         return self.specs[0].fan_in
-
-    @property
-    def output_dim(self) -> int:
-        return self.specs[-1].fan_out
 
     @property
     def parameter_count(self) -> int:
@@ -160,35 +156,6 @@ class Adam:
             v *= ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * g * g
             p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-
-
-def finite_diff_check(net: Mlp, x: np.ndarray, eps: float = 1e-5) -> float:
-    """Max relative error between backprop and central differences.
-
-    Checks d/dtheta of sum(f(x)) per scalar parameter. Denominators are
-    floored at 1e-6 so true-zero gradients compare cleanly.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    _, cache = net.forward_cached(x)
-    ones = np.ones(net.output_dim if np.ndim(x) == 1 else (len(x), net.output_dim))
-    grads, _ = net.backward(cache, ones)
-
-    worst = 0.0
-    for p, g in zip(net.parameters(), grads):
-        flat = p.reshape(-1)
-        gflat = g.reshape(-1)
-        for idx in range(flat.size):
-            original = flat[idx]
-            flat[idx] = original + eps
-            up = float(np.sum(net.forward(x)))
-            flat[idx] = original - eps
-            down = float(np.sum(net.forward(x)))
-            flat[idx] = original
-            numeric = (up - down) / (2.0 * eps)
-            denom = max(abs(numeric), abs(gflat[idx]), 1e-6)
-            worst = max(worst, abs(numeric - gflat[idx]) / denom)
-    return worst
 
 
 def save_mlp(

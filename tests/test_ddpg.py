@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -35,7 +36,9 @@ def eval_means(log) -> list[float]:
 
 def test_hyperparameter_defaults_match_protocol():
     h = DdpgHyperParams()
+    assert [f.name for f in fields(h)] == ["seed", "train_iterations"]
     assert h.seed == 0
+    assert ddpg.ACTOR_LR == 5e-3
     assert ddpg.EXPL_NOISE == 0.1
     assert ddpg.BATCH_SIZE == 32
     assert h.train_iterations == 150
@@ -88,7 +91,7 @@ def test_train_step_target_is_reward_when_done():
     # every episode is terminal, so the critic regresses Q(s, a) on r itself:
     # both steps report mean((Q(s, a) - r)^2) of the critic before the step
     g = rng(16)
-    agent = ActorCritic.initialize(6, 8, _hyper(), g)
+    agent = ActorCritic.initialize(6, 8, g)
     stored = (g.normal(size=(40, 6)), g.uniform(-1, 1, (40, 8)), g.normal(size=40))
     sample_rng = rng(17)
     for step in (agent.critic_step, lambda b: agent.train_step(b)[0]):
@@ -102,8 +105,7 @@ def test_train_step_target_is_reward_when_done():
 def test_critic_regresses_to_constant_reward():
     # constant -5 rewards: critic output reaches -5 +- 0.1 within 2000 steps
     g = rng(18)
-    hyper = _hyper()
-    agent = ActorCritic.initialize(6, 8, hyper, g)
+    agent = ActorCritic.initialize(6, 8, g)
     obs = np.full(6, 0.5)
     actions = g.uniform(-1, 1, (100, 8))
     obs_batch, rewards = np.tile(obs, (32, 1)), np.full(32, -5.0)
@@ -118,8 +120,7 @@ def test_critic_regresses_to_constant_reward():
 def test_actor_climbs_frozen_analytic_critic(monkeypatch):
     # dQ/da = -2 (a0 - 0.5) e0 frozen: actor's first component -> 0.5
     g = rng(20)
-    hyper = _hyper(actor_lr=1e-3)
-    agent = ActorCritic.initialize(6, 8, hyper, g)
+    agent = ActorCritic.initialize(6, 8, g)
     obs = np.full((32, 6), 0.5)
 
     def fake_gradient(obs_batch, actions):
@@ -133,15 +134,14 @@ def test_actor_climbs_frozen_analytic_critic(monkeypatch):
         pi, cache = agent.actor.forward_cached(obs)
         dq_da, _ = agent._critic_action_gradient(obs, pi)
         grads, _ = agent.actor.backward(cache, -dq_da / 32)
-        agent.actor_adam.update(agent.actor, grads, hyper.actor_lr)
+        agent.actor_adam.update(agent.actor, grads, 1e-3)
     a0 = agent.actor.forward(obs[0])[0]
     assert a0 == pytest.approx(0.5, abs=0.05)
 
 
 def test_critic_loss_nonincreasing_on_frozen_buffer():
     g = rng(23)
-    hyper = _hyper()
-    agent = ActorCritic.initialize(6, 8, hyper, g)
+    agent = ActorCritic.initialize(6, 8, g)
     obs = np.full(6, 0.5)
     actions = g.uniform(-1, 1, (150, 8))
     rewards = -((actions[:, 0] - 0.4) ** 2)

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from epidemictrl import harness
-from epidemictrl.ddpg import DdpgHyperParams
+from epidemictrl.ddpg import DdpgHyperParams, train
 from epidemictrl.economy import EconomyConfig
-from epidemictrl.env import EpisodeTrace, ExperimentConfig, run_episode
+from epidemictrl.env import EpidemicTask, EpisodeTrace, ExperimentConfig, run_episode
 from epidemictrl.epidemic import AgeBandRates, DEFAULT_AGE_BANDS, DiseaseParams
 from epidemictrl.harness import (
     TRACE_HEADER,
@@ -441,6 +441,15 @@ def test_sanity_config_shape():
     assert all(s.effectiveness == 1.0 for s in config.vaccination.specs)
 
 
+def test_sanity_scenario_learns_a_lockdown_from_day_one():
+    # A free lockdown and a scarce perfect vaccine: the learner should lock
+    # down from the start for most of the episode (about 10 s).
+    result = train(EpidemicTask(sanity_config(), seed_base=0), DdpgHyperParams(seed=0))
+    start, end = result.best_eval.schedule.lockdown
+    assert start <= 1.0
+    assert end - start >= 60.0
+
+
 def _nol_nov(config) -> dict:
     return {"NoL_NoV": baseline_schedule(BaselineId.NOL_NOV, config.world.episode_days)}
 
@@ -486,12 +495,6 @@ def test_cli_simulate_smoke(tmp_path, capsys):
     assert code == 0
     assert (out / "summary.csv").exists()
     assert "NoL_NoV" in capsys.readouterr().out
-
-
-def test_cli_gradcheck_smoke(capsys):
-    code = main(["gradcheck", "--nets", "10"])
-    assert code == 0
-    assert "OK" in capsys.readouterr().out
 
 
 def test_cli_rejects_unknown_baseline(tmp_path):
@@ -546,6 +549,27 @@ ACTOR_WIDTHS = (6, 4, 8)
         (["train", "--iterations", "20"], None, None, "at least 40"),
         (["train", "--iterations", "35"], None, None, "at least 40"),
         (["simulate", "--baseline", "NoL_NoV", "--seeds", "x"], None, None, "bad seed list"),
+        (
+            ["simulate", "--baseline", "NoL_NoV", "--seeds", "-3"],
+            None,
+            None,
+            "expected nonnegative seeds",
+        ),
+        (["train", "--seed", "-1"], None, None, "--seed must be nonnegative, got -1"),
+        (["train", "--seeds=-2"], None, None, "expected nonnegative seeds"),
+        (["evaluate", "--seed", "-1"], None, ACTOR_WIDTHS, "--seed must be nonnegative, got -1"),
+        (
+            ["simulate", "--baseline", "NoL_NoV", "--population", "100", "--out", "{tmp}/afile/x"],
+            None,
+            None,
+            "cannot create output directory",
+        ),
+        (
+            ["train", "--population", "100", "--out", "{tmp}/afile/x"],
+            None,
+            None,
+            "cannot create output directory",
+        ),
         (["evaluate"], None, b"", "cannot load checkpoint"),
         (["evaluate", "--repeats", "0"], None, ACTOR_WIDTHS, "--repeats must be at least 1"),
         (["evaluate"], None, (5, 4, 8), "checkpoint maps 5 inputs to 8 outputs"),
@@ -583,6 +607,12 @@ ACTOR_WIDTHS = (6, 4, 8)
         "iterations-20-below-batch",
         "iterations-35-before-first-evaluation-after-a-step",
         "seeds-x",
+        "simulate-seeds-negative",
+        "train-seed-negative",
+        "train-seeds-negative",
+        "evaluate-seed-negative",
+        "simulate-out-under-a-file",
+        "train-out-under-a-file",
         "empty-checkpoint",
         "repeats-0",
         "checkpoint-input-5",
@@ -594,7 +624,9 @@ ACTOR_WIDTHS = (6, 4, 8)
     ],
 )
 def test_cli_bad_input_is_one_error_line(tmp_path, capsys, argv, config, checkpoint, message):
-    argv = [*argv, "--out", str(tmp_path / "out")]
+    # A case's own `--out` comes later and wins; `afile` is a regular file.
+    (tmp_path / "afile").touch()
+    argv = [argv[0], "--out", str(tmp_path / "out"), *(a.format(tmp=tmp_path) for a in argv[1:])]
     if config is not None:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))

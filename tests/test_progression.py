@@ -316,7 +316,7 @@ def test_realized_dwell_matches_sampled_dwell(monkeypatch):
         assert done.size > 20, comp.name
         realized = exit_[comp, done] - entry[comp, done]
         if comp == Compartment.EXPOSED:
-            # The incubation off-by-one (ROADMAP.md item 2): the exposure
+            # The incubation off-by-one (ROADMAP.md item 1): the exposure
             # tick's own progression step counts toward the stay, so every
             # exposure leaves Exposed one tick before its sampled dwell.
             # Seeding counts here as an exposure at tick 0, made before that
