@@ -49,9 +49,6 @@ class ExperimentConfig:
     vaccination: VaccinationPolicyConfig = field(default_factory=VaccinationPolicyConfig)
     initial_infection_fraction: float = 0.15
     kappa: float = 1.0
-    # The sanity scenario turns this off: movement still obeys the lockdown
-    # but household income keeps flowing.
-    lockdown_affects_economy: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.initial_infection_fraction <= 1.0:
@@ -139,7 +136,7 @@ def run_episode(
             exposure_step(world, config.disease, streams.disease)
             progression_step(world, config.disease, streams.disease)
             world.tick += 1
-        economy_day_step(world, locked and config.lockdown_affects_economy)
+        economy_day_step(world, locked)
         doses[day + 1] = vaccination_day_step(
             world, schedule, config.vaccination, day, streams.vaccination
         )

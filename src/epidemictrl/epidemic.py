@@ -99,6 +99,16 @@ class AgeBandRates:
     severe_prob: float
     sigma: float
 
+    def __post_init__(self) -> None:
+        if self.beta_multiplier < 0:
+            raise ValueError(f"beta_multiplier must be nonnegative, got {self.beta_multiplier}")
+        if not 0.0 <= self.symptomatic_prob <= 1.0:
+            raise ValueError(f"symptomatic_prob must lie in [0, 1], got {self.symptomatic_prob}")
+        if not 0.0 < self.severe_prob <= 1.0:
+            raise ValueError(f"severe_prob must lie in (0, 1], got {self.severe_prob}")
+        if self.sigma < 0:
+            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+
     @property
     def asymptomatic_prob(self) -> float:
         return 1.0 - self.symptomatic_prob

@@ -22,12 +22,12 @@ import sys
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 from pathlib import Path
-from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .ddpg import DdpgHyperParams, TrainLog, evaluate, train
+from .economy import EconomyConfig
 from .env import (
     ACTION_DIM,
     OBSERVATION_DIM,
@@ -182,10 +182,6 @@ def _read(tp, value, base, key: str):
         return tuple(
             _read(t, v, None, f"{key}[{i}]") for i, (t, v) in enumerate(zip(types, value))
         )
-    if isinstance(tp, UnionType):  # an optional field, `T | None`
-        if value is None:
-            return None
-        (tp,) = (t for t in args if t is not type(None))
     if tp is float and type(value) in (int, float):
         return float(value)
     if type(value) is tp:  # exact, so a bool is not an int
@@ -198,9 +194,12 @@ def _wrong_type(key: str, expected: str, value) -> ConfigError:
 
 
 def load_config_file(path) -> dict:
+    def non_finite(name: str):
+        raise ConfigError(f"config {path} holds {name}; every number must be finite")
+
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_constant=non_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -276,12 +275,14 @@ def sanity_config(population: int = 2_000, episode_days: int = 100) -> Experimen
     perfect vaccine trickles out slowly, so a near-permanent lockdown
     dominates every other schedule.
 
-    The health-priority reward mix (kappa 0.2) keeps the economy's noise
-    from drowning the health contrast, and the scarce perfect vaccine
-    cannot substitute for the lockdown.
+    Nobody spends and the poverty line is 0, so savings never fall, nobody
+    is ever below the line and the economy reward is 0 under any schedule.
+    The reward is health alone, and the scarce perfect vaccine cannot
+    substitute for the lockdown.
     """
     return ExperimentConfig(
         world=WorldConfig(population_size=population, episode_days=episode_days),
+        economy=EconomyConfig(expense_per_person=0.0, poverty_line=0.0),
         vaccination=VaccinationPolicyConfig(
             specs=(
                 VaccineSpec(1.0, scaled_doses(100, population)),
@@ -290,7 +291,6 @@ def sanity_config(population: int = 2_000, episode_days: int = 100) -> Experimen
         ),
         initial_infection_fraction=0.05,
         kappa=0.2,
-        lockdown_affects_economy=False,
     )
 
 

@@ -6,8 +6,8 @@ State is kept in flat numpy arrays (one slot per agent) so that a
 A day is two 12-hour ticks: even ticks are the home phase, odd ticks the
 work/school phase. Agents over 30 are employed and commute to offices,
 everyone else is a student and commutes to school. Symptomatic agents stay
-home, hospitalized agents stay in a hospital, and during a lockdown only
-essential workers and lockdown violators commute.
+home, hospitalized agents are isolated and sit in no shared place, and
+during a lockdown only essential workers and lockdown violators commute.
 
 A well agent's place depends only on the phase and the lockdown, so the
 places are built once, one row per case, and movement only selects a row.
@@ -24,7 +24,6 @@ from .epidemic import _SUSCEPTIBLE, NOT_DUE, Compartment, DiseaseParams
 from .rng import RngStreams
 
 EMPLOYMENT_AGE = 30  # strictly older than this means employed
-PEOPLE_PER_HOSPITAL = 25_000
 
 # The rows of `WorldState.place`.
 NIGHT, DAY, LOCKDOWN_DAY = 0, 1, 2
@@ -36,7 +35,6 @@ class WorldConfig:
     household_size: int = 4
     office_capacity: int = 50
     school_capacity: int = 200
-    hospitals: int | None = None  # defaults to ceil(population / 25,000)
     essential_worker_fraction: float = 0.20
     violator_fraction: float = 0.10
     episode_days: int = 100
@@ -48,20 +46,12 @@ class WorldConfig:
             raise ValueError("household_size must be at least 1")
         if self.office_capacity < 1 or self.school_capacity < 1:
             raise ValueError("office and school capacities must be at least 1")
-        if self.hospitals is not None and self.hospitals < 1:
-            raise ValueError("hospitals must be at least 1")
         for name in ("essential_worker_fraction", "violator_fraction"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
         if self.episode_days < 1:
             raise ValueError("episode_days must be at least 1")
-
-    @property
-    def hospital_count(self) -> int:
-        if self.hospitals is not None:
-            return self.hospitals
-        return max(1, math.ceil(self.population_size / PEOPLE_PER_HOSPITAL))
 
 
 @dataclass
@@ -77,14 +67,12 @@ class WorldState:
     and `head_commutes`, whether that head works under lockdown: exactly
     when its lockdown row of `place` differs from its night row.
     The sick override it: InfectedMild and InfectedSevere agents sit at
-    home on every row, Hospitalized ones in a hospital, and the deceased
-    nowhere.
+    home on every row, and the Hospitalized (isolated) and the deceased
+    sit nowhere.
 
     `occupancy` (3, n_locations + 1) counts, per row, the agents sitting
-    in each house, office and school, the sick overrides included. No
-    susceptible and no source ever sits in a hospital, so exposure never
-    reads a hospital's count and none is kept: hospital slots and slot 0
-    stay 0. `is_source` marks the infectious agents, Asymptomatic to
+    in each house, office and school, the sick overrides included; slot 0
+    stays 0. `is_source` marks the infectious agents, Asymptomatic to
     InfectedSevere. `due_tick` (int32) holds, for each agent in a timed
     compartment, the absolute tick whose progression step moves it on; it
     is -1 for every other agent. `susceptible_ids` is None until fewer
@@ -119,7 +107,6 @@ class WorldState:
     n_houses: int
     n_offices: int
     n_schools: int
-    n_hospitals: int
 
     # agents per compartment, living members per house, agents per slot
     # and row, and the infectious
@@ -155,7 +142,7 @@ class WorldState:
 
     @property
     def n_locations(self) -> int:
-        return self.n_houses + self.n_offices + self.n_schools + self.n_hospitals
+        return self.n_houses + self.n_offices + self.n_schools
 
     def compartment_counts(self) -> np.ndarray:
         return self.compartment_totals.copy()
@@ -204,8 +191,7 @@ def synthesize_population(config: WorldConfig, streams: RngStreams) -> WorldStat
     stu_ids = np.flatnonzero(~employed)
     n_offices = math.ceil(emp_ids.size / config.office_capacity) if emp_ids.size else 0
     n_schools = math.ceil(stu_ids.size / config.school_capacity) if stu_ids.size else 0
-    n_hospitals = config.hospital_count
-    n_slots = n_houses + n_offices + n_schools + n_hospitals + 1
+    n_slots = n_houses + n_offices + n_schools + 1
 
     # Location + 1 per row; offices follow the houses, then the schools.
     office_slot = n_houses + 1
@@ -241,7 +227,6 @@ def synthesize_population(config: WorldConfig, streams: RngStreams) -> WorldStat
         n_houses=n_houses,
         n_offices=n_offices,
         n_schools=n_schools,
-        n_hospitals=n_hospitals,
         compartment_totals=totals,
         live_members=live_members,
         occupancy=np.stack([np.bincount(places, minlength=n_slots) for places in place]),

@@ -90,10 +90,11 @@ def redrawn_commuters(config: WorldConfig, seed: int) -> np.ndarray:
 
 
 def scheduled_locations(world: WorldState, tick: int, lockdown_active: bool) -> np.ndarray:
-    """Location per agent by the movement rules, -1 for the deceased: the
-    oracle for the engine's kept occupancy. Who commutes under lockdown is
-    read from the world's lockdown row of `place`, which
-    `tests/test_world.py` pins against `redrawn_commuters`."""
+    """Location per agent by the movement rules, -1 for the isolated
+    Hospitalized and the deceased: the oracle for the engine's kept
+    occupancy. Who commutes under lockdown is read from the world's
+    lockdown row of `place`, which `tests/test_world.py` pins against
+    `redrawn_commuters`."""
     comp = world.compartment
     home = house_id(world)
     if tick % 2 == 1:  # work/school phase
@@ -103,22 +104,18 @@ def scheduled_locations(world: WorldState, tick: int, lockdown_active: bool) -> 
         loc = np.where(commutes, world.place[1] - 1, home)
     else:
         loc = home
-    first_hospital = world.n_locations - world.n_hospitals
-    hospital = first_hospital + np.arange(world.population) % world.n_hospitals
-    np.copyto(loc, hospital, where=comp == Compartment.HOSPITALIZED)
-    loc[comp == Compartment.DECEASED] = -1
+    loc[(comp == Compartment.HOSPITALIZED) | (comp == Compartment.DECEASED)] = -1
     return loc
 
 
 def occupant_counts(world: WorldState, tick: int, lockdown_active: bool) -> np.ndarray:
     """Agents per slot (location + 1) by `scheduled_locations`, as the
-    engine keeps them in a row of `occupancy`: hospitals and slot 0 (the
-    deceased) are not counted."""
+    engine keeps them in a row of `occupancy`: slot 0 (the Hospitalized
+    and the deceased) is not counted."""
     counts = np.bincount(
         scheduled_locations(world, tick, lockdown_active) + 1, minlength=world.n_locations + 1
     )
     counts[0] = 0
-    counts[world.n_locations + 1 - world.n_hospitals :] = 0
     return counts
 
 

@@ -238,7 +238,6 @@ FULL_CONFIG = {
         "household_size": 3,
         "office_capacity": 20,
         "school_capacity": 60,
-        "hospitals": 2,
         "essential_worker_fraction": 0.3,
         "violator_fraction": 0.05,
         "episode_days": 12,
@@ -267,7 +266,6 @@ FULL_CONFIG = {
     },
     "initial_infection_fraction": 0.2,
     "kappa": 0.5,
-    "lockdown_affects_economy": False,
 }
 
 
@@ -373,9 +371,6 @@ def test_to_dict_emits_every_field_of_every_config_dataclass():
 
 def test_from_dict_types_are_strict():
     assert from_dict(EconomyConfig, {"poverty_line": 90}, EconomyConfig()).poverty_line == 90.0
-    assert from_dict(WorldConfig, {"hospitals": None}, WorldConfig(hospitals=3)).hospitals is None
-    with pytest.raises(ConfigError, match="hospitals: expected int, got str"):
-        from_dict(WorldConfig, {"hospitals": "2"}, WorldConfig())
     cases = {
         r"unknown disease.stage_durations keys: \['bogus'\]": {
             "disease": {"stage_durations": {"bogus": [1.0, 1.0]}}
@@ -437,8 +432,11 @@ def test_config_rejects_invalid_json(tmp_path):
 def test_sanity_config_shape():
     config = sanity_config()
     assert config.world.population_size == 2_000
-    assert not config.lockdown_affects_economy
     assert all(s.effectiveness == 1.0 for s in config.vaccination.specs)
+    # the lockdown costs nothing: nobody falls below the line, locked or not
+    for baseline in (BaselineId.FULLL_FULLV, BaselineId.NOL_NOV):
+        trace = run_episode(config, baseline_schedule(baseline), seed=0)
+        assert not trace.below_poverty.any(), baseline
 
 
 def test_sanity_scenario_learns_a_lockdown_from_day_one():
@@ -524,6 +522,12 @@ def test_threads_env_fans_out(tmp_path, monkeypatch):
 ACTOR_WIDTHS = (6, 4, 8)
 
 
+def _first_band(**changes) -> dict:
+    """A config giving the default age bands, the first with `changes`."""
+    first, *rest = to_dict(DEFAULT_AGE_BANDS)
+    return {"disease": {"age_bands": [{**first, **changes}, *rest]}}
+
+
 @pytest.mark.parametrize(
     "argv, config, checkpoint, message",
     [
@@ -598,6 +602,48 @@ ACTOR_WIDTHS = (6, 4, 8)
             None,
             "world: population_size must be at least 1",
         ),
+        (
+            ["simulate", "--baseline", "NoL_NoV"],
+            {"world": {"hospitals": 2}},
+            None,
+            "unknown world keys: ['hospitals']",
+        ),
+        (
+            ["simulate", "--baseline", "NoL_NoV"],
+            {"lockdown_affects_economy": False},
+            None,
+            "unknown config keys: ['lockdown_affects_economy']",
+        ),
+        (
+            ["simulate", "--baseline", "NoL_NoV"],
+            _first_band(severe_prob=0),
+            None,
+            "disease.age_bands[0]: severe_prob must lie in (0, 1], got 0.0",
+        ),
+        (
+            ["simulate", "--baseline", "NoL_NoV"],
+            _first_band(symptomatic_prob=1.7),
+            None,
+            "disease.age_bands[0]: symptomatic_prob must lie in [0, 1], got 1.7",
+        ),
+        (
+            ["simulate", "--baseline", "NoL_NoV"],
+            _first_band(beta_multiplier=-2),
+            None,
+            "disease.age_bands[0]: beta_multiplier must be nonnegative, got -2.0",
+        ),
+        (
+            ["simulate", "--baseline", "NoL_NoV"],
+            _first_band(sigma=-0.1),
+            None,
+            "disease.age_bands[0]: sigma must be nonnegative, got -0.1",
+        ),
+        (
+            ["simulate", "--baseline", "NoL_NoV"],
+            {"kappa": float("nan")},
+            None,
+            "holds NaN; every number must be finite",
+        ),
     ],
     ids=[
         "population-0",
@@ -621,6 +667,13 @@ ACTOR_WIDTHS = (6, 4, 8)
         "episode-days-bool",
         "population-negative",
         "config-population-0-under-flag",
+        "world-hospitals-unknown",
+        "lockdown-affects-economy-unknown",
+        "band-severe-prob-0",
+        "band-symptomatic-prob-above-1",
+        "band-beta-multiplier-negative",
+        "band-sigma-negative",
+        "kappa-nan",
     ],
 )
 def test_cli_bad_input_is_one_error_line(tmp_path, capsys, argv, config, checkpoint, message):

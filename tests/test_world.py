@@ -36,17 +36,16 @@ from conftest import (
 
 
 class LocationKind(IntEnum):
-    """Location ids run through houses, then offices, schools and hospitals."""
+    """Location ids run through houses, then offices and schools."""
 
     HOUSE = 0
     OFFICE = 1
     SCHOOL = 2
-    HOSPITAL = 3
 
 
 def kind_base(world: WorldState, kind: LocationKind) -> int:
     """First location id of `kind`."""
-    sizes = (world.n_houses, world.n_offices, world.n_schools, world.n_hospitals)
+    sizes = (world.n_houses, world.n_offices, world.n_schools)
     return sum(sizes[:kind])
 
 
@@ -66,27 +65,21 @@ def workplace(world: WorldState) -> np.ndarray:
     return world.place[DAY] - 1
 
 
-def hospital(world: WorldState, i: int) -> int:
-    """The hospital agent `i` goes to: hospitals take agents in turn."""
-    return world.n_locations - world.n_hospitals + i % world.n_hospitals
-
-
 SYMPTOMATIC_COMPARTMENTS = (Compartment.INFECTED_MILD, Compartment.INFECTED_SEVERE)
 
 
 def scheduled_location(
     world: WorldState, i: int, tick: int, lockdown_active: bool, commuters: np.ndarray
 ) -> int:
-    """Where agent `i` belongs at `tick`, rule by rule; -1 for the deceased.
+    """Where agent `i` belongs at `tick`, rule by rule; -1 for the isolated
+    Hospitalized and the deceased.
     `commuters` marks who commutes under lockdown (`redrawn_commuters`).
 
     Scalar reference for the vectorized `scheduled_locations`.
     """
     comp = world.compartment[i]
-    if comp == Compartment.DECEASED:
+    if comp in (Compartment.HOSPITALIZED, Compartment.DECEASED):
         return -1
-    if comp == Compartment.HOSPITALIZED:
-        return hospital(world, i)
     if tick % 2 == 0:  # home phase
         return house_id(world)[i]
     if comp in SYMPTOMATIC_COMPARTMENTS:
@@ -233,12 +226,6 @@ def test_synthesis_deterministic():
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
-def test_hospital_default_count():
-    assert WorldConfig(population_size=100_000).hospital_count == 4
-    assert WorldConfig(population_size=1_000).hospital_count == 1
-    assert WorldConfig(population_size=25_001).hospital_count == 2
-
-
 ROLES_SEED = 3
 
 
@@ -296,13 +283,14 @@ def test_symptomatic_stays_home_in_work_phase():
     assert loc == house_id(world)[i]
 
 
-def test_hospitalized_in_hospital_any_phase():
+def test_hospitalized_sit_nowhere_any_phase():
     world, commuters = _roles_world()
     world.compartment[2] = Compartment.HOSPITALIZED
     for tick in (0, 1):
-        loc = scheduled_location(world, 2, tick, lockdown_active=False, commuters=commuters)
-        assert loc == hospital(world, 2)
-        assert location_kind(world, loc) is LocationKind.HOSPITAL
+        for lockdown in (False, True):
+            loc = scheduled_location(world, 2, tick, lockdown, commuters=commuters)
+            assert loc == -1
+            assert scheduled_locations(world, tick, lockdown)[2] == -1
 
 
 def test_home_phase_everyone_home():
@@ -325,13 +313,14 @@ def test_partition_invariant_across_states():
         # all but the deceased and the hospitalized, who sit in no house,
         # office or school
         assert occupancy.sum() == 58
-        assert occupancy[0] == occupancy[hospital(world, 1) + 1] == 0
+        assert occupancy[0] == 0
+        assert occupancy.size == world.n_houses + world.n_offices + world.n_schools + 1
 
 
 def test_scalar_and_vector_movement_agree():
-    world = make_world(population=150, seed=9, hospitals=3, with_ledgers=False)
+    world = make_world(population=150, seed=9, with_ledgers=False)
     move_to(world, 4, Compartment.INFECTED_MILD)
-    move_to(world, [5, 9, 10], Compartment.HOSPITALIZED)  # in hospitals 2, 0 and 1
+    move_to(world, [5, 9, 10], Compartment.HOSPITALIZED)
     move_to(world, 6, Compartment.PRE_SYMPTOMATIC)
     move_to(world, [7, 11], Compartment.DECEASED)
     move_to(world, 12, Compartment.RECOVERED)
