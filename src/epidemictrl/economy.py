@@ -50,16 +50,9 @@ def init_house_ledgers(
     income = np.maximum(rng.normal(config.income_mean, config.income_sd, h), 0.0)
     world.savings_cents = np.rint(savings * CENTS).astype(np.int64)
     world.income_cents = np.rint(income * CENTS).astype(np.int64)
-    world.economy_config = config
 
 
-def _require_ledgers(world: WorldState) -> EconomyConfig:
-    if world.savings_cents is None or world.economy_config is None:
-        raise RuntimeError("house ledgers not initialized; call init_house_ledgers")
-    return world.economy_config
-
-
-def economy_day_step(world: WorldState, lockdown_active: bool) -> None:
+def economy_day_step(world: WorldState, config: EconomyConfig, lockdown_active: bool) -> None:
     """Post one day of income and expenses to every house.
 
     The head earns iff alive, not symptomatic or hospitalized, and either
@@ -69,7 +62,6 @@ def economy_day_step(world: WorldState, lockdown_active: bool) -> None:
     Each posting goes through a per-house scratch buffer, so a day
     allocates no house-sized ledger array.
     """
-    config = _require_ledgers(world)
     head_comp = world.compartment.take(world.house_head)
 
     # Too sick to earn: InfectedMild to Hospitalized, or Deceased.
@@ -83,8 +75,7 @@ def economy_day_step(world: WorldState, lockdown_active: bool) -> None:
     world.savings_cents -= np.multiply(world.live_members, expense_cents, out=posting)
 
 
-def below_poverty_count(world: WorldState) -> int:
+def below_poverty_count(world: WorldState, config: EconomyConfig) -> int:
     """Living agents in houses whose savings sit strictly below the line."""
-    config = _require_ledgers(world)
     line_cents = int(round(config.poverty_line * CENTS))
     return int(np.dot(world.live_members, world.savings_cents < line_cents))

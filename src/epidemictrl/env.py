@@ -16,10 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .economy import EconomyConfig, below_poverty_count, economy_day_step, init_house_ledgers
+from .economy import (
+    CENTS,
+    EconomyConfig,
+    below_poverty_count,
+    economy_day_step,
+    init_house_ledgers,
+)
 from .epidemic import (
     Compartment,
     DiseaseParams,
+    agent_transmissibility,
     exposure_step,
     progression_step,
     seed_initial_infections,
@@ -55,6 +62,19 @@ class ExperimentConfig:
             raise ValueError("initial_infection_fraction must lie in [0, 1]")
         if self.kappa < 0:
             raise ValueError("kappa must be nonnegative")
+        # The int64 cents ledgers hold any balance the episode can reach:
+        # savings 10 sd above the mean, moved every day by the most a day
+        # can earn or spend.
+        econ, days = self.economy, self.world.episode_days
+        members = min(self.world.household_size, self.world.population_size)
+        daily = econ.income_mean + 10 * econ.income_sd + members * econ.expense_per_person
+        reach = econ.savings_mean + 10 * econ.savings_sd + days * daily
+        if max(reach, econ.poverty_line) * CENTS >= 2**62:
+            raise ValueError(
+                f"economy amounts could overflow the int64 cents ledgers within {days} days: "
+                f"a reachable balance of {reach:.3g} and the poverty line {econ.poverty_line:.3g} "
+                f"must stay under {2**62 / CENTS:.3g}"
+            )
 
 
 @dataclass
@@ -118,6 +138,7 @@ def run_episode(
 
     streams = RngStreams.from_seed(seed)
     world = synthesize_population(config.world, streams)
+    world.transmissibility = agent_transmissibility(world, config.disease)
     init_house_ledgers(world, config.economy, streams.economy)
     seed_initial_infections(
         world, config.disease, config.initial_infection_fraction, streams.disease
@@ -127,7 +148,7 @@ def run_episode(
     below_poverty = np.zeros(days + 1, dtype=np.int64)
     doses = np.zeros(days + 1, dtype=np.int64)
     compartments[0] = world.compartment_counts()
-    below_poverty[0] = below_poverty_count(world)
+    below_poverty[0] = below_poverty_count(world, config.economy)
 
     for day in range(days):
         locked = lockdown_active(schedule, day)
@@ -136,12 +157,12 @@ def run_episode(
             exposure_step(world, config.disease, streams.disease)
             progression_step(world, config.disease, streams.disease)
             world.tick += 1
-        economy_day_step(world, locked)
+        economy_day_step(world, config.economy, locked)
         doses[day + 1] = vaccination_day_step(
             world, schedule, config.vaccination, day, streams.vaccination
         )
         compartments[day + 1] = world.compartment_counts()
-        below_poverty[day + 1] = below_poverty_count(world)
+        below_poverty[day + 1] = below_poverty_count(world, config.economy)
 
     return EpisodeTrace(
         population=world.population,

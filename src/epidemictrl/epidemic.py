@@ -76,6 +76,10 @@ _DECEASED = int(Compartment.DECEASED)
 #: `WorldState.due_tick` of an agent outside the timed compartments.
 NOT_DUE = -1
 
+#: A stage's mean and sd stay below this many ticks, so that a due tick,
+#: the start tick plus a dwell, fits the int32 `due_tick`.
+MAX_DWELL_TICKS = 2**30
+
 # The rows of `place` that give a mildly ill agent's seats by day: the two
 # day rows, then the night row (the house) once for each.
 _DAY_THEN_HOME = np.array([1, 2, 0, 0])
@@ -178,10 +182,10 @@ class DiseaseParams:
 
     The per-band lookup tables, the per-age branch tables (one entry per
     age 0-99) and the log-normal parameters are derived once, at
-    construction, so they always match the fields. The engine keeps
-    values derived from a params object for as long as it sees that
-    object, so nothing in it can change: `stage_durations` is read-only
-    and the tables are not writeable.
+    construction, so they always match the fields. An episode keeps
+    values derived from its params object (each agent's transmissibility
+    among them) to its end, so nothing in it can change:
+    `stage_durations` is read-only and the tables are not writeable.
     """
 
     beta_base: float = 0.5
@@ -198,12 +202,26 @@ class DiseaseParams:
         untimed = sorted(c.name for c in set(self.stage_durations) - set(TIMED_COMPARTMENTS))
         if untimed:
             raise ValueError(f"stage durations given for untimed {untimed}")
+        mu_sigma = {}
         for comp in TIMED_COMPARTMENTS:
             if comp not in self.stage_durations:
                 raise ValueError(f"missing stage duration for {comp.name}")
             mean, sd = self.stage_durations[comp]
             if mean <= 0 or sd < 0:
                 raise ValueError(f"bad duration ({mean}, {sd}) for {comp.name}")
+            try:
+                mu, sigma = mu_sigma[comp] = lognormal_underlying(mean, sd)
+            except (ArithmeticError, ValueError):  # e.g. a mean whose square is 0
+                mu = sigma = math.nan
+            if not (math.isfinite(mu) and math.isfinite(sigma)):
+                raise ValueError(
+                    f"duration ({mean}, {sd}) for {comp.name} has no finite log-normal parameters"
+                )
+            if max(mean, sd) * TICKS_PER_DAY >= MAX_DWELL_TICKS:
+                raise ValueError(
+                    f"duration ({mean}, {sd}) for {comp.name}: mean and sd must stay "
+                    f"under {MAX_DWELL_TICKS // TICKS_PER_DAY} days"
+                )
         bands = self.age_bands
         asymptomatic = np.array([b.asymptomatic_prob for b in bands])
         severe = np.array([b.severe_prob for b in bands])
@@ -225,10 +243,6 @@ class DiseaseParams:
             table.flags.writeable = False
             object.__setattr__(self, name, table)
         object.__setattr__(self, "stage_durations", _ReadOnlyDict(self.stage_durations))
-        mu_sigma = {
-            comp: lognormal_underlying(*self.stage_durations[comp])
-            for comp in TIMED_COMPARTMENTS
-        }
         object.__setattr__(self, "_duration_mu_sigma", mu_sigma)
 
 
@@ -345,6 +359,16 @@ def _enter(
         np.add.at(world.occupancy.ravel(), well.ravel(), 1)
 
 
+def agent_transmissibility(world: "WorldState", params: DiseaseParams) -> np.ndarray:
+    """beta_base x band beta multiplier x vaccine susceptibility per agent,
+    multiplied in this order, as the bit-exact traces require."""
+    return (
+        params.beta_base
+        * params.band_beta_multiplier.take(world.age // 10)
+        * world.vax_susceptibility
+    )
+
+
 def seed_initial_infections(
     world: "WorldState",
     params: DiseaseParams,
@@ -383,14 +407,6 @@ def exposure_step(
     buffers. `take` writes there with mode="clip", since the default mode
     copies `out` first; the indices are in range either way.
     """
-    if world.transmissibility_params is not params:
-        # Multiplied in this order, as the bit-exact traces require.
-        world.transmissibility = (
-            params.beta_base
-            * params.band_beta_multiplier.take(world.age // 10)
-            * world.vax_susceptibility
-        )
-        world.transmissibility_params = params
     sources = world.is_source.nonzero()[0]
     if sources.size == 0 or params.beta_base == 0.0:
         return 0

@@ -114,11 +114,13 @@ def lockdown_active(schedule: InterventionSchedule, day: int) -> bool:
 def apply_vaccine_effects(
     world: WorldState, agent_ids: np.ndarray, effectiveness: float | np.ndarray
 ) -> None:
-    """Mark agents vaccinated and scale down their susceptibility, and
-    their kept transmissibility once the engine has derived it.
+    """Mark agents vaccinated and scale down their susceptibility and
+    their kept transmissibility.
 
     `effectiveness` is one vaccine's for every recipient, or an array
-    aligned with `agent_ids`.
+    aligned with `agent_ids`. Unvaccinated, an agent's susceptibility is
+    1, so scaling its kept beta_base x multiplier gives the product in
+    `epidemic.agent_transmissibility`'s order.
     """
     agent_ids = np.atleast_1d(np.asarray(agent_ids))
     if world.vaccinated[agent_ids].any():
@@ -126,10 +128,7 @@ def apply_vaccine_effects(
     world.vaccinated[agent_ids] = True
     susceptibility = 1.0 - effectiveness
     world.vax_susceptibility[agent_ids] = susceptibility
-    if world.transmissibility_params is not None:
-        # Unvaccinated, an agent's susceptibility is 1, so scaling its kept
-        # beta_base x multiplier gives the product in the engine's order.
-        world.transmissibility[agent_ids] *= susceptibility
+    world.transmissibility[agent_ids] *= susceptibility
 
 
 def vaccination_day_step(

@@ -30,9 +30,12 @@ class LayerSpec:
     activation: str
 
     def __post_init__(self) -> None:
+        for width in (self.fan_in, self.fan_out):
+            if not isinstance(width, (int, np.integer)) or isinstance(width, bool):
+                raise ValueError(f"layer widths must be integers, got {width!r}")
         if self.fan_in < 1 or self.fan_out < 1:
             raise ValueError("layer widths must be at least 1")
-        if self.activation not in ACTIVATIONS:
+        if not isinstance(self.activation, str) or self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
 
@@ -188,16 +191,21 @@ def load_mlp(path) -> tuple[Mlp, dict]:
     header = json.loads(raw[:newline].decode("utf-8")) if newline >= 0 else None
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a recognized checkpoint")
-    specs = tuple(
-        LayerSpec(l["fan_in"], l["fan_out"], l["activation"])
-        for l in header["layers"]
-    )
+    layers = header.get("layers")
+    keys = {"fan_in", "fan_out", "activation"}
+    if not (isinstance(layers, list) and layers) or not all(
+        isinstance(l, dict) and keys <= l.keys() for l in layers
+    ):
+        raise ValueError(f"{path}: header needs a list of layers, each with {sorted(keys)}")
+    specs = tuple(LayerSpec(l["fan_in"], l["fan_out"], l["activation"]) for l in layers)
     flat = np.frombuffer(raw[newline + 1 :], dtype="<f8").astype(np.float64)
     expected = sum(s.fan_in * s.fan_out + s.fan_out for s in specs)
     if flat.size != expected:
         raise ValueError(
             f"{path}: parameter blob holds {flat.size} values, expected {expected}"
         )
+    if not np.isfinite(flat).all():
+        raise ValueError(f"{path}: parameters must be finite")
     weights, biases = [], []
     offset = 0
     for s in specs:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .epidemic import _SUSCEPTIBLE, NOT_DUE, Compartment, DiseaseParams
+from .epidemic import _SUSCEPTIBLE, NOT_DUE, Compartment
 from .rng import RngStreams
 
 EMPLOYMENT_AGE = 30  # strictly older than this means employed
@@ -127,14 +127,12 @@ class WorldState:
     susceptible_ids: np.ndarray | None = field(default=None, repr=False)
 
     # beta_base x band beta multiplier x vaccine susceptibility per agent,
-    # derived by `epidemic.exposure_step` for `transmissibility_params`
+    # set by `env.run_episode` from `epidemic.agent_transmissibility`
     transmissibility: np.ndarray | None = field(default=None, repr=False)
-    transmissibility_params: DiseaseParams | None = field(default=None, repr=False)
 
     # set by economy.init_house_ledgers
     savings_cents: np.ndarray | None = None
     income_cents: np.ndarray | None = None
-    economy_config: object | None = field(default=None, repr=False)
 
     @property
     def population(self) -> int:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from epidemictrl.economy import EconomyConfig, init_house_ledgers
-from epidemictrl.epidemic import Compartment, DiseaseParams, _enter
+from epidemictrl.epidemic import Compartment, DiseaseParams, _enter, agent_transmissibility
 from epidemictrl.rng import RngStreams
 from epidemictrl.world import (
     EMPLOYMENT_AGE,
@@ -25,6 +25,9 @@ def make_world(
     config = WorldConfig(population_size=population, **config_kwargs)
     streams = RngStreams.from_seed(seed)
     world = synthesize_population(config, streams)
+    # as `run_episode` derives it; a test with other params, ages or
+    # vaccine susceptibilities re-derives it
+    world.transmissibility = agent_transmissibility(world, DiseaseParams())
     if with_ledgers:
         init_house_ledgers(world, EconomyConfig(), streams.economy)
     return world

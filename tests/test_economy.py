@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epidemictrl.economy import below_poverty_count, economy_day_step
+from epidemictrl.economy import EconomyConfig, below_poverty_count, economy_day_step
 from epidemictrl.epidemic import Compartment
 from epidemictrl.world import EMPLOYMENT_AGE
 
 from conftest import house_id, make_world, move_to, redrawn_commuters
+
+# the ledgers `make_world` draws: expenses 10 a member a day, line 100
+CONFIG = EconomyConfig()
 
 
 def _fix_house(world, house, savings, income):
@@ -20,7 +22,7 @@ def _fix_house(world, house, savings, income):
 def test_healthy_head_income_minus_expenses():
     world = make_world(population=4, household_size=4)
     _fix_house(world, 0, savings=500.0, income=100.0)
-    economy_day_step(world, lockdown_active=False)
+    economy_day_step(world, CONFIG, lockdown_active=False)
     assert world.savings_cents[0] == 56_000  # 500 + 100 - 4*10
 
 
@@ -28,7 +30,7 @@ def test_hospitalized_head_loses_income():
     world = make_world(population=4, household_size=4)
     _fix_house(world, 0, savings=500.0, income=100.0)
     move_to(world, world.house_head[0], Compartment.HOSPITALIZED)
-    economy_day_step(world, lockdown_active=False)
+    economy_day_step(world, CONFIG, lockdown_active=False)
     assert world.savings_cents[0] == 46_000  # 500 - 40
 
 
@@ -45,7 +47,7 @@ def _lockdown_day_by_house(essential, violator):
     )
     for house in range(world.n_houses):
         _fix_house(world, house, savings=500.0, income=100.0)
-    economy_day_step(world, lockdown_active=True)
+    economy_day_step(world, CONFIG, lockdown_active=True)
     return world.savings_cents - 50_000, world.age[world.house_head] > EMPLOYMENT_AGE
 
 
@@ -73,7 +75,7 @@ def test_deceased_members_stop_expenses():
     _fix_house(world, 0, savings=500.0, income=0.0)
     dead = [i for i in range(4) if i != world.house_head[0]][0]
     move_to(world, dead, Compartment.DECEASED)
-    economy_day_step(world, lockdown_active=False)
+    economy_day_step(world, CONFIG, lockdown_active=False)
     assert world.savings_cents[0] == 47_000  # 500 - 3*10
 
 
@@ -82,28 +84,28 @@ def test_below_poverty_boundaries():
     _fix_house(world, 0, savings=500.0, income=100.0)
     _fix_house(world, 1, savings=99.0, income=100.0)
     _fix_house(world, 2, savings=100.0, income=100.0)
-    assert below_poverty_count(world) == 4  # house 1 only, strict <
+    assert below_poverty_count(world, CONFIG) == 4  # house 1 only, strict <
 
 
 def test_below_poverty_all_above():
     world = make_world(population=12, household_size=4)
     for h in range(3):
         _fix_house(world, h, savings=500.0, income=100.0)
-    assert below_poverty_count(world) == 0
+    assert below_poverty_count(world, CONFIG) == 0
 
 
 def test_below_poverty_excludes_deceased_members():
     world = make_world(population=4, household_size=4)
     _fix_house(world, 0, savings=0.0, income=0.0)
     move_to(world, 0, Compartment.DECEASED)
-    assert below_poverty_count(world) == 3
+    assert below_poverty_count(world, CONFIG) == 3
 
 
 def test_savings_may_go_negative():
     world = make_world(population=4, household_size=4)
     _fix_house(world, 0, savings=10.0, income=0.0)
     move_to(world, world.house_head[0], Compartment.INFECTED_MILD)
-    economy_day_step(world, lockdown_active=False)
+    economy_day_step(world, CONFIG, lockdown_active=False)
     assert world.savings_cents[0] == -3_000
 
 
@@ -125,7 +127,7 @@ def test_no_poverty_without_epidemic_or_lockdown(savings, income, days):
     start = max(float(savings), 100.0)
     _fix_house(world, 0, savings=start, income=float(income))
     for day in range(days):
-        economy_day_step(world, lockdown_active=False)
+        economy_day_step(world, CONFIG, lockdown_active=False)
         assert world.savings_cents[0] >= 10_000
 
 
@@ -160,7 +162,7 @@ def test_accounting_identity_exact(seed, days):
         live = np.bincount(house_id(world)[alive], minlength=world.n_houses)
         earned += np.where(works, world.income_cents, 0)
         spent += 1000 * live
-        economy_day_step(world, lockdown_active=lock)
+        economy_day_step(world, CONFIG, lockdown_active=lock)
     assert np.array_equal(world.savings_cents, start + earned - spent)
 
 
@@ -179,16 +181,10 @@ def test_live_members_match_a_count_of_the_living(population, household_size, se
     alive = world.compartment != Compartment.DECEASED
     live = np.bincount(house_id(world)[alive], minlength=world.n_houses)
     assert np.array_equal(world.live_members, live)
-    line_cents = round(world.economy_config.poverty_line * 100)
-    assert below_poverty_count(world) == live[world.savings_cents < line_cents].sum()
+    line_cents = round(CONFIG.poverty_line * 100)
+    assert below_poverty_count(world, CONFIG) == live[world.savings_cents < line_cents].sum()
 
     head_alive = alive[world.house_head]
     expected = world.savings_cents + np.where(head_alive, world.income_cents, 0) - 1000 * live
-    economy_day_step(world, lockdown_active=False)
+    economy_day_step(world, CONFIG, lockdown_active=False)
     assert np.array_equal(world.savings_cents, expected)
-
-
-def test_requires_initialized_ledgers():
-    world = make_world(population=4, with_ledgers=False)
-    with pytest.raises(RuntimeError):
-        below_poverty_count(world)

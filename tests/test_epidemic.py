@@ -4,6 +4,7 @@ import copy
 import math
 import pickle
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from epidemictrl.epidemic import (
     DiseaseParams,
     TIMED_COMPARTMENTS,
     VACCINATED_SOURCE_WEIGHT,
+    agent_transmissibility,
     duration_days,
     exposure_step,
     lognormal_underlying,
@@ -26,7 +28,7 @@ from epidemictrl.epidemic import (
 from epidemictrl import env
 from epidemictrl.env import run_episode
 from epidemictrl.harness import baseline_schedule, experiment_config, parse_baseline
-from epidemictrl.interventions import vaccination_day_step
+from epidemictrl.interventions import InterventionSchedule, vaccination_day_step
 from epidemictrl.world import apply_movement
 
 from conftest import house_id, make_world, move_to, occupant_counts, rng
@@ -257,6 +259,7 @@ def _assert_draws_then_incubations(world, loaded):
     world.tick = 6
     apply_movement(world)
     params = DiseaseParams(beta_base=3.0)
+    world.transmissibility = agent_transmissibility(world, params)
     weight = np.where(loaded < 12, 1.0, VACCINATED_SOURCE_WEIGHT)
     beta_agent = (
         params.beta_base
@@ -319,6 +322,7 @@ def test_two_agent_household_exposure_matches_closed_form():
     g = rng(12345)
     start = make_world(population=2, household_size=2, with_ledgers=False)
     start.age[:] = 25  # beta multiplier 1.0
+    start.transmissibility = agent_transmissibility(start, params)
     move_to(start, 0, Compartment.ASYMPTOMATIC)
     for _ in range(runs):
         world = copy.deepcopy(start)
@@ -418,6 +422,7 @@ def test_all_compartments_reachable_on_tiny_world():
     for seed in range(1000):
         world = make_world(population=20, seed=seed, with_ledgers=False)
         world.age[:] = 85  # high severity path
+        world.transmissibility = agent_transmissibility(world, params)
         g = np.random.default_rng(seed)
         seed_initial_infections(world, params, 0.2, g)
         world.tick = 0
@@ -451,6 +456,7 @@ def test_duration_oracle_day_draws_match_table():
 
 
 def _derived_transmissibility(world, params):
+    """The product by elementwise indexing, not `agent_transmissibility`."""
     return (
         params.beta_base
         * params.band_beta_multiplier[world.age // 10]
@@ -473,7 +479,6 @@ def _assert_kept_state(world, params):
     # The rows of `place`: night, day, and day under lockdown.
     for row, (tick, lockdown) in enumerate(((0, False), (1, False), (1, True))):
         assert np.array_equal(world.occupancy[row], occupant_counts(world, tick, lockdown)), row
-    assert world.transmissibility_params is params
     assert np.array_equal(world.transmissibility, _derived_transmissibility(world, params))
     listed = world.susceptible_ids
     assert listed is None or np.array_equal(listed, (comp == Compartment.SUSCEPTIBLE).nonzero()[0])
@@ -524,19 +529,29 @@ def test_kept_state_matches_a_recount_after_every_tick(monkeypatch, experiment, 
         assert 0 < schedule.lockdown[1] < days
 
 
-def test_exposure_rederives_transmissibility_for_other_params():
-    world = make_world(population=2_000, with_ledgers=False)
-    first, second = DiseaseParams(), DiseaseParams(beta_base=2.0)
-    g = rng(21)
-    seed_initial_infections(world, first, 0.3, g)
-    world.vax_susceptibility[::7] = 0.4
-    for params in (first, second, DiseaseParams(), first):
-        for _ in range(12):
-            apply_movement(world)
-            exposure_step(world, params, g)
-            progression_step(world, params, g)
-            world.tick += 1
-        _assert_kept_state(world, params)
+def test_episode_derives_transmissibility_from_its_own_params(monkeypatch):
+    # Other params than the defaults `make_world` derives with, so an
+    # episode that kept the defaults, or skipped the derivation, would fail.
+    config = experiment_config(1, 1, population=2_000)
+    bands = (AgeBandRates(2.0, 0.5, 0.3, 0.01),) + DEFAULT_AGE_BANDS[1:]
+    config = replace(
+        config,
+        world=replace(config.world, episode_days=30),
+        disease=DiseaseParams(beta_base=0.8, age_bands=bands),
+    )
+    full = (0.0, 30.0)
+    schedule = InterventionSchedule((0.0, 0.0), (full, full, full))
+    checked = []
+
+    def vaccinate(world, schedule, policy, day, rng):
+        given = vaccination_day_step(world, schedule, policy, day, rng)
+        _assert_kept_state(world, config.disease)
+        checked.append(given)
+        return given
+
+    monkeypatch.setattr(env, "vaccination_day_step", vaccinate)
+    run_episode(config, schedule, seed=21)
+    assert len(checked) == 30 and sum(checked) > 0
 
 
 def test_exposure_tick_and_census_allocate_nothing_population_sized(monkeypatch):

@@ -46,7 +46,7 @@ from epidemictrl.interventions import (
     lockdown_active,
     window_active,
 )
-from epidemictrl.neural import mlp_from_widths, save_mlp
+from epidemictrl.neural import CHECKPOINT_MAGIC, mlp_from_widths, save_mlp
 from epidemictrl.world import WorldConfig
 
 
@@ -412,6 +412,23 @@ def test_configs_are_checked_when_built_and_frozen(cls, name, bad):
         setattr(cls(), name, bad)
 
 
+def test_shipped_configs_fit_the_ledger_bound():
+    # Every table cell at desk and paper scale, the sanity scenario, and
+    # the defaults over a year; the bound turns down only amounts far past them.
+    for exp_id in EXPERIMENT_TABLE:
+        for scenario_id in SCENARIO_KAPPA:
+            for population in (DEFAULT_POPULATION, 100_000):
+                experiment_config(exp_id, scenario_id, population)
+    sanity_config()
+    ExperimentConfig(world=WorldConfig(episode_days=365))
+    with pytest.raises(ValueError, match="int64 cents ledgers within 365 days"):
+        ExperimentConfig(
+            world=WorldConfig(episode_days=365), economy=EconomyConfig(income_mean=2e14)
+        )
+    with pytest.raises(ValueError, match="the poverty line 5e\\+16"):
+        ExperimentConfig(economy=EconomyConfig(poverty_line=5e16))
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"world": {"population_size": 100, "bogus": 1}}))
@@ -520,6 +537,16 @@ def test_threads_env_fans_out(tmp_path, monkeypatch):
 
 
 ACTOR_WIDTHS = (6, 4, 8)
+
+
+def _actor_checkpoint(header: dict, value: float = 0.0) -> bytes:
+    """A checkpoint with `header` laid over a one-layer 6 -> 8 tanh actor's,
+    a key given None dropped, then a blob of the actor's 56 parameters,
+    each `value`."""
+    layers = [{"fan_in": 6, "fan_out": 8, "activation": "tanh"}]
+    header = {"format": CHECKPOINT_MAGIC, "layers": layers, **header}
+    header = {k: v for k, v in header.items() if v is not None}
+    return json.dumps(header).encode() + b"\n" + np.full(56, value, "<f8").tobytes()
 
 
 def _first_band(**changes) -> dict:
@@ -644,6 +671,64 @@ def _first_band(**changes) -> dict:
             None,
             "holds NaN; every number must be finite",
         ),
+        (["evaluate"], None, _actor_checkpoint({"layers": None}), "header needs a list of layers"),
+        (["evaluate"], None, _actor_checkpoint({"layers": "6x8"}), "header needs a list of layers"),
+        (["evaluate"], None, _actor_checkpoint({"layers": [None]}), "header needs a list of layers"),
+        (
+            ["evaluate"],
+            None,
+            _actor_checkpoint({"layers": [{"fan_in": 6, "activation": "tanh"}]}),
+            "header needs a list of layers",
+        ),
+        (
+            ["evaluate"],
+            None,
+            _actor_checkpoint({"layers": [{"fan_in": "6", "fan_out": 8, "activation": "tanh"}]}),
+            "layer widths must be integers, got '6'",
+        ),
+        (
+            ["evaluate"],
+            None,
+            _actor_checkpoint({"layers": [{"fan_in": 6.0, "fan_out": 8, "activation": "tanh"}]}),
+            "layer widths must be integers, got 6.0",
+        ),
+        (["evaluate"], None, _actor_checkpoint({}, np.nan), "parameters must be finite"),
+        (
+            ["simulate", "--baseline", "NoL_NoV", "--population", "1000"],
+            {"disease": {"stage_durations": {"exposed": [3e9, 1.0]}}},
+            None,
+            "for EXPOSED: mean and sd must stay under 536870912 days",
+        ),
+        (
+            ["simulate", "--baseline", "NoL_NoV", "--population", "1000"],
+            {"disease": {"stage_durations": {"exposed": [1e200, 1.0]}}},
+            None,
+            "for EXPOSED has no finite log-normal parameters",
+        ),
+        (
+            ["simulate", "--baseline", "NoL_NoV", "--population", "1000"],
+            {"disease": {"stage_durations": {"exposed": [1.0, 2**29]}}},
+            None,
+            "for EXPOSED: mean and sd must stay under 536870912 days",
+        ),
+        (
+            ["simulate", "--baseline", "NoL_NoV", "--population", "1000"],
+            {"disease": {"stage_durations": {"exposed": [1e-170, 1.0]}}},
+            None,
+            "for EXPOSED has no finite log-normal parameters",
+        ),
+        (
+            ["simulate", "--baseline", "NoL_NoV", "--population", "1000"],
+            {"economy": {"savings_mean": 1e17}},
+            None,
+            "could overflow the int64 cents ledgers within 100 days",
+        ),
+        (
+            ["simulate", "--baseline", "NoL_NoV", "--population", "1000"],
+            {"economy": {"income_mean": 1e16, "income_sd": 0}},
+            None,
+            "could overflow the int64 cents ledgers within 100 days",
+        ),
     ],
     ids=[
         "population-0",
@@ -674,6 +759,19 @@ def _first_band(**changes) -> dict:
         "band-beta-multiplier-negative",
         "band-sigma-negative",
         "kappa-nan",
+        "checkpoint-without-layers",
+        "checkpoint-layers-a-string",
+        "checkpoint-layer-null",
+        "checkpoint-layer-without-fan-out",
+        "checkpoint-fan-in-a-string",
+        "checkpoint-fan-in-a-float",
+        "checkpoint-parameters-nan",
+        "exposed-mean-past-int32-ticks",
+        "exposed-mean-without-finite-lognormal",
+        "exposed-sd-past-int32-ticks",
+        "exposed-mean-squared-to-zero",
+        "savings-past-int64-cents",
+        "income-past-int64-cents",
     ],
 )
 def test_cli_bad_input_is_one_error_line(tmp_path, capsys, argv, config, checkpoint, message):

@@ -25,6 +25,7 @@ from epidemictrl.epidemic import (
     VACCINATED_SOURCE_WEIGHT,
     Compartment,
     DiseaseParams,
+    agent_transmissibility,
     exposure_step,
     progression_step,
     sample_duration_ticks,
@@ -177,10 +178,11 @@ def run_side_by_side(seed, population, household_size, beta, fraction, min_age, 
     new, ref = worlds
     age_rng = np.random.default_rng(seed)
     ages = age_rng.integers(min_age, 100, size=population).astype(np.int16)
-    for w in worlds:
-        w.age[:] = ages
     ticks = np.zeros(population, dtype=np.int32)
     params = DiseaseParams(beta_base=beta)
+    for w in worlds:
+        w.age[:] = ages
+        w.transmissibility = agent_transmissibility(w, params)
     g_new, g_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     v_new, v_ref = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     doses = max(1, population // 50)
