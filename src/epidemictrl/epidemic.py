@@ -20,7 +20,7 @@ that sigma is the unconditional death weight among symptomatic cases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, fields
 from enum import IntEnum
 from typing import TYPE_CHECKING
 
@@ -51,15 +51,21 @@ class Compartment(IntEnum):
     DECEASED = 8
 
 
-#: Compartments with a sampled dwell time.
-TIMED_COMPARTMENTS = (
-    Compartment.EXPOSED,
-    Compartment.ASYMPTOMATIC,
-    Compartment.PRE_SYMPTOMATIC,
-    Compartment.INFECTED_MILD,
-    Compartment.INFECTED_SEVERE,
-    Compartment.HOSPITALIZED,
-)
+@dataclass(frozen=True)
+class StageDurations:
+    """(mean days, sd days) spent in each timed compartment, one field per
+    compartment, named after it in lowercase."""
+
+    exposed: tuple[float, float] = (4.5, 1.5)
+    asymptomatic: tuple[float, float] = (8.0, 2.0)
+    pre_symptomatic: tuple[float, float] = (1.1, 0.9)
+    infected_mild: tuple[float, float] = (8.0, 2.0)
+    infected_severe: tuple[float, float] = (1.5, 2.0)
+    hospitalized: tuple[float, float] = (18.1, 6.3)
+
+
+#: Compartments with a sampled dwell time, in chain order.
+TIMED_COMPARTMENTS = tuple(Compartment[f.name.upper()] for f in fields(StageDurations))
 
 # Plain ints for the per-tick code of every module: an IntEnum member
 # lookup costs a Python-level attribute access on every use.
@@ -87,6 +93,17 @@ _DAY_THEN_HOME = np.array([1, 2, 0, 0])
 # Search keys for the stage bounds in `progression_step`: in the sorted due
 # compartments, compartment c spans [bounds[c], bounds[c + 1]).
 _STAGE_BOUNDS = np.arange(_HOSPITALIZED + 2)
+
+# `progression_step`'s stages in the order it handles them, as (stage,
+# taken, other): a stage with no other always moves to `taken`.
+_PROGRESSION = (
+    (_HOSPITALIZED, _DECEASED, _RECOVERED),
+    (_INFECTED_SEVERE, _HOSPITALIZED, None),
+    (_INFECTED_MILD, _INFECTED_SEVERE, _RECOVERED),
+    (_PRE_SYMPTOMATIC, _INFECTED_MILD, None),
+    (_ASYMPTOMATIC, _RECOVERED, None),
+    (_EXPOSED, _ASYMPTOMATIC, _PRE_SYMPTOMATIC),
+)
 
 
 @dataclass(frozen=True)
@@ -136,17 +153,6 @@ DEFAULT_AGE_BANDS: tuple[AgeBandRates, ...] = (
     AgeBandRates(1.47, 0.90, 0.24570, 0.16190),
 )
 
-# (mean days, sd days) spent in each timed compartment.
-DEFAULT_STAGE_DURATIONS: dict[Compartment, tuple[float, float]] = {
-    Compartment.EXPOSED: (4.5, 1.5),
-    Compartment.ASYMPTOMATIC: (8.0, 2.0),
-    Compartment.PRE_SYMPTOMATIC: (1.1, 0.9),
-    Compartment.INFECTED_MILD: (8.0, 2.0),
-    Compartment.INFECTED_SEVERE: (1.5, 2.0),
-    Compartment.HOSPITALIZED: (18.1, 6.3),
-}
-
-
 def lognormal_underlying(mean: float, sd: float) -> tuple[float, float]:
     """Moment-matched (mu, sigma) of the underlying normal for a log-normal
     with the given mean and standard deviation. sd = 0 degenerates to a
@@ -162,55 +168,36 @@ def lognormal_underlying(mean: float, sd: float) -> tuple[float, float]:
     return mu, math.sqrt(var)
 
 
-class _ReadOnlyDict(dict):
-    """A dict that refuses writes after it is built; it pickles and
-    deep-copies as a fresh read-only copy."""
-
-    def _read_only(self, *args, **kwargs):
-        raise TypeError(f"{type(self).__name__} is read-only")
-
-    __setitem__ = __delitem__ = __ior__ = _read_only
-    clear = pop = popitem = setdefault = update = _read_only
-
-    def __reduce__(self):
-        return type(self), (dict(self),)
-
-
 @dataclass(frozen=True)
 class DiseaseParams:
     """Disease dynamics knobs; defaults follow the published factor tables.
 
-    The per-band lookup tables, the per-age branch tables (one entry per
-    age 0-99) and the log-normal parameters are derived once, at
-    construction, so they always match the fields. An episode keeps
-    values derived from its params object (each agent's transmissibility
-    among them) to its end, so nothing in it can change:
-    `stage_durations` is read-only and the tables are not writeable.
+    The band beta multipliers, the branch table and the log-normal
+    parameters are derived once, at construction, so they always match
+    the fields. `branch_prob[stage, age + 100 * vaccinated]` is the chance
+    that a due agent takes its stage's first branch: death for
+    Hospitalized, InfectedSevere for InfectedMild, and Asymptomatic for
+    Exposed, with the vaccine boost applied per band and capped at 1.
+    Other rows are 0. An episode keeps values derived from its params
+    object (each agent's transmissibility among them) to its end, so
+    nothing in it can change: the tables are not writeable.
     """
 
     beta_base: float = 0.5
     age_bands: tuple[AgeBandRates, ...] = DEFAULT_AGE_BANDS
-    stage_durations: dict[Compartment, tuple[float, float]] = field(
-        default_factory=lambda: dict(DEFAULT_STAGE_DURATIONS)
-    )
+    stage_durations: StageDurations = StageDurations()
 
     def __post_init__(self) -> None:
         if self.beta_base < 0:
             raise ValueError("beta_base must be nonnegative")
         if len(self.age_bands) != 10:
             raise ValueError("age_bands must cover ages 0-99 in ten decade bands")
-        untimed = sorted(c.name for c in set(self.stage_durations) - set(TIMED_COMPARTMENTS))
-        if untimed:
-            raise ValueError(f"stage durations given for untimed {untimed}")
-        mu_sigma = {}
-        for comp in TIMED_COMPARTMENTS:
-            if comp not in self.stage_durations:
-                raise ValueError(f"missing stage duration for {comp.name}")
-            mean, sd = self.stage_durations[comp]
+        dwell = {}
+        for comp, (mean, sd) in zip(TIMED_COMPARTMENTS, astuple(self.stage_durations)):
             if mean <= 0 or sd < 0:
                 raise ValueError(f"bad duration ({mean}, {sd}) for {comp.name}")
             try:
-                mu, sigma = mu_sigma[comp] = lognormal_underlying(mean, sd)
+                mu, sigma = lognormal_underlying(mean, sd)
             except (ArithmeticError, ValueError):  # e.g. a mean whose square is 0
                 mu = sigma = math.nan
             if not (math.isfinite(mu) and math.isfinite(sigma)):
@@ -222,28 +209,26 @@ class DiseaseParams:
                     f"duration ({mean}, {sd}) for {comp.name}: mean and sd must stay "
                     f"under {MAX_DWELL_TICKS // TICKS_PER_DAY} days"
                 )
+            dwell[comp] = (mean, mu, sigma)
         bands = self.age_bands
         asymptomatic = np.array([b.asymptomatic_prob for b in bands])
-        severe = np.array([b.severe_prob for b in bands])
-        death = np.array([b.death_given_hospitalized for b in bands])
-        # The vaccine boost is applied per band, capped at 1, then spread
-        # over the ages like the other tables.
-        boosted = np.minimum(1.0, VACCINE_GAMMA_BOOST * asymptomatic)
+        # (stage, vaccinated, band); the repeat spreads each band over its ages
+        branch = np.zeros((len(Compartment), 2, 10))
+        branch[_HOSPITALIZED] = [b.death_given_hospitalized for b in bands]
+        branch[_INFECTED_MILD] = [b.severe_prob for b in bands]
+        branch[_EXPOSED] = asymptomatic, np.minimum(1.0, VACCINE_GAMMA_BOOST * asymptomatic)
         tables = {
             "band_beta_multiplier": np.array([b.beta_multiplier for b in bands]),
-            "band_asymptomatic_prob": asymptomatic,
-            "band_severe_prob": severe,
-            "band_death_given_hospitalized": death,
-            "age_death_given_hospitalized": death.repeat(10),
-            "age_severe_prob": severe.repeat(10),
-            # row 0 unvaccinated, row 1 vaccinated: flat key age + 100 * vaccinated
-            "age_asymptomatic_prob": np.stack([asymptomatic, boosted]).repeat(10, axis=1),
+            "branch_prob": branch.reshape(len(Compartment), 20).repeat(10, axis=1),
         }
         for name, table in tables.items():
             table.flags.writeable = False
             object.__setattr__(self, name, table)
-        object.__setattr__(self, "stage_durations", _ReadOnlyDict(self.stage_durations))
-        object.__setattr__(self, "_duration_mu_sigma", mu_sigma)
+        object.__setattr__(self, "_dwell", dwell)
+
+    def __reduce__(self):
+        # A copy or an unpickled one is built anew, so its tables are read-only too.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 def duration_days(
@@ -254,11 +239,11 @@ def duration_days(
 ) -> np.ndarray:
     """Draw `size` raw log-normal dwell times in days for a timed compartment."""
     try:
-        mu, sigma = params._duration_mu_sigma[compartment]
+        mean, mu, sigma = params._dwell[compartment]
     except KeyError:
         raise ValueError(f"{Compartment(compartment).name} has no dwell time") from None
     if sigma == 0.0:
-        return np.full(size, params.stage_durations[compartment][0])
+        return np.full(size, mean)
     return rng.lognormal(mu, sigma, size=size)
 
 
@@ -480,51 +465,33 @@ def progression_step(
     """Move every agent whose stage ends this tick on to its next stage.
 
     Only agents with `due_tick == world.tick` are touched. They are handled
-    from the end of the chain backwards (H, IS, IM, PS, A, E), in ascending
-    id within each stage, so an agent entering a new stage this tick is
-    never processed twice and the random draws keep a fixed order. A stage
-    entered at tick t with a sampled dwell of d ticks is due at t + d.
+    stage by stage down `_PROGRESSION`, from the end of the chain backwards
+    (H, IS, IM, PS, A, E), in ascending id within each stage, so an agent
+    entering a new stage this tick is never processed twice and the random
+    draws keep a fixed order. A branching stage draws one uniform per due
+    agent and sends it to `taken` when the draw falls below its
+    `branch_prob`, else to `other`. A stage entered at tick t with a
+    sampled dwell of d ticks is due at t + d.
     """
     due = (world.due_tick == world.tick).nonzero()[0]
     if due.size == 0:
         return
-    comp = world.compartment
-    age = world.age
 
     # A stable sort keeps ascending id within each stage.
-    due_comp = comp.take(due)
+    due_comp = world.compartment.take(due)
     order = due_comp.argsort(kind="stable")
     due = due.take(order)
     bounds = due_comp.take(order).searchsorted(_STAGE_BOUNDS).tolist()
+    key = world.age.take(due) + 100 * world.vaccinated.take(due)
 
-    def _stage(c: int) -> np.ndarray:
-        return due[bounds[c] : bounds[c + 1]]
-
-    ids = _stage(_HOSPITALIZED)
-    if ids.size:
-        p_death = params.age_death_given_hospitalized.take(age.take(ids))
-        dies = rng.random(ids.size) < p_death
-        _enter(world, ids[dies], _HOSPITALIZED, _DECEASED, params, rng)
-        _enter(world, ids[~dies], _HOSPITALIZED, _RECOVERED, params, rng)
-
-    _enter(world, _stage(_INFECTED_SEVERE), _INFECTED_SEVERE, _HOSPITALIZED, params, rng)
-
-    ids = _stage(_INFECTED_MILD)
-    if ids.size:
-        p_worse = params.age_severe_prob.take(age.take(ids))
-        worsens = rng.random(ids.size) < p_worse
-        _enter(world, ids[worsens], _INFECTED_MILD, _INFECTED_SEVERE, params, rng)
-        _enter(world, ids[~worsens], _INFECTED_MILD, _RECOVERED, params, rng)
-
-    _enter(world, _stage(_PRE_SYMPTOMATIC), _PRE_SYMPTOMATIC, _INFECTED_MILD, params, rng)
-    _enter(world, _stage(_ASYMPTOMATIC), _ASYMPTOMATIC, _RECOVERED, params, rng)
-
-    ids = _stage(_EXPOSED)
-    if ids.size:
-        # vaccinated agents read the boosted row: flat key age + 100
-        key = age.take(ids) + 100 * world.vaccinated.take(ids)
-        gamma = params.age_asymptomatic_prob.take(key)
-        silent = rng.random(ids.size) < gamma
-        _enter(world, ids[silent], _EXPOSED, _ASYMPTOMATIC, params, rng)
-        _enter(world, ids[~silent], _EXPOSED, _PRE_SYMPTOMATIC, params, rng)
-
+    for stage, taken, other in _PROGRESSION:
+        lo, hi = bounds[stage], bounds[stage + 1]
+        if lo == hi:
+            continue
+        ids = due[lo:hi]
+        if other is None:
+            _enter(world, ids, stage, taken, params, rng)
+            continue
+        hit = rng.random(hi - lo) < params.branch_prob[stage].take(key[lo:hi])
+        _enter(world, ids[hit], stage, taken, params, rng)
+        _enter(world, ids[~hit], stage, other, params, rng)

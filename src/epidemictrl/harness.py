@@ -17,6 +17,7 @@ import argparse
 import csv
 import html
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields, is_dataclass, replace
@@ -117,17 +118,15 @@ def baseline_schedule(
 
 # ---------------------------------------------------------------------------
 # Config files. The format is the config dataclasses themselves: a nested
-# dataclass is an object keyed by field name, a tuple is a list, and a
-# Compartment-keyed dict uses lowercase member names. Reading is strict:
-# an unknown key or a wrong-typed value fails with its dotted key.
+# dataclass is an object keyed by field name and a tuple is a list.
+# Reading is strict: an unknown key or a wrong-typed value fails with its
+# dotted key, and a non-finite number fails too.
 
 
 def to_dict(obj):
     """A config dataclass as plain JSON data; `from_dict` reads it back."""
     if is_dataclass(obj):
         return {f.name: to_dict(getattr(obj, f.name)) for f in fields(obj)}
-    if isinstance(obj, dict):
-        return {k.name.lower(): to_dict(v) for k, v in obj.items()}
     if isinstance(obj, tuple):
         return [to_dict(v) for v in obj]
     return obj
@@ -144,7 +143,6 @@ def from_dict(cls, data, base=None):
 
 
 def _read(tp, value, base, key: str):
-    args = get_args(tp)
     if is_dataclass(tp):
         if not isinstance(value, dict):
             raise _wrong_type(key, "object", value)
@@ -161,21 +159,10 @@ def _read(tp, value, base, key: str):
             return tp(**changes) if base is None else replace(base, **changes)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{key or 'config'}: {exc}") from exc
-    if get_origin(tp) is dict:
-        if not isinstance(value, dict):
-            raise _wrong_type(key, "object", value)
-        key_type, value_type = args
-        members = {m.name.lower(): m for m in key_type}
-        unknown = sorted(set(value) - set(members))
-        if unknown:
-            raise ConfigError(f"unknown {key} keys: {unknown}")
-        merged = dict(base or {})
-        for name, v in value.items():
-            merged[members[name]] = _read(value_type, v, None, f"{key}.{name}")
-        return merged
     if get_origin(tp) is tuple:
         if not isinstance(value, list):
             raise _wrong_type(key, "list", value)
+        args = get_args(tp)
         types = args[:1] * len(value) if args[-1] is Ellipsis else args
         if len(types) != len(value):
             raise ConfigError(f"{key}: expected {len(types)} items, got {len(value)}")
@@ -183,7 +170,10 @@ def _read(tp, value, base, key: str):
             _read(t, v, None, f"{key}[{i}]") for i, (t, v) in enumerate(zip(types, value))
         )
     if tp is float and type(value) in (int, float):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an int literal past the float range
+            raise ConfigError(f"{key}: integer too large for a float") from None
     if type(value) is tp:  # exact, so a bool is not an int
         return value
     raise _wrong_type(key, tp.__name__, value)
@@ -197,12 +187,21 @@ def load_config_file(path) -> dict:
     def non_finite(name: str):
         raise ConfigError(f"config {path} holds {name}; every number must be finite")
 
+    def finite(text: str) -> float:
+        # json reads a literal past the float range, such as 1e400, as inf
+        value = float(text)
+        if not math.isfinite(value):
+            non_finite(text)
+        return value
+
     try:
         with open(path) as fh:
-            data = json.load(fh, parse_constant=non_finite)
+            data = json.load(fh, parse_constant=non_finite, parse_float=finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ConfigError:
+        raise
+    except ValueError as exc:  # also bytes that are not UTF-8, an int past the digit limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
@@ -810,7 +809,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_train(args)
         if args.command == "evaluate":
             return _cmd_evaluate(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError(f"unhandled command {args.command}")

@@ -215,7 +215,7 @@ def _household_oracle(population: int, days: int, seed: int) -> int:
     """Brute-force per-household epidemic, agents as plain dicts."""
     from epidemictrl.epidemic import (
         DEFAULT_AGE_BANDS,
-        DEFAULT_STAGE_DURATIONS,
+        StageDurations,
         lognormal_underlying,
     )
     import math as m
@@ -229,7 +229,7 @@ def _household_oracle(population: int, days: int, seed: int) -> int:
     ever = 0
 
     def draw_ticks(stage_key):
-        mu, sg = lognormal_underlying(*DEFAULT_STAGE_DURATIONS[stage_key])
+        mu, sg = lognormal_underlying(*getattr(StageDurations(), stage_key.name.lower()))
         return max(1, round(2 * g.lognormal(mu, sg)))
 
     from epidemictrl.epidemic import Compartment as C

@@ -4,7 +4,7 @@ import copy
 import math
 import pickle
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -13,8 +13,8 @@ from epidemictrl.epidemic import (
     DEFAULT_AGE_BANDS,
     AgeBandRates,
     Compartment,
-    DEFAULT_STAGE_DURATIONS,
     DiseaseParams,
+    StageDurations,
     TIMED_COMPARTMENTS,
     VACCINATED_SOURCE_WEIGHT,
     agent_transmissibility,
@@ -72,12 +72,14 @@ def test_age_band_table_exact():
                 band.sigma,
             )
             assert got == expected, age
-    # the per-band arrays the engine indexes by age // 10
+    # the per-band multipliers the engine indexes by age // 10, and the
+    # bands' branch shares
     params = DiseaseParams()
     table = np.array(EXPECTED_AGE_TABLE)
     assert np.array_equal(params.band_beta_multiplier, table[:, 0])
-    assert np.array_equal(params.band_asymptomatic_prob, 1.0 - table[:, 1])
-    assert np.array_equal(params.band_severe_prob, table[:, 2])
+    bands = params.age_bands
+    assert [b.asymptomatic_prob for b in bands] == (1.0 - table[:, 1]).tolist()
+    assert [b.severe_prob for b in bands] == table[:, 2].tolist()
 
 
 @pytest.mark.parametrize(
@@ -89,22 +91,23 @@ def test_age_band_table_exact():
     ],
 )
 def test_per_age_branch_tables_spread_the_bands(params):
+    C = Compartment
     ages = np.arange(100)
     band = ages // 10
-    assert np.array_equal(
-        params.age_death_given_hospitalized, params.band_death_given_hospitalized[band]
-    )
-    assert np.array_equal(params.age_severe_prob, params.band_severe_prob[band])
-    # every age, vaccinated and not, against the oracle, bit for bit
+    death = np.array([b.death_given_hospitalized for b in params.age_bands])[band]
+    severe = np.array([b.severe_prob for b in params.age_bands])[band]
+    asymptomatic = np.array([b.asymptomatic_prob for b in params.age_bands])[band]
+    assert params.branch_prob.shape == (len(C), 200)
+    # every age, vaccinated and not, against the bands, bit for bit
     for vaccinated in (False, True):
-        expected = _effective_asymptomatic_prob(
-            params.band_asymptomatic_prob[band], np.full(100, vaccinated)
-        )
-        assert np.array_equal(params.age_asymptomatic_prob[int(vaccinated)], expected)
         key = ages + 100 * vaccinated
-        assert np.array_equal(params.age_asymptomatic_prob.take(key), expected)
-    assert params.age_asymptomatic_prob.shape == (2, 100)
-    assert params.age_asymptomatic_prob.max() <= 1.0
+        assert np.array_equal(params.branch_prob[C.HOSPITALIZED, key], death)
+        assert np.array_equal(params.branch_prob[C.INFECTED_MILD, key], severe)
+        expected = _effective_asymptomatic_prob(asymptomatic, np.full(100, vaccinated))
+        assert np.array_equal(params.branch_prob[C.EXPOSED, key], expected)
+    assert params.branch_prob.max() <= 1.0
+    branching = [C.EXPOSED, C.INFECTED_MILD, C.HOSPITALIZED]
+    assert not np.delete(params.branch_prob, branching, axis=0).any()
 
 
 def test_age_band_examples():
@@ -150,9 +153,7 @@ def test_lognormal_moment_conversion_closed_form():
 
 
 def test_degenerate_sd_gives_constant_duration():
-    params = DiseaseParams(
-        stage_durations={**DEFAULT_STAGE_DURATIONS, Compartment.EXPOSED: (3.0, 0.0)}
-    )
+    params = DiseaseParams(stage_durations=StageDurations(exposed=(3.0, 0.0)))
     ticks = sample_duration_ticks(Compartment.EXPOSED, rng(0), size=100, params=params)
     assert (ticks == 6).all()
 
@@ -445,7 +446,7 @@ def test_duration_oracle_day_draws_match_table():
     g = rng(20)
     params = DiseaseParams()
     for comp in TIMED_COMPARTMENTS:
-        mean, sd = DEFAULT_STAGE_DURATIONS[comp]
+        mean, sd = getattr(params.stage_durations, comp.name.lower())
         draws = duration_days(comp, g, size=1_000_000, params=params)
         assert abs(draws.mean() - mean) / mean < 0.01, comp
         assert abs(draws.std() - sd) / sd < 0.03, comp
@@ -586,32 +587,25 @@ def test_exposure_tick_and_census_allocate_nothing_population_sized(monkeypatch)
 
 def test_disease_params_cannot_change_after_construction():
     params = DiseaseParams()
-    with pytest.raises(TypeError):
-        params.stage_durations[Compartment.EXPOSED] = (1.0, 0.0)
-    with pytest.raises(TypeError):
-        params.stage_durations.update({Compartment.EXPOSED: (1.0, 0.0)})
-    with pytest.raises(TypeError):
-        del params.stage_durations[Compartment.EXPOSED]
-    for table in (
-        params.band_beta_multiplier,
-        params.band_asymptomatic_prob,
-        params.band_severe_prob,
-        params.band_death_given_hospitalized,
-        params.age_death_given_hospitalized,
-        params.age_severe_prob,
-        params.age_asymptomatic_prob,
-    ):
+    with pytest.raises(FrozenInstanceError):
+        params.stage_durations.exposed = (1.0, 0.0)
+    with pytest.raises(FrozenInstanceError):
+        del params.stage_durations.exposed
+    for table in (params.band_beta_multiplier, params.branch_prob):
         with pytest.raises(ValueError):
             table[0] = 1.0
-    assert params.stage_durations == DEFAULT_STAGE_DURATIONS
+    assert params.stage_durations == StageDurations()
 
 
 def test_pickled_disease_params_run_the_same_episode():
     config = experiment_config(1, 1, population=1_000)
     copied = pickle.loads(pickle.dumps(config))
     assert copied.disease is not config.disease and copied.disease == config.disease
-    with pytest.raises(TypeError):
-        copied.disease.stage_durations[Compartment.EXPOSED] = (1.0, 0.0)
+    with pytest.raises(FrozenInstanceError):
+        copied.disease.stage_durations.exposed = (1.0, 0.0)
+    for disease in (copied.disease, copy.deepcopy(config.disease)):
+        assert not disease.branch_prob.flags.writeable
+        assert not disease.band_beta_multiplier.flags.writeable
     schedule = baseline_schedule(parse_baseline("FullL_FullV"), config.world.episode_days)
     a, b = run_episode(config, schedule, seed=3), run_episode(copied, schedule, seed=3)
     assert np.array_equal(a.compartments, b.compartments)

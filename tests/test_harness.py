@@ -16,7 +16,7 @@ from epidemictrl import harness
 from epidemictrl.ddpg import DdpgHyperParams, train
 from epidemictrl.economy import EconomyConfig
 from epidemictrl.env import EpidemicTask, EpisodeTrace, ExperimentConfig, run_episode
-from epidemictrl.epidemic import AgeBandRates, DEFAULT_AGE_BANDS, DiseaseParams
+from epidemictrl.epidemic import AgeBandRates, DEFAULT_AGE_BANDS, DiseaseParams, StageDurations
 from epidemictrl.harness import (
     TRACE_HEADER,
     BaselineId,
@@ -353,8 +353,6 @@ def test_to_dict_emits_every_field_of_every_config_dataclass():
             assert len(data) == len(obj)
             for item, item_data in zip(obj, data):
                 check(item, item_data)
-        elif isinstance(obj, dict):
-            assert list(data) == [k.name.lower() for k in obj]
 
     check(config, to_dict(config))
     assert seen == {
@@ -362,6 +360,7 @@ def test_to_dict_emits_every_field_of_every_config_dataclass():
         WorldConfig,
         DiseaseParams,
         AgeBandRates,
+        StageDurations,
         EconomyConfig,
         VaccinationPolicyConfig,
         VaccineSpec,
@@ -443,6 +442,17 @@ def test_config_rejects_invalid_json(tmp_path):
     path = tmp_path / "config.json"
     path.write_text("{not json")
     with pytest.raises(ConfigError):
+        load_config_file(path)
+
+
+@pytest.mark.parametrize(
+    "text", [b"\xff\xfe{}", b'{"kappa": 1%s}' % (b"0" * 5000)],
+    ids=["not-utf8", "int-past-digit-limit"],
+)
+def test_config_rejects_text_json_cannot_decode(tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_bytes(text)
+    with pytest.raises(ConfigError, match="is not valid JSON"):
         load_config_file(path)
 
 
@@ -671,6 +681,30 @@ def _first_band(**changes) -> dict:
             None,
             "holds NaN; every number must be finite",
         ),
+        (
+            ["simulate", "--baseline", "NoL_NoV"],
+            '{"kappa": 1e400}',
+            None,
+            "holds 1e400; every number must be finite",
+        ),
+        (
+            ["simulate", "--baseline", "NoL_NoV"],
+            '{"disease": {"beta_base": -1e400}}',
+            None,
+            "holds -1e400; every number must be finite",
+        ),
+        (
+            ["simulate", "--baseline", "NoL_NoV"],
+            '{"kappa": 1%s}' % ("0" * 400),
+            None,
+            "kappa: integer too large for a float",
+        ),
+        (
+            ["simulate", "--baseline", "NoL_NoV"],
+            {"disease": {"stage_durations": {"recovered": [1.0, 1.0]}}},
+            None,
+            "unknown disease.stage_durations keys: ['recovered']",
+        ),
         (["evaluate"], None, _actor_checkpoint({"layers": None}), "header needs a list of layers"),
         (["evaluate"], None, _actor_checkpoint({"layers": "6x8"}), "header needs a list of layers"),
         (["evaluate"], None, _actor_checkpoint({"layers": [None]}), "header needs a list of layers"),
@@ -759,6 +793,10 @@ def _first_band(**changes) -> dict:
         "band-beta-multiplier-negative",
         "band-sigma-negative",
         "kappa-nan",
+        "kappa-overflowing-float",
+        "beta-base-overflowing-float",
+        "kappa-overflowing-int",
+        "stage-durations-untimed-key",
         "checkpoint-without-layers",
         "checkpoint-layers-a-string",
         "checkpoint-layer-null",
@@ -779,8 +817,9 @@ def test_cli_bad_input_is_one_error_line(tmp_path, capsys, argv, config, checkpo
     (tmp_path / "afile").touch()
     argv = [argv[0], "--out", str(tmp_path / "out"), *(a.format(tmp=tmp_path) for a in argv[1:])]
     if config is not None:
+        # a string is the file's text as it stands: json.dumps writes no 1e400
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
         argv += ["--config", str(path)]
     if checkpoint is not None:
         path = tmp_path / "actor.ckpt"
@@ -794,6 +833,31 @@ def test_cli_bad_input_is_one_error_line(tmp_path, capsys, argv, config, checkpo
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert message in err[0], err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, blocked, blocker",
+    [
+        (["simulate", "--baseline", "NoL_NoV", "--seeds", "0"], "traces", "file"),
+        (["evaluate", "--repeats", "1"], "evaluation.json", "directory"),
+    ],
+    ids=["simulate-traces-a-file", "evaluate-json-a-directory"],
+)
+def test_cli_unwritable_output_is_one_error_line(tmp_path, capsys, argv, blocked, blocker):
+    out = tmp_path / "out"
+    out.mkdir()
+    if blocker == "file":
+        (out / blocked).touch()
+    else:
+        (out / blocked).mkdir()
+    if argv[0] == "evaluate":
+        path = tmp_path / "actor.ckpt"
+        save_mlp(mlp_from_widths(ACTOR_WIDTHS, "relu", "tanh", np.random.default_rng(0)), path)
+        argv = [*argv, "--checkpoint", str(path)]
+    assert main([*argv, "--population", "100", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert blocked in err[0], err
 
 
 @pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5", ""])

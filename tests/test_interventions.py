@@ -278,16 +278,16 @@ def test_per_recipient_effectiveness():
 
 def test_gamma_boost_cap():
     # synthetic asymptomatic shares 0.9 and 0.4 boosted by 1.8: the first
-    # saturates at 1.0, in the vaccinated row of the per-age table
+    # saturates at 1.0, in the vaccinated half of the Exposed branch row
     bands = (
         AgeBandRates(1.0, 0.1, 0.1, 0.0),
         AgeBandRates(1.0, 0.6, 0.1, 0.0),
         *DEFAULT_AGE_BANDS[2:],
     )
-    table = DiseaseParams(age_bands=bands).age_asymptomatic_prob
-    assert table[1, 9] == 1.0
-    assert table[1, 10] == pytest.approx(0.72)
-    assert table[0, 9] == pytest.approx(0.9)
+    table = DiseaseParams(age_bands=bands).branch_prob[Compartment.EXPOSED]
+    assert table[109] == 1.0
+    assert table[110] == pytest.approx(0.72)
+    assert table[9] == pytest.approx(0.9)
 
 
 def test_daily_dose_budget_respected():

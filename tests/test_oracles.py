@@ -33,6 +33,7 @@ from epidemictrl.env import ExperimentConfig, run_episode
 from epidemictrl.epidemic import (
     DEFAULT_AGE_BANDS,
     TICK_DAYS,
+    TIMED_COMPARTMENTS,
     Compartment,
     DiseaseParams,
     lognormal_underlying,
@@ -53,7 +54,7 @@ def mean_stage_days(params: DiseaseParams, compartment: Compartment) -> float:
     """Expected days in a stage under the tick sampler, from the
     log-normal's distribution function: a draw X gives k >= 2 ticks for
     2X in [k - 1/2, k + 1/2) and 1 tick below 3/2."""
-    mu, sigma = lognormal_underlying(*params.stage_durations[compartment])
+    mu, sigma = lognormal_underlying(*getattr(params.stage_durations, compartment.name.lower()))
     cdf = stats.lognorm(s=sigma, scale=np.exp(mu)).cdf
     k = np.arange(2, 20_000)
     ticks = cdf(0.75) + (k * (cdf((k + 0.5) / 2) - cdf((k - 0.5) / 2))).sum()
@@ -64,12 +65,13 @@ def predicted_attack_rate(params: DiseaseParams, seeded: float) -> float:
     """The population share ever infected by the final-size relation,
     solved by fixed-point iteration from full infection."""
     C = Compartment
-    days = {c: mean_stage_days(params, c) for c in C if c in params.stage_durations}
-    gamma = params.band_asymptomatic_prob
+    days = {c: mean_stage_days(params, c) for c in TIMED_COMPARTMENTS}
+    gamma = np.array([b.asymptomatic_prob for b in params.age_bands])
+    severe = np.array([b.severe_prob for b in params.age_bands])
     symptomatic = days[C.PRE_SYMPTOMATIC] + days[C.INFECTED_MILD]
-    symptomatic = symptomatic + params.band_severe_prob * days[C.INFECTED_SEVERE]
+    symptomatic = symptomatic + severe * days[C.INFECTED_SEVERE]
     infectious_days = gamma * days[C.ASYMPTOMATIC] + (1.0 - gamma) * symptomatic
-    beta = params.beta_base * params.band_beta_multiplier
+    beta = params.beta_base * np.array([b.beta_multiplier for b in params.age_bands])
     share = np.full(10, 0.1)
     z = np.ones(10)
     for _ in range(10_000):

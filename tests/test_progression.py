@@ -111,6 +111,10 @@ def countdown_progression_step(world, ticks, params, rng):
         return
 
     band = world.age // 10
+    bands = params.age_bands
+    death = np.array([b.death_given_hospitalized for b in bands])
+    severe = np.array([b.severe_prob for b in bands])
+    asymptomatic = np.array([b.asymptomatic_prob for b in bands])
 
     def _enter(ids, target):
         comp[ids] = target
@@ -121,7 +125,7 @@ def countdown_progression_step(world, ticks, params, rng):
 
     ids = np.flatnonzero(due & (comp == Compartment.HOSPITALIZED))
     if ids.size:
-        dies = rng.random(ids.size) < params.band_death_given_hospitalized[band[ids]]
+        dies = rng.random(ids.size) < death[band[ids]]
         _enter(ids[dies], Compartment.DECEASED)
         _enter(ids[~dies], Compartment.RECOVERED)
 
@@ -131,7 +135,7 @@ def countdown_progression_step(world, ticks, params, rng):
 
     ids = np.flatnonzero(due & (comp == Compartment.INFECTED_MILD))
     if ids.size:
-        worsens = rng.random(ids.size) < params.band_severe_prob[band[ids]]
+        worsens = rng.random(ids.size) < severe[band[ids]]
         _enter(ids[worsens], Compartment.INFECTED_SEVERE)
         _enter(ids[~worsens], Compartment.RECOVERED)
 
@@ -145,9 +149,7 @@ def countdown_progression_step(world, ticks, params, rng):
 
     ids = np.flatnonzero(due & (comp == Compartment.EXPOSED))
     if ids.size:
-        gamma = _effective_asymptomatic_prob(
-            params.band_asymptomatic_prob[band[ids]], world.vaccinated[ids]
-        )
+        gamma = _effective_asymptomatic_prob(asymptomatic[band[ids]], world.vaccinated[ids])
         silent = rng.random(ids.size) < gamma
         _enter(ids[silent], Compartment.ASYMPTOMATIC)
         _enter(ids[~silent], Compartment.PRE_SYMPTOMATIC)
