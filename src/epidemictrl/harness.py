@@ -21,14 +21,12 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields, is_dataclass, replace
-from enum import Enum
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .ddpg import DdpgHyperParams, TrainLog, evaluate, train
-from .economy import EconomyConfig
 from .env import (
     ACTION_DIM,
     OBSERVATION_DIM,
@@ -45,7 +43,6 @@ from .interventions import (
     InterventionSchedule,
     VaccinationPolicyConfig,
     VaccineSpec,
-    empty_schedule,
 )
 from .neural import Mlp, load_mlp, save_mlp
 from .world import WorldConfig
@@ -84,36 +81,33 @@ class ConfigError(ValueError):
     pass
 
 
-class BaselineId(Enum):
-    NOL_NOV = "NoL_NoV"
-    FULLL_FULLV = "FullL_FullV"
-    NOL_FULLV = "NoL_FullV"
-    L30_FULLV = "L30_FullV"
+#: The fixed comparison schedules, in report order: each gives its
+#: lockdown window in days, clipped to the episode, and whether every age
+#: stratum is vaccinated for the whole episode.
+BASELINES = {
+    "NoL_NoV": ((0.0, 0.0), False),
+    "FullL_FullV": ((0.0, math.inf), True),
+    "NoL_FullV": ((0.0, 0.0), True),
+    "L30_FullV": ((0.0, 30.0), True),
+}
+
+#: Comparison seeds when none are given, as `parse_seeds` reads them.
+DEFAULT_SEEDS = "0..4"
 
 
-def parse_baseline(text: str) -> BaselineId:
-    for b in BaselineId:
-        if b.value.lower() == text.lower():
-            return b
-    names = ", ".join(b.value for b in BaselineId)
-    raise ConfigError(f"unknown baseline {text!r}; expected one of {names}")
+def parse_baseline(text: str) -> str:
+    """The baseline named by `text`, in any letter case."""
+    for name in BASELINES:
+        if name.lower() == text.lower():
+            return name
+    raise ConfigError(f"unknown baseline {text!r}; expected one of {', '.join(BASELINES)}")
 
 
-def baseline_schedule(
-    baseline: BaselineId, episode_days: int = 100
-) -> InterventionSchedule:
+def baseline_schedule(name: str, episode_days: int = 100) -> InterventionSchedule:
+    (start, end), vaccinated = BASELINES[name]
     d = float(episode_days)
-    full = (0.0, d)
-    none = (0.0, 0.0)
-    if baseline is BaselineId.NOL_NOV:
-        return empty_schedule()
-    if baseline is BaselineId.FULLL_FULLV:
-        return InterventionSchedule(full, (full, full, full))
-    if baseline is BaselineId.NOL_FULLV:
-        return InterventionSchedule(none, (full, full, full))
-    if baseline is BaselineId.L30_FULLV:
-        return InterventionSchedule((0.0, min(30.0, d)), (full, full, full))
-    raise ConfigError(f"unknown baseline {baseline}")
+    vax = (0.0, d if vaccinated else 0.0)
+    return InterventionSchedule((start, min(end, d)), (vax, vax, vax))
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +222,9 @@ def experiment_config(
     given, applies last. Any bad value raises ConfigError.
     """
     if exp_id not in EXPERIMENT_TABLE:
-        raise ConfigError(f"experiment id must be 1..4, got {exp_id}")
+        raise ConfigError(f"experiment id must be one of {list(EXPERIMENT_TABLE)}, got {exp_id}")
     if scenario_id not in SCENARIO_KAPPA:
-        raise ConfigError(f"scenario id must be 1..3, got {scenario_id}")
+        raise ConfigError(f"scenario id must be one of {list(SCENARIO_KAPPA)}, got {scenario_id}")
     row = EXPERIMENT_TABLE[exp_id]
 
     def table_config(population: int) -> ExperimentConfig:
@@ -267,30 +261,6 @@ def experiment_config(
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
     return config
-
-
-def sanity_config(population: int = 2_000, episode_days: int = 100) -> ExperimentConfig:
-    """Degenerate check scenario: lockdown costs nothing economically and a
-    perfect vaccine trickles out slowly, so a near-permanent lockdown
-    dominates every other schedule.
-
-    Nobody spends and the poverty line is 0, so savings never fall, nobody
-    is ever below the line and the economy reward is 0 under any schedule.
-    The reward is health alone, and the scarce perfect vaccine cannot
-    substitute for the lockdown.
-    """
-    return ExperimentConfig(
-        world=WorldConfig(population_size=population, episode_days=episode_days),
-        economy=EconomyConfig(expense_per_person=0.0, poverty_line=0.0),
-        vaccination=VaccinationPolicyConfig(
-            specs=(
-                VaccineSpec(1.0, scaled_doses(100, population)),
-                VaccineSpec(1.0, scaled_doses(100, population)),
-            )
-        ),
-        initial_infection_fraction=0.05,
-        kappa=0.2,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +380,9 @@ def emit_plot_svg(
 
 
 def format_window(window: tuple[float, float]) -> str:
-    start, end = int(round(window[0])), int(round(window[1]))
+    """The whole days the window covers, half-open like the window: day d
+    is covered when start <= d < end, so "days 1-11" covers days 1 to 10."""
+    start, end = math.ceil(window[0]), math.ceil(window[1])
     if end <= start:
         return "none"
     return f"days {start}-{end}"
@@ -603,15 +575,15 @@ def run_experiment(
     if hyper is None:
         hyper = DdpgHyperParams()
     if comparison_seeds is None:
-        comparison_seeds = list(range(5))
+        comparison_seeds = parse_seeds(DEFAULT_SEEDS)
     if config is None:
         config = experiment_config(exp_id, scenario_id, population)
 
     result = train(EpidemicTask(config, seed_base=hyper.seed), hyper)
     final = result.best_eval
     schedules = {"optimized": final.schedule}
-    for baseline in BaselineId:
-        schedules[baseline.value] = baseline_schedule(baseline, config.world.episode_days)
+    for name in BASELINES:
+        schedules[name] = baseline_schedule(name, config.world.episode_days)
     run = compare(config, schedules, comparison_seeds, out_dir)
 
     if out_dir is not None:
@@ -658,13 +630,27 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def _make_out_dir(out: Path) -> Path:
+#: The files a `train` run writes under `--out`, beside `traces/`.
+TRAIN_OUTPUTS = (
+    "resolved_config.json", "comparison.csv", "summary.csv", "training_log.csv", "actor.ckpt",
+    "below_poverty_line.svg", "deceased.svg", "total_infected.svg",
+)
+
+
+def _make_out_dir(out: Path, files: tuple[str, ...] = ()) -> Path:
     """Create `--out` after every other input check and before the first
-    episode, so a path that cannot be a directory costs no run."""
+    episode, and open each of `files` in it for appending, so a path that
+    cannot be a directory, or an output name that cannot be written,
+    costs no run. A file the check creates it removes again."""
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    for path in (out / name for name in files):
+        existed = path.exists()
+        open(path, "a").close()  # an OSError ends the command in one error line
+        if not existed:
+            path.unlink()
     return out
 
 
@@ -677,8 +663,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", type=Path, default=None, help="JSON config file")
-        p.add_argument("--experiment", type=int, default=1, choices=(1, 2, 3, 4))
-        p.add_argument("--scenario", type=int, default=1, choices=(1, 2, 3))
+        p.add_argument("--experiment", type=int, default=1, choices=list(EXPERIMENT_TABLE))
+        p.add_argument("--scenario", type=int, default=1, choices=list(SCENARIO_KAPPA))
         p.add_argument(
             "--population",
             type=int,
@@ -688,8 +674,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a fixed baseline schedule")
     add_common(p)
-    p.add_argument("--baseline", required=True, help="NoL_NoV | FullL_FullV | NoL_FullV | L30_FullV")
-    p.add_argument("--seeds", default="0..4", help="seed list, e.g. 0..4 or 0,1,2")
+    p.add_argument("--baseline", required=True, help=" | ".join(BASELINES))
+    p.add_argument("--seeds", default=DEFAULT_SEEDS, help="seed list (default %(default)s)")
     p.add_argument("--out", type=Path, required=True)
 
     p = sub.add_parser("train", help="optimize a schedule and compare to baselines")
@@ -697,7 +683,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--iterations", type=int, default=150)
     p.add_argument("--seed", type=int, default=0, help="training seed")
-    p.add_argument("--seeds", default="0..4", help="comparison seeds")
+    p.add_argument("--seeds", default=DEFAULT_SEEDS, help="comparison seeds (default %(default)s)")
 
     p = sub.add_parser("evaluate", help="score a saved actor checkpoint")
     add_common(p)
@@ -719,8 +705,8 @@ def _cmd_simulate(args) -> int:
     config = _experiment_config(args)
     schedule = baseline_schedule(baseline, config.world.episode_days)
     seeds = parse_seeds(args.seeds)
-    run = compare(config, {baseline.value: schedule}, seeds, _make_out_dir(args.out))
-    print(f"baseline {baseline.value}: {format_schedule(schedule)}")
+    run = compare(config, {baseline: schedule}, seeds, _make_out_dir(args.out))
+    print(f"baseline {baseline}: {format_schedule(schedule)}")
     for label, metrics in run.summary.items():
         print(
             f"  {label}: total_reward={metrics['total_reward']:.1f} "
@@ -746,7 +732,7 @@ def _cmd_train(args) -> int:
         args.scenario,
         hyper=hyper,
         comparison_seeds=seeds,
-        out_dir=_make_out_dir(args.out),
+        out_dir=_make_out_dir(args.out, TRAIN_OUTPUTS),
         config=config,
     )
     print(

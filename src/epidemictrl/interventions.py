@@ -73,10 +73,6 @@ class VaccinationPolicyConfig:
             raise ValueError("exactly two vaccine types are modeled")
 
 
-def empty_schedule() -> InterventionSchedule:
-    return InterventionSchedule((0.0, 0.0), ((0.0, 0.0), (0.0, 0.0), (0.0, 0.0)))
-
-
 def decode_action(
     raw: np.ndarray, horizon_days: float = 100.0
 ) -> InterventionSchedule:

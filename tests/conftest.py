@@ -5,6 +5,7 @@ import pytest
 
 from epidemictrl.economy import EconomyConfig, init_house_ledgers
 from epidemictrl.epidemic import Compartment, DiseaseParams, _enter, agent_transmissibility
+from epidemictrl.interventions import InterventionSchedule
 from epidemictrl.rng import RngStreams
 from epidemictrl.world import (
     EMPLOYMENT_AGE,
@@ -31,6 +32,10 @@ def make_world(
     if with_ledgers:
         init_house_ledgers(world, EconomyConfig(), streams.economy)
     return world
+
+
+def empty_schedule() -> InterventionSchedule:
+    return InterventionSchedule((0.0, 0.0), ((0.0, 0.0), (0.0, 0.0), (0.0, 0.0)))
 
 
 def _next_compartment(source: Compartment, target: Compartment) -> Compartment:

@@ -1,4 +1,6 @@
-"""The epidemic as a whole against a closed form of the stated model.
+"""The acceptance suite: one test per criterion the simulator and the
+learner are held to as a whole (`pytest tests/test_acceptance.py -v`
+prints a PASS line for each).
 
 Final size: with everyone in one house under a lockdown that keeps every
 agent home (no essential workers, no violators), all transmission happens
@@ -19,17 +21,30 @@ The severe branch is off (`severe_prob` 1e-12, `sigma` 0): hospitalized
 and deceased agents leave the house, which the relation does not model;
 with the default bands the simulation was measured 0.007-0.011 above it
 (ROADMAP.md item 2).
+
+Baseline order: vaccinating everyone lowers the cumulative infections of
+an unchecked epidemic, and a lockdown on top lowers them further, seed by
+seed. Wall time: one paper-scale episode stays well inside a loose bound;
+its real number is `perfbench/run.py --workload nolnov-100k`'s.
+
+Learning: with a free lockdown and a scarce perfect vaccine
+(`sanity_config`), training locks down from the start for most of the
+episode.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
+import time
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from epidemictrl.env import ExperimentConfig, run_episode
+from epidemictrl.ddpg import DdpgHyperParams, train
+from epidemictrl.economy import EconomyConfig
+from epidemictrl.env import EpidemicTask, ExperimentConfig, run_episode
 from epidemictrl.epidemic import (
     DEFAULT_AGE_BANDS,
     TICK_DAYS,
@@ -38,6 +53,7 @@ from epidemictrl.epidemic import (
     DiseaseParams,
     lognormal_underlying,
 )
+from epidemictrl.harness import baseline_schedule, experiment_config, scaled_doses
 from epidemictrl.interventions import InterventionSchedule, VaccinationPolicyConfig, VaccineSpec
 from epidemictrl.world import WorldConfig
 
@@ -114,3 +130,53 @@ def test_final_size_matches_the_multitype_relation(beta_base, predicted):
     rates = np.array(rates)
     se = rates.std(ddof=1) / np.sqrt(rates.size)
     assert abs(rates.mean() - expected) < TOLERANCE_SE * se, (rates.mean(), se, expected)
+
+
+def test_baselines_order_cumulative_infections_seed_by_seed():
+    config = experiment_config(1, 1, population=2_000)
+    for seed in range(5):
+        infected = [
+            run_episode(config, baseline_schedule(name), seed).ever_infected[-1]
+            for name in ("NoL_NoV", "NoL_FullV", "FullL_FullV")
+        ]
+        assert infected[0] > infected[1] > infected[2], (seed, infected)
+
+
+def test_one_paper_scale_episode_runs_in_under_5_s():
+    config = experiment_config(1, 1, population=100_000)
+    start = time.perf_counter()
+    run_episode(config, baseline_schedule("NoL_NoV"), seed=0)
+    assert time.perf_counter() - start < 5.0
+
+
+def sanity_config(population: int = 2_000, episode_days: int = 100) -> ExperimentConfig:
+    """Degenerate check scenario: lockdown costs nothing economically and a
+    perfect vaccine trickles out slowly, so a near-permanent lockdown
+    dominates every other schedule.
+
+    Nobody spends and the poverty line is 0, so savings never fall, nobody
+    is ever below the line and the economy reward is 0 under any schedule.
+    The reward is health alone, and the scarce perfect vaccine cannot
+    substitute for the lockdown.
+    """
+    return ExperimentConfig(
+        world=WorldConfig(population_size=population, episode_days=episode_days),
+        economy=EconomyConfig(expense_per_person=0.0, poverty_line=0.0),
+        vaccination=VaccinationPolicyConfig(
+            specs=(
+                VaccineSpec(1.0, scaled_doses(100, population)),
+                VaccineSpec(1.0, scaled_doses(100, population)),
+            )
+        ),
+        initial_infection_fraction=0.05,
+        kappa=0.2,
+    )
+
+
+def test_sanity_scenario_learns_a_lockdown_from_day_one():
+    # A free lockdown and a scarce perfect vaccine: the learner should lock
+    # down from the start for most of the episode (about 10 s).
+    result = train(EpidemicTask(sanity_config(), seed_base=0), DdpgHyperParams(seed=0))
+    start, end = result.best_eval.schedule.lockdown
+    assert start <= 1.0
+    assert end - start >= 60.0

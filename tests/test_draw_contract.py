@@ -21,7 +21,7 @@ from scipy.stats import ks_2samp
 
 import reference_draws
 from epidemictrl import env
-from epidemictrl.harness import BaselineId, baseline_schedule, experiment_config
+from epidemictrl.harness import baseline_schedule, experiment_config
 from test_golden import trace_digest
 
 POPULATION = 500
@@ -60,7 +60,7 @@ def outcomes(config, schedule):
 @pytest.mark.parametrize("baseline", ["NoL_NoV", "NoL_FullV"])
 def test_episode_outcomes_match_the_earlier_draw_contract(monkeypatch, baseline):
     config = experiment_config(1, 1, population=POPULATION)
-    schedule = baseline_schedule(BaselineId(baseline), config.world.episode_days)
+    schedule = baseline_schedule(baseline, config.world.episode_days)
     engine = outcomes(config, schedule)
     use_earlier_contract(monkeypatch)
     earlier = outcomes(config, schedule)
@@ -75,6 +75,6 @@ def test_episode_outcomes_match_the_earlier_draw_contract(monkeypatch, baseline)
 def test_reference_reproduces_the_earlier_pins(monkeypatch, experiment, baseline, seed):
     use_earlier_contract(monkeypatch)
     config = experiment_config(experiment, 1, population=2_000)
-    schedule = baseline_schedule(BaselineId(baseline), config.world.episode_days)
+    schedule = baseline_schedule(baseline, config.world.episode_days)
     trace = env.run_episode(config, schedule, seed)
     assert trace_digest(trace) == EARLIER_TRACE_GOLDEN[experiment, baseline, seed]

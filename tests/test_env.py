@@ -16,13 +16,10 @@ from epidemictrl.env import (
     total_reward,
 )
 from epidemictrl.epidemic import Compartment
-from epidemictrl.interventions import (
-    InterventionSchedule,
-    VaccinationPolicyConfig,
-    VaccineSpec,
-    empty_schedule,
-)
+from epidemictrl.interventions import InterventionSchedule, VaccinationPolicyConfig, VaccineSpec
 from epidemictrl.world import WorldConfig
+
+from conftest import empty_schedule
 
 
 def _trace(im, hosp, bpl=None):

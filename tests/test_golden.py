@@ -15,12 +15,7 @@ import pytest
 
 from epidemictrl.ddpg import LOG_FIELDS, DdpgHyperParams, train
 from epidemictrl.env import run_episode
-from epidemictrl.harness import (
-    BaselineId,
-    baseline_schedule,
-    experiment_config,
-    run_experiment,
-)
+from epidemictrl.harness import baseline_schedule, experiment_config, run_experiment
 
 from conftest import QuadraticBandit
 
@@ -102,7 +97,7 @@ TRACE_GOLDEN = {
 @pytest.mark.parametrize("experiment, baseline, seed", sorted(TRACE_GOLDEN))
 def test_baseline_trace_digest(experiment, baseline, seed):
     config = experiment_config(experiment, 1, population=2_000)
-    schedule = baseline_schedule(BaselineId(baseline), config.world.episode_days)
+    schedule = baseline_schedule(baseline, config.world.episode_days)
     trace = run_episode(config, schedule, seed)
     assert trace_digest(trace) == TRACE_GOLDEN[experiment, baseline, seed]
 

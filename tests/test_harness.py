@@ -11,30 +11,32 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from epidemictrl import harness
-from epidemictrl.ddpg import DdpgHyperParams, train
+from epidemictrl import env, harness
+from epidemictrl.ddpg import DdpgHyperParams
 from epidemictrl.economy import EconomyConfig
-from epidemictrl.env import EpidemicTask, EpisodeTrace, ExperimentConfig, run_episode
+from epidemictrl.env import EpisodeTrace, ExperimentConfig, run_episode
 from epidemictrl.epidemic import AgeBandRates, DEFAULT_AGE_BANDS, DiseaseParams, StageDurations
 from epidemictrl.harness import (
     TRACE_HEADER,
-    BaselineId,
     ConfigError,
     DEFAULT_POPULATION,
     EXPERIMENT_TABLE,
     SCENARIO_KAPPA,
+    TRAIN_OUTPUTS,
     baseline_schedule,
     compare,
     emit_plot_svg,
     experiment_config,
     format_schedule,
+    format_window,
     from_dict,
     load_config_file,
     main,
     parse_baseline,
     parse_seeds,
-    sanity_config,
     scaled_doses,
     to_dict,
     write_trace_csv,
@@ -42,12 +44,14 @@ from epidemictrl.harness import (
 from epidemictrl.interventions import (
     VaccinationPolicyConfig,
     VaccineSpec,
-    empty_schedule,
     lockdown_active,
     window_active,
 )
 from epidemictrl.neural import CHECKPOINT_MAGIC, mlp_from_widths, save_mlp
 from epidemictrl.world import WorldConfig
+
+from conftest import empty_schedule
+from test_acceptance import sanity_config
 
 
 def test_experiment_table_rows():
@@ -102,10 +106,10 @@ def test_baseline_schedules_decode_exactly():
     none = (0.0, 0.0)
     full = (0.0, 100.0)
     expect = {
-        BaselineId.NOL_NOV: (none, (none, none, none)),
-        BaselineId.FULLL_FULLV: (full, (full, full, full)),
-        BaselineId.NOL_FULLV: (none, (full, full, full)),
-        BaselineId.L30_FULLV: ((0.0, 30.0), (full, full, full)),
+        "NoL_NoV": (none, (none, none, none)),
+        "FullL_FullV": (full, (full, full, full)),
+        "NoL_FullV": (none, (full, full, full)),
+        "L30_FullV": ((0.0, 30.0), (full, full, full)),
     }
     for baseline, (lock, vax) in expect.items():
         sched = baseline_schedule(baseline, d)
@@ -114,14 +118,14 @@ def test_baseline_schedules_decode_exactly():
 
 
 def test_l30_lockdown_ends_day_30():
-    sched = baseline_schedule(BaselineId.L30_FULLV, 100)
+    sched = baseline_schedule("L30_FullV", 100)
     assert lockdown_active(sched, 29)
     assert not lockdown_active(sched, 30)
     assert all(window_active(w, 99) for w in sched.vax_windows)
 
 
 def test_parse_baseline_case_insensitive():
-    assert parse_baseline("nol_nov") is BaselineId.NOL_NOV
+    assert parse_baseline("nol_nov") == "NoL_NoV"
     with pytest.raises(ConfigError):
         parse_baseline("NoSuch")
 
@@ -222,13 +226,23 @@ def test_svg_rejects_empty():
 
 
 def test_format_schedule_style():
-    sched = baseline_schedule(BaselineId.L30_FULLV, 100)
+    sched = baseline_schedule("L30_FullV", 100)
     text = format_schedule(sched)
     assert text == (
         "lockdown: days 0-30; vax 0-17: days 0-100; "
         "vax 18-59: days 0-100; vax 60-99: days 0-100"
     )
     assert format_schedule(empty_schedule()).startswith("lockdown: none")
+
+
+@given(st.floats(0.0, 120.0), st.floats(0.0, 120.0))
+@example(0.4, 10.4)
+@example(3.0, 3.4)
+def test_format_window_prints_the_days_window_active_covers(a, b):
+    window = (min(a, b), max(a, b))
+    covered = [day for day in range(125) if window_active(window, day)]
+    expected = f"days {covered[0]}-{covered[-1] + 1}" if covered else "none"
+    assert format_window(window) == expected
 
 
 # Every section differs from its defaults; stage_durations is partial.
@@ -313,6 +327,7 @@ def test_train_and_evaluate_sidecars_rerun_identically(tmp_path):
     first, second = _rerun_from_sidecar(tmp_path / "train", argv)
     _assert_same_traces(first / "traces", second / "traces")
     assert (first / "actor.ckpt").read_bytes() == (second / "actor.ckpt").read_bytes()
+    assert sorted(p.name for p in first.iterdir()) == sorted([*TRAIN_OUTPUTS, "traces"])
 
     argv = ["evaluate", "--checkpoint", str(first / "actor.ckpt"), "--repeats", "2"]
     first, second = _rerun_from_sidecar(tmp_path / "evaluate", argv)
@@ -461,22 +476,13 @@ def test_sanity_config_shape():
     assert config.world.population_size == 2_000
     assert all(s.effectiveness == 1.0 for s in config.vaccination.specs)
     # the lockdown costs nothing: nobody falls below the line, locked or not
-    for baseline in (BaselineId.FULLL_FULLV, BaselineId.NOL_NOV):
+    for baseline in ("FullL_FullV", "NoL_NoV"):
         trace = run_episode(config, baseline_schedule(baseline), seed=0)
         assert not trace.below_poverty.any(), baseline
 
 
-def test_sanity_scenario_learns_a_lockdown_from_day_one():
-    # A free lockdown and a scarce perfect vaccine: the learner should lock
-    # down from the start for most of the episode (about 10 s).
-    result = train(EpidemicTask(sanity_config(), seed_base=0), DdpgHyperParams(seed=0))
-    start, end = result.best_eval.schedule.lockdown
-    assert start <= 1.0
-    assert end - start >= 60.0
-
-
 def _nol_nov(config) -> dict:
-    return {"NoL_NoV": baseline_schedule(BaselineId.NOL_NOV, config.world.episode_days)}
+    return {"NoL_NoV": baseline_schedule("NoL_NoV", config.world.episode_days)}
 
 
 def test_run_baseline_outputs(tmp_path):
@@ -840,10 +846,17 @@ def test_cli_bad_input_is_one_error_line(tmp_path, capsys, argv, config, checkpo
     [
         (["simulate", "--baseline", "NoL_NoV", "--seeds", "0"], "traces", "file"),
         (["evaluate", "--repeats", "1"], "evaluation.json", "directory"),
+        (["train", "--iterations", "40", "--seeds", "0"], "training_log.csv", "directory"),
     ],
-    ids=["simulate-traces-a-file", "evaluate-json-a-directory"],
+    ids=["simulate-traces-a-file", "evaluate-json-a-directory", "train-log-a-directory"],
 )
-def test_cli_unwritable_output_is_one_error_line(tmp_path, capsys, argv, blocked, blocker):
+def test_cli_unwritable_output_is_one_error_line(
+    tmp_path, capsys, monkeypatch, argv, blocked, blocker
+):
+    episodes = []
+    run = env.run_episode
+    monkeypatch.setattr(env, "run_episode", lambda *a: episodes.append(a) or run(*a))
+    monkeypatch.setattr(harness, "run_episode", env.run_episode)
     out = tmp_path / "out"
     out.mkdir()
     if blocker == "file":
@@ -858,6 +871,9 @@ def test_cli_unwritable_output_is_one_error_line(tmp_path, capsys, argv, blocked
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert blocked in err[0], err
+    if argv[0] == "train":  # its fixed names are checked before the first episode
+        assert episodes == []
+        assert sorted(p.name for p in out.iterdir()) == [blocked]
 
 
 @pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5", ""])
@@ -874,13 +890,26 @@ def test_bad_threads_env_is_one_error_line(tmp_path, capsys, monkeypatch, argv, 
     assert not (tmp_path / "out").exists()
 
 
+# What importing the harness may load beyond numpy: a new import-time
+# dependency is paid by every run's startup (perfbench's setup_s).
+HARNESS_STDLIB_IMPORTS = {
+    "__future__", "_csv", "_json", "argparse", "copy", "csv", "dataclasses", "gettext",
+    "html", "html.entities", "json", "json.decoder", "json.encoder", "json.scanner",
+}
+
+
 def test_importing_the_harness_skips_unused_stdlib_modules():
-    # The process pool and the XML escape used to pull these in on every run.
-    unused = ["urllib.request", "http.client", "ssl", "email", "multiprocessing"]
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": src}
-    probe = f"import sys, epidemictrl.harness; print([m for m in {unused!r} if m in sys.modules])"
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    probe = (
+        "import sys, numpy; before = set(sys.modules); import epidemictrl.harness; "
+        "print(*set(sys.modules) - before)"
     )
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    extra = set(out.stdout.split()) - HARNESS_STDLIB_IMPORTS
+    assert not {m for m in extra if m.partition(".")[0] != "epidemictrl"}, sorted(extra)

@@ -14,14 +14,13 @@ from epidemictrl.interventions import (
     VaccineSpec,
     apply_vaccine_effects,
     decode_action,
-    empty_schedule,
     lockdown_active,
     vaccination_day_step,
     window_active,
 )
 from epidemictrl.world import WorldConfig
 
-from conftest import make_world, rng
+from conftest import empty_schedule, make_world, rng
 from reference_draws import vaccination_day_step_by_mask
 
 
