@@ -64,7 +64,7 @@ def select_action(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Actor output plus per-component Gaussian noise, clamped to [-1, 1]."""
-    action = actor.forward(obs)
+    action = actor.forward(obs[None])[0]
     if noise_sigma > 0:
         action = action + rng.normal(0.0, noise_sigma, size=action.shape)
     return np.clip(action, -1.0, 1.0)
@@ -73,36 +73,25 @@ def select_action(
 class ActorCritic:
     """Actor and critic networks plus their optimizer states."""
 
-    def __init__(self, actor: Mlp, critic: Mlp):
-        self.actor = actor
-        self.critic = critic
-        self.actor_adam = Adam(actor)
-        self.critic_adam = Adam(critic)
-
-    @classmethod
-    def initialize(
-        cls,
-        obs_dim: int,
-        action_dim: int,
-        rng: np.random.Generator,
-    ) -> "ActorCritic":
+    def __init__(self, obs_dim: int, action_dim: int, rng: np.random.Generator):
         h1, h2 = HIDDEN
         # The output layer starts scaled down so the initial policy sits
         # near the center of the action box.
-        actor = mlp_from_widths(
+        self.actor = mlp_from_widths(
             (obs_dim, h1, h2, action_dim), "relu", "tanh", rng, final_scale=0.1
         )
-        critic = mlp_from_widths(
+        self.critic = mlp_from_widths(
             (obs_dim + action_dim, h1, h2, 1), "relu", "identity", rng
         )
-        return cls(actor, critic)
+        self.actor_adam = Adam(self.actor)
+        self.critic_adam = Adam(self.critic)
 
     def _critic_action_gradient(self, obs: np.ndarray, action: np.ndarray):
         """dQ/da at (obs, action), plus the Q values."""
-        x = np.concatenate([obs, action], axis=-1)
+        x = np.concatenate([obs, action], axis=1)
         q, cache = self.critic.forward_cached(x)
         _, grad_in = self.critic.backward(cache, np.ones_like(q))
-        return grad_in[..., obs.shape[-1] :], q
+        return grad_in[:, obs.shape[1] :], q
 
     def critic_step(self, batch) -> float:
         """One gradient step of the critic regression; returns its loss.
@@ -114,7 +103,7 @@ class ActorCritic:
         """
         obs, actions, rewards = batch
         n = obs.shape[0]
-        x = np.concatenate([obs, actions], axis=-1)
+        x = np.concatenate([obs, actions], axis=1)
         q, cache = self.critic.forward_cached(x)
         residual = q[:, 0] - rewards
         critic_loss = float(np.mean(residual**2))
@@ -189,7 +178,7 @@ def evaluate(actor: Mlp, task, repeats: int) -> EvalResult:
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
     obs = task.observation()
-    action = np.clip(actor.forward(obs), -1.0, 1.0)
+    action = np.clip(actor.forward(obs[None])[0], -1.0, 1.0)
     base = task.seed_base + EVAL_SEED_OFFSET
     rewards = [float(task.rollout(action, base + j)) for j in range(repeats)]
     return EvalResult(
@@ -226,7 +215,7 @@ def train(task, hyper: DdpgHyperParams | None = None) -> TrainResult:
 
     obs = task.observation()
     action_dim = task.action_dim
-    agent = ActorCritic.initialize(obs.size, action_dim, init_rng)
+    agent = ActorCritic(obs.size, action_dim, init_rng)
     actions = np.zeros((hyper.train_iterations, action_dim))
     rewards = np.zeros(hyper.train_iterations)
     obs_batch = np.tile(obs, (BATCH_SIZE, 1))

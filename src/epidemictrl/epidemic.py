@@ -86,9 +86,12 @@ NOT_DUE = -1
 #: the start tick plus a dwell, fits the int32 `due_tick`.
 MAX_DWELL_TICKS = 2**30
 
+# The rows of `WorldState.place` (see there).
+NIGHT, DAY, LOCKDOWN_DAY = 0, 1, 2
+
 # The rows of `place` that give a mildly ill agent's seats by day: the two
 # day rows, then the night row (the house) once for each.
-_DAY_THEN_HOME = np.array([1, 2, 0, 0])
+_DAY_THEN_HOME = np.array([DAY, LOCKDOWN_DAY, NIGHT, NIGHT])
 
 # Search keys for the stage bounds in `progression_step`: in the sorted due
 # compartments, compartment c spans [bounds[c], bounds[c + 1]).
@@ -280,10 +283,10 @@ def _enter(
     `subtract.at`, not a subscripted `-=`, so that two deaths in one house
     on one tick both count.
 
-    Four moves change the occupancy (see `WorldState`; row 0 of `place`
-    holds the houses): PS->IM and IM->R move an agent between its day
-    places and its house on the two day rows, IS->H takes it out of its
-    house on all three rows, and H->R puts it back at its well places.
+    Four moves change the occupancy (see `WorldState`; the `NIGHT` row of
+    `place` holds the houses): PS->IM and IM->R move an agent between its
+    day places and its house on the two day rows, IS->H takes it out of
+    its house on all three rows, and H->R puts it back at its well places.
     Each gathers its slots as flat occupancy indices and counts them with
     `subtract.at` / `add.at` on 1-D indices: a `ufunc.at` given a 2-D
     index and broadcast values has written garbage (numpy 2.4.6).
@@ -319,7 +322,7 @@ def _enter(
     if target == _RECOVERED or target == _DECEASED:
         world.due_tick[ids] = NOT_DUE
         if target == _DECEASED:
-            np.subtract.at(world.live_members, world.place[0].take(ids) - 1, 1)
+            np.subtract.at(world.live_members, world.place[NIGHT].take(ids) - 1, 1)
     else:
         start = world.tick - 1 if target == _EXPOSED else world.tick
         world.due_tick[ids] = start + sample_duration_ticks(
@@ -336,7 +339,7 @@ def _enter(
         np.subtract.at(world.occupancy.ravel(), left.ravel(), 1)
         np.add.at(world.occupancy.ravel(), entered.ravel(), 1)
     elif target == _HOSPITALIZED:
-        home = world.place[0].take(ids) + world.row_offsets
+        home = world.place[NIGHT].take(ids) + world.row_offsets
         np.subtract.at(world.occupancy.ravel(), home.ravel(), 1)
     elif source == _HOSPITALIZED and target == _RECOVERED:
         well = world.place.take(ids, axis=1)
@@ -402,10 +405,10 @@ def exposure_step(
     place = world.place[row]
 
     k = sources.size
-    if row:
+    if row != NIGHT:
         # By day InfectedMild and InfectedSevere sources stay home: they
-        # read their place from row 0 of the flattened `place`. The flat
-        # indices borrow the second value row, unused until the gathers.
+        # read their place from row NIGHT (0) of the flattened `place`. The
+        # flat indices borrow the second value row, unused until the gathers.
         well = np.less(comp.take(sources), _INFECTED_MILD, out=mask[:k])
         flat = np.multiply(well, row * world.population, out=values[1, :k].view(np.int64))
         flat += sources

@@ -50,7 +50,6 @@ from .world import WorldConfig
 #: Dose availabilities in the experiment table are quoted at this scale and
 #: scale linearly with the simulated population.
 REFERENCE_POPULATION = 100_000
-DEFAULT_POPULATION = 10_000
 
 EXPERIMENT_TABLE: dict[int, dict] = {
     1: {"initial_infection_percent": 15, "v1": (0.8, 450), "v2": (0.6, 450)},
@@ -245,7 +244,7 @@ def experiment_config(
         if population is None:
             # only the file's population; the one build below checks the rest
             world_cfg = file_cfg.get("world")
-            population = DEFAULT_POPULATION
+            population = WorldConfig.population_size
             if isinstance(world_cfg, dict) and "population_size" in world_cfg:
                 raw = world_cfg["population_size"]
                 population = _read(int, raw, None, "world.population_size")
@@ -630,18 +629,21 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-#: The files a `train` run writes under `--out`, beside `traces/`.
-TRAIN_OUTPUTS = (
-    "resolved_config.json", "comparison.csv", "summary.csv", "training_log.csv", "actor.ckpt",
+#: The files `compare` writes under `--out`, beside `traces/`; a `train`
+#: run adds its log and checkpoint.
+COMPARE_OUTPUTS = (
+    "resolved_config.json", "comparison.csv", "summary.csv",
     "below_poverty_line.svg", "deceased.svg", "total_infected.svg",
 )
+TRAIN_OUTPUTS = (*COMPARE_OUTPUTS, "training_log.csv", "actor.ckpt")
 
 
 def _make_out_dir(out: Path, files: tuple[str, ...] = ()) -> Path:
     """Create `--out` after every other input check and before the first
     episode, and open each of `files` in it for appending, so a path that
     cannot be a directory, or an output name that cannot be written,
-    costs no run. A file the check creates it removes again."""
+    costs no run. A file the check creates it removes again. A command
+    with `files` also writes `traces/`, which this makes as well."""
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -651,6 +653,8 @@ def _make_out_dir(out: Path, files: tuple[str, ...] = ()) -> Path:
         open(path, "a").close()  # an OSError ends the command in one error line
         if not existed:
             path.unlink()
+    if files:
+        (out / "traces").mkdir(exist_ok=True)
     return out
 
 
@@ -669,7 +673,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--population",
             type=int,
             default=None,
-            help=f"agents to simulate (default {DEFAULT_POPULATION})",
+            help=f"agents to simulate (default {WorldConfig.population_size})",
         )
 
     p = sub.add_parser("simulate", help="run a fixed baseline schedule")
@@ -705,7 +709,7 @@ def _cmd_simulate(args) -> int:
     config = _experiment_config(args)
     schedule = baseline_schedule(baseline, config.world.episode_days)
     seeds = parse_seeds(args.seeds)
-    run = compare(config, {baseline: schedule}, seeds, _make_out_dir(args.out))
+    run = compare(config, {baseline: schedule}, seeds, _make_out_dir(args.out, COMPARE_OUTPUTS))
     print(f"baseline {baseline}: {format_schedule(schedule)}")
     for label, metrics in run.summary.items():
         print(

@@ -57,7 +57,8 @@ def _activate_grad(z: np.ndarray, kind: str) -> np.ndarray:
 
 
 class Mlp:
-    """Feed-forward network: affine layers with per-layer activations."""
+    """Feed-forward network: affine layers with per-layer activations,
+    mapping a (batch, input width) array to (batch, output width)."""
 
     def __init__(self, specs: tuple[LayerSpec, ...], weights, biases):
         for a, b in zip(specs, specs[1:]):
@@ -69,14 +70,6 @@ class Mlp:
         for spec, w, b in zip(self.specs, self.weights, self.biases):
             if w.shape != (spec.fan_in, spec.fan_out) or b.shape != (spec.fan_out,):
                 raise ValueError("parameter shapes do not match layer specs")
-
-    @property
-    def input_dim(self) -> int:
-        return self.specs[0].fan_in
-
-    @property
-    def parameter_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
     def copy(self) -> "Mlp":
         return Mlp(
@@ -91,49 +84,36 @@ class Mlp:
             out.extend((w, b))
         return out
 
-    def _as_batch(self, x: np.ndarray) -> tuple[np.ndarray, bool]:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            return x[None, :], True
-        if x.ndim == 2:
-            return x, False
-        raise ValueError(f"expected a vector or a batch, got ndim={x.ndim}")
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.forward_cached(x)[0]
 
     def forward_cached(self, x: np.ndarray):
         """Forward pass keeping per-layer inputs and pre-activations."""
-        batch, squeeze = self._as_batch(x)
-        if batch.shape[1] != self.input_dim:
-            raise ValueError(
-                f"input width {batch.shape[1]} != expected {self.input_dim}"
-            )
-        a = batch
+        a = np.asarray(x, dtype=np.float64)
+        fan_in = self.specs[0].fan_in
+        if a.ndim != 2 or a.shape[1] != fan_in:
+            raise ValueError(f"expected a (batch, {fan_in}) input, got shape {a.shape}")
         cache = []
         for spec, w, b in zip(self.specs, self.weights, self.biases):
             z = a @ w + b
             cache.append((a, z))
             a = _activate(z, spec.activation)
-        return (a[0] if squeeze else a), (cache, squeeze)
+        return a, cache
 
     def backward(self, cache, grad_output: np.ndarray):
         """Exact gradients of sum(grad_output * output) w.r.t. params and input.
 
-        Returns (gradients in `parameters()` order, grad_input); batch
-        gradients sum over the batch, so the caller owns any 1/B scaling.
+        Returns (gradients in `parameters()` order, grad_input); gradients
+        sum over the batch, so the caller owns any 1/B scaling.
         """
-        layer_cache, squeeze = cache
-        g = np.asarray(grad_output, dtype=np.float64)
-        if squeeze:
-            g = g[None, :]
+        g = grad_output
         grads: list[np.ndarray] = [None] * (2 * len(self.specs))
         for i in range(len(self.specs) - 1, -1, -1):
-            a_in, z = layer_cache[i]
+            a_in, z = cache[i]
             dz = g * _activate_grad(z, self.specs[i].activation)
             grads[2 * i], grads[2 * i + 1] = a_in.T @ dz, dz.sum(axis=0)
             g = dz @ self.weights[i].T
-        return grads, (g[0] if squeeze else g)
+        return grads, g
 
 
 class Adam:
@@ -172,7 +152,7 @@ def save_mlp(
             for s in net.specs
         ],
         "dtype": "<f8",
-        "param_count": net.parameter_count,
+        "param_count": sum(p.size for p in net.parameters()),
         "seed": seed,
         "step": step,
     }

@@ -20,18 +20,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .epidemic import _SUSCEPTIBLE, NOT_DUE, Compartment
+from .epidemic import _SUSCEPTIBLE, DAY, LOCKDOWN_DAY, NIGHT, NOT_DUE, Compartment
 from .rng import RngStreams
 
 EMPLOYMENT_AGE = 30  # strictly older than this means employed
 
-# The rows of `WorldState.place`.
-NIGHT, DAY, LOCKDOWN_DAY = 0, 1, 2
-
 
 @dataclass(frozen=True)
 class WorldConfig:
-    population_size: int = 100_000
+    population_size: int = 10_000
     household_size: int = 4
     office_capacity: int = 50
     school_capacity: int = 200
@@ -105,8 +102,6 @@ class WorldState:
     row: int
 
     n_houses: int
-    n_offices: int
-    n_schools: int
 
     # agents per compartment, living members per house, agents per slot
     # and row, and the infectious
@@ -140,7 +135,7 @@ class WorldState:
 
     @property
     def n_locations(self) -> int:
-        return self.n_houses + self.n_offices + self.n_schools
+        return self.occupancy.shape[1] - 1
 
     def compartment_counts(self) -> np.ndarray:
         return self.compartment_totals.copy()
@@ -187,8 +182,8 @@ def synthesize_population(config: WorldConfig, streams: RngStreams) -> WorldStat
 
     emp_ids = np.flatnonzero(employed)
     stu_ids = np.flatnonzero(~employed)
-    n_offices = math.ceil(emp_ids.size / config.office_capacity) if emp_ids.size else 0
-    n_schools = math.ceil(stu_ids.size / config.school_capacity) if stu_ids.size else 0
+    n_offices = math.ceil(emp_ids.size / config.office_capacity)
+    n_schools = math.ceil(stu_ids.size / config.school_capacity)
     n_slots = n_houses + n_offices + n_schools + 1
 
     # Location + 1 per row; offices follow the houses, then the schools.
@@ -223,8 +218,6 @@ def synthesize_population(config: WorldConfig, streams: RngStreams) -> WorldStat
         place=place,
         row=NIGHT,
         n_houses=n_houses,
-        n_offices=n_offices,
-        n_schools=n_schools,
         compartment_totals=totals,
         live_members=live_members,
         occupancy=np.stack([np.bincount(places, minlength=n_slots) for places in place]),

@@ -26,7 +26,7 @@ def _hyper(**kw) -> DdpgHyperParams:
 
 
 def critic_value(agent: ActorCritic, obs: np.ndarray, action: np.ndarray) -> np.ndarray:
-    return agent.critic.forward(np.concatenate([obs, action], axis=-1))
+    return agent.critic.forward(np.concatenate([obs, action], axis=1))
 
 
 def eval_means(log) -> list[float]:
@@ -64,13 +64,13 @@ def test_select_action_no_noise_is_actor_output():
     actor = mlp_from_widths((6, 8, 8), "relu", "tanh", rng(6))
     obs = rng(7).normal(size=6)
     a = select_action(actor, obs, 0.0, rng(8))
-    assert np.array_equal(a, np.clip(actor.forward(obs), -1, 1))
+    assert np.array_equal(a, np.clip(actor.forward(obs[None])[0], -1, 1))
 
 
 def test_select_action_noise_sd_matches():
     actor = mlp_from_widths((6, 8, 8), "relu", "tanh", rng(9), final_scale=0.01)
     obs = np.full(6, 0.3)
-    base = actor.forward(obs)
+    base = actor.forward(obs[None])[0]
     assert np.abs(base).max() < 0.3  # away from the clamp
     g = rng(10)
     draws = np.array([select_action(actor, obs, 0.1, g) - base for _ in range(12_500)])
@@ -91,7 +91,7 @@ def test_train_step_target_is_reward_when_done():
     # every episode is terminal, so the critic regresses Q(s, a) on r itself:
     # both steps report mean((Q(s, a) - r)^2) of the critic before the step
     g = rng(16)
-    agent = ActorCritic.initialize(6, 8, g)
+    agent = ActorCritic(6, 8, g)
     stored = (g.normal(size=(40, 6)), g.uniform(-1, 1, (40, 8)), g.normal(size=40))
     sample_rng = rng(17)
     for step in (agent.critic_step, lambda b: agent.train_step(b)[0]):
@@ -105,7 +105,7 @@ def test_train_step_target_is_reward_when_done():
 def test_critic_regresses_to_constant_reward():
     # constant -5 rewards: critic output reaches -5 +- 0.1 within 2000 steps
     g = rng(18)
-    agent = ActorCritic.initialize(6, 8, g)
+    agent = ActorCritic(6, 8, g)
     obs = np.full(6, 0.5)
     actions = g.uniform(-1, 1, (100, 8))
     obs_batch, rewards = np.tile(obs, (32, 1)), np.full(32, -5.0)
@@ -120,7 +120,7 @@ def test_critic_regresses_to_constant_reward():
 def test_actor_climbs_frozen_analytic_critic(monkeypatch):
     # dQ/da = -2 (a0 - 0.5) e0 frozen: actor's first component -> 0.5
     g = rng(20)
-    agent = ActorCritic.initialize(6, 8, g)
+    agent = ActorCritic(6, 8, g)
     obs = np.full((32, 6), 0.5)
 
     def fake_gradient(obs_batch, actions):
@@ -135,13 +135,13 @@ def test_actor_climbs_frozen_analytic_critic(monkeypatch):
         dq_da, _ = agent._critic_action_gradient(obs, pi)
         grads, _ = agent.actor.backward(cache, -dq_da / 32)
         agent.actor_adam.update(agent.actor, grads, 1e-3)
-    a0 = agent.actor.forward(obs[0])[0]
+    a0 = agent.actor.forward(obs[:1])[0, 0]
     assert a0 == pytest.approx(0.5, abs=0.05)
 
 
 def test_critic_loss_nonincreasing_on_frozen_buffer():
     g = rng(23)
-    agent = ActorCritic.initialize(6, 8, g)
+    agent = ActorCritic(6, 8, g)
     obs = np.full(6, 0.5)
     actions = g.uniform(-1, 1, (150, 8))
     rewards = -((actions[:, 0] - 0.4) ** 2)
@@ -214,7 +214,7 @@ def test_train_deterministic():
 
 def test_bandit_learns_peak():
     res = train(QuadraticBandit(), _hyper(seed=0))
-    a0 = float(np.clip(res.agent.actor.forward(np.full(6, 0.5)), -1, 1)[0])
+    a0 = float(np.clip(res.agent.actor.forward(np.full((1, 6), 0.5)), -1, 1)[0, 0])
     assert 0.3 <= a0 <= 0.5
 
 

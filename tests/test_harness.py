@@ -22,7 +22,6 @@ from epidemictrl.epidemic import AgeBandRates, DEFAULT_AGE_BANDS, DiseaseParams,
 from epidemictrl.harness import (
     TRACE_HEADER,
     ConfigError,
-    DEFAULT_POPULATION,
     EXPERIMENT_TABLE,
     SCENARIO_KAPPA,
     TRAIN_OUTPUTS,
@@ -98,7 +97,7 @@ def test_scaled_doses_rounding():
 
 def test_default_population_used_without_config():
     config = experiment_config(1, 1)
-    assert config.world.population_size == DEFAULT_POPULATION
+    assert config.world.population_size == WorldConfig.population_size == 10_000
 
 
 def test_baseline_schedules_decode_exactly():
@@ -431,7 +430,7 @@ def test_shipped_configs_fit_the_ledger_bound():
     # the defaults over a year; the bound turns down only amounts far past them.
     for exp_id in EXPERIMENT_TABLE:
         for scenario_id in SCENARIO_KAPPA:
-            for population in (DEFAULT_POPULATION, 100_000):
+            for population in (WorldConfig.population_size, 100_000):
                 experiment_config(exp_id, scenario_id, population)
     sanity_config()
     ExperimentConfig(world=WorldConfig(episode_days=365))
@@ -845,10 +844,18 @@ def test_cli_bad_input_is_one_error_line(tmp_path, capsys, argv, config, checkpo
     "argv, blocked, blocker",
     [
         (["simulate", "--baseline", "NoL_NoV", "--seeds", "0"], "traces", "file"),
+        (["simulate", "--baseline", "NoL_NoV", "--seeds", "0"], "comparison.csv", "directory"),
         (["evaluate", "--repeats", "1"], "evaluation.json", "directory"),
         (["train", "--iterations", "40", "--seeds", "0"], "training_log.csv", "directory"),
+        (["train", "--iterations", "40", "--seeds", "0"], "traces", "file"),
     ],
-    ids=["simulate-traces-a-file", "evaluate-json-a-directory", "train-log-a-directory"],
+    ids=[
+        "simulate-traces-a-file",
+        "simulate-comparison-a-directory",
+        "evaluate-json-a-directory",
+        "train-log-a-directory",
+        "train-traces-a-file",
+    ],
 )
 def test_cli_unwritable_output_is_one_error_line(
     tmp_path, capsys, monkeypatch, argv, blocked, blocker
@@ -871,7 +878,7 @@ def test_cli_unwritable_output_is_one_error_line(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert blocked in err[0], err
-    if argv[0] == "train":  # its fixed names are checked before the first episode
+    if argv[0] != "evaluate":  # their output names are checked before the first episode
         assert episodes == []
         assert sorted(p.name for p in out.iterdir()) == [blocked]
 

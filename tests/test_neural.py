@@ -15,7 +15,8 @@ from conftest import rng
 def finite_diff_check(net: Mlp, x: np.ndarray, eps: float = 1e-5) -> float:
     """Max relative error between backprop and central differences.
 
-    Checks d/dtheta of sum(f(x)) per scalar parameter. Denominators are
+    Checks d/dtheta of sum(f(x)) per scalar parameter, for a one-row batch
+    `x`. Denominators are
     floored at 1e-6 so true-zero gradients compare cleanly.
     """
     out, cache = net.forward_cached(x)
@@ -44,7 +45,7 @@ def kink_margin(net: Mlp, x: np.ndarray) -> float:
     Within about 1e-3 of a kink a central difference stops being a valid
     derivative estimate, so the checks below redraw such inputs.
     """
-    _, (cache, _) = net.forward_cached(x)
+    _, cache = net.forward_cached(x)
     margin = math.inf
     for spec, (_, z) in zip(net.specs, cache):
         if spec.activation == "relu":
@@ -63,7 +64,7 @@ def gradcheck_sweep(n_nets: int = 100, eps: float = 1e-5, seed: int = 0) -> floa
         output = str(g.choice(["tanh", "identity"]))
         net = mlp_from_widths(widths, hidden, output, g)
         for _ in range(50):
-            x = g.normal(size=widths[0])
+            x = g.normal(size=(1, widths[0]))
             if kink_margin(net, x) > 1e-3:
                 break
         worst = max(worst, finite_diff_check(net, x, eps))
@@ -82,12 +83,12 @@ def test_forward_zero_net():
         [np.zeros((3, 2))],
         [np.zeros(2)],
     )
-    assert np.array_equal(net.forward(np.ones(3)), np.zeros(2))
+    assert np.array_equal(net.forward(np.ones((1, 3))), np.zeros((1, 2)))
 
 
 def test_forward_affine():
     net = _identity_net(w=2.0, b=1.0)
-    assert net.forward(np.array([3.0]))[0] == 7.0
+    assert net.forward(np.array([[3.0]]))[0, 0] == 7.0
 
 
 def test_forward_tanh_range():
@@ -99,25 +100,27 @@ def test_forward_tanh_range():
 def test_forward_rejects_width_mismatch():
     net = _identity_net()
     with pytest.raises(ValueError):
-        net.forward(np.ones(2))
+        net.forward(np.ones((1, 2)))
+    with pytest.raises(ValueError):  # a vector is not a one-row batch
+        net.forward(np.ones(1))
 
 
 def test_backward_identity_net_weight_grad_is_input():
     net = _identity_net(w=2.0, b=1.0)
-    x = np.array([3.0])
+    x = np.array([[3.0]])
     _, cache = net.forward_cached(x)
-    grads, grad_in = net.backward(cache, np.ones(1))
+    grads, grad_in = net.backward(cache, np.ones((1, 1)))
     dw, db = grads
     assert dw[0, 0] == 3.0
     assert db[0] == 1.0
-    assert grad_in[0] == 2.0
+    assert grad_in[0, 0] == 2.0
 
 
 def test_backward_zero_upstream_zero_grads():
     net = mlp_from_widths((5, 16, 3), "relu", "identity", rng(2))
-    x = rng(3).normal(size=5)
+    x = rng(3).normal(size=(1, 5))
     _, cache = net.forward_cached(x)
-    grads, grad_in = net.backward(cache, np.zeros(3))
+    grads, grad_in = net.backward(cache, np.zeros((1, 3)))
     assert all((g == 0).all() for g in grads)
     assert (grad_in == 0).all()
 
@@ -127,32 +130,34 @@ def test_backward_batch_sums_over_rows():
     xs = rng(5).normal(size=(6, 3))
     _, cache = net.forward_cached(xs)
     grads_batch, _ = net.backward(cache, np.ones((6, 2)))
-    total_dw = np.zeros_like(net.weights[0])
-    for row in xs:
-        _, c = net.forward_cached(row)
-        g, _ = net.backward(c, np.ones(2))
-        total_dw += g[0]
-    assert np.allclose(grads_batch[0], total_dw)
+    total = [np.zeros_like(p) for p in net.parameters()]
+    for i in range(len(xs)):
+        _, c = net.forward_cached(xs[i : i + 1])
+        grads, _ = net.backward(c, np.ones((1, 2)))
+        for t, g in zip(total, grads):
+            t += g
+    for g_batch, t in zip(grads_batch, total):
+        assert np.allclose(g_batch, t)
 
 
 def test_finite_diff_linear_net_machine_precision():
     net = _identity_net(w=1.7, b=-0.3)
-    assert finite_diff_check(net, np.array([2.0]), 1e-5) < 1e-9
+    assert finite_diff_check(net, np.array([[2.0]]), 1e-5) < 1e-9
 
 
 def test_finite_diff_two_layer_tanh():
     net = mlp_from_widths((4, 12, 3), "tanh", "tanh", rng(6))
-    assert finite_diff_check(net, rng(7).normal(size=4), 1e-5) < 1e-4
+    assert finite_diff_check(net, rng(7).normal(size=(1, 4)), 1e-5) < 1e-4
 
 
 def test_finite_diff_reference_architecture():
     net = mlp_from_widths((6, 64, 64, 8), "relu", "tanh", rng(8))
-    assert finite_diff_check(net, rng(9).normal(size=6), 1e-5) < 1e-4
+    assert finite_diff_check(net, rng(9).normal(size=(1, 6)), 1e-5) < 1e-4
 
 
 def test_finite_diff_large_eps_degrades():
     net = mlp_from_widths((3, 10, 2), "tanh", "tanh", rng(10))
-    x = rng(11).normal(size=3)
+    x = rng(11).normal(size=(1, 3))
     small = finite_diff_check(net, x, 1e-5)
     large = finite_diff_check(net, x, 1.0)
     assert large > small
@@ -166,7 +171,7 @@ def test_gradient_correctness_property(seed):
     hidden = ["relu", "tanh"][int(g.integers(0, 2))]
     net = mlp_from_widths(widths, hidden, "identity", g)
     for _ in range(20):
-        x = g.normal(size=widths[0])
+        x = g.normal(size=(1, widths[0]))
         if kink_margin(net, x) > 1e-3:
             break
     assert finite_diff_check(net, x, 1e-5) < 1e-4
@@ -233,7 +238,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.specs == net.specs
     for pa, pb in zip(loaded.parameters(), net.parameters()):
         assert np.array_equal(pa, pb)
-    x = rng(15).normal(size=6)
+    x = rng(15).normal(size=(1, 6))
     assert np.array_equal(loaded.forward(x), net.forward(x))
 
 

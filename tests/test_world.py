@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from enum import IntEnum
 
 import numpy as np
@@ -43,10 +44,18 @@ class LocationKind(IntEnum):
     SCHOOL = 2
 
 
+def kind_sizes(world: WorldState) -> tuple[int, int, int]:
+    """Houses, offices and schools, counted from the roles and capacities."""
+    employed = int(np.count_nonzero(world.age > EMPLOYMENT_AGE))
+    students = world.population - employed
+    offices = math.ceil(employed / world.config.office_capacity)
+    schools = math.ceil(students / world.config.school_capacity)
+    return world.n_houses, offices, schools
+
+
 def kind_base(world: WorldState, kind: LocationKind) -> int:
     """First location id of `kind`."""
-    sizes = (world.n_houses, world.n_offices, world.n_schools)
-    return sum(sizes[:kind])
+    return sum(kind_sizes(world)[:kind])
 
 
 def location_kind(world: WorldState, loc: int) -> LocationKind:
@@ -314,7 +323,7 @@ def test_partition_invariant_across_states():
         # office or school
         assert occupancy.sum() == 58
         assert occupancy[0] == 0
-        assert occupancy.size == world.n_houses + world.n_offices + world.n_schools + 1
+        assert occupancy.size == sum(kind_sizes(world)) + 1
 
 
 def test_scalar_and_vector_movement_agree():
