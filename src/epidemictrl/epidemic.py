@@ -93,10 +93,6 @@ NIGHT, DAY, LOCKDOWN_DAY = 0, 1, 2
 # day rows, then the night row (the house) once for each.
 _DAY_THEN_HOME = np.array([DAY, LOCKDOWN_DAY, NIGHT, NIGHT])
 
-# Search keys for the stage bounds in `progression_step`: in the sorted due
-# compartments, compartment c spans [bounds[c], bounds[c + 1]).
-_STAGE_BOUNDS = np.arange(_HOSPITALIZED + 2)
-
 # `progression_step`'s stages in the order it handles them, as (stage,
 # taken, other): a stage with no other always moves to `taken`.
 _PROGRESSION = (
@@ -293,9 +289,9 @@ def _enter(
 
     The first S->E move that leaves fewer than half the agents susceptible
     lists the susceptibles with one scan; later S->E moves drop their ids
-    from the list, at `listed_at` (their positions in it) when the caller
-    holds them, else where a search finds them. S->E is the only move out
-    of Susceptible and none moves in, so the list only shrinks.
+    from the list at `listed_at`, their positions in it, which every caller
+    moving susceptibles after the list exists passes. S->E is the only move
+    out of Susceptible and none moves in, so the list only shrinks.
 
     An exposure's own progression step already counts toward the stay, so
     incubation ends one tick before the sampled dwell. This is the
@@ -310,8 +306,6 @@ def _enter(
     if source == _SUSCEPTIBLE:
         listed = world.susceptible_ids
         if listed is not None:
-            if listed_at is None:
-                listed_at = listed.searchsorted(ids)
             world.susceptible_ids = np.delete(listed, listed_at)
         elif 2 * world.compartment_totals[_SUSCEPTIBLE] < world.population:
             world.susceptible_ids = (world.compartment == _SUSCEPTIBLE).nonzero()[0]
@@ -480,15 +474,15 @@ def progression_step(
     if due.size == 0:
         return
 
-    # A stable sort keeps ascending id within each stage.
+    # A stable sort keeps ascending id within each stage; sorted, stage c
+    # spans [ends[c - 1], ends[c]).
     due_comp = world.compartment.take(due)
-    order = due_comp.argsort(kind="stable")
-    due = due.take(order)
-    bounds = due_comp.take(order).searchsorted(_STAGE_BOUNDS).tolist()
+    due = due.take(due_comp.argsort(kind="stable"))
+    ends = np.bincount(due_comp, minlength=_HOSPITALIZED + 1).cumsum().tolist()
     key = world.age.take(due) + 100 * world.vaccinated.take(due)
 
     for stage, taken, other in _PROGRESSION:
-        lo, hi = bounds[stage], bounds[stage + 1]
+        lo, hi = ends[stage - 1], ends[stage]
         if lo == hi:
             continue
         ids = due[lo:hi]

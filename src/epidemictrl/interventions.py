@@ -118,7 +118,6 @@ def apply_vaccine_effects(
     1, so scaling its kept beta_base x multiplier gives the product in
     `epidemic.agent_transmissibility`'s order.
     """
-    agent_ids = np.atleast_1d(np.asarray(agent_ids))
     if world.vaccinated[agent_ids].any():
         raise ValueError("agent already vaccinated")
     world.vaccinated[agent_ids] = True

@@ -60,7 +60,9 @@ def move_to(world: WorldState, ids, target) -> None:
     the engine's one writer, `epidemic._enter`, one engine move at a time
     (Susceptible to Deceased goes through Exposed, PreSymptomatic,
     InfectedMild, InfectedSevere and Hospitalized), so the kept state stays
-    current. Agents already in `target` stay put."""
+    current. Once the susceptibles are listed, an S->E move hands `_enter`
+    its ids' positions in the list, as exposure does. Agents already in
+    `target` stay put."""
     ids = np.atleast_1d(np.asarray(ids, dtype=np.intp))
     target = Compartment(target)
     while True:
@@ -70,7 +72,10 @@ def move_to(world: WorldState, ids, target) -> None:
         for source in np.unique(sources[sources != target]):
             source = Compartment(source)
             step = _next_compartment(source, target)
-            _enter(world, ids[sources == source], source, step, DiseaseParams(), rng())
+            moving = ids[sources == source]
+            listed = world.susceptible_ids
+            listed_at = None if listed is None else listed.searchsorted(moving)
+            _enter(world, moving, source, step, DiseaseParams(), rng(), listed_at)
 
 
 def house_id(world: WorldState) -> np.ndarray:

@@ -80,7 +80,9 @@ def exposure_step_drawing_all(world, params, rng):
     newly = sus_ids[draws < p]
     if newly.size == 0:
         return 0
-    _enter(world, newly, Compartment.SUSCEPTIBLE, Compartment.EXPOSED, params, rng)
+    listed = world.susceptible_ids
+    listed_at = None if listed is None else listed.searchsorted(newly)
+    _enter(world, newly, Compartment.SUSCEPTIBLE, Compartment.EXPOSED, params, rng, listed_at)
     return int(newly.size)
 
 

@@ -170,6 +170,8 @@ def test_trace_csv_round_trip(tmp_path):
         "infected_severe,hospitalized,recovered,deceased,below_poverty_line,doses_given"
     )
     assert len(text.splitlines()) == 17  # header + 16 day rows
+    assert text.splitlines()[1] == "0,180,20,0,0,0,0,0,0,0,16,0"
+    assert text.splitlines()[-1] == "15,137,18,9,3,17,0,0,16,0,4,0"
     assert text.endswith("\n")
     back = read_trace_csv(path)
     assert np.array_equal(back.compartments, trace.compartments)
@@ -326,7 +328,7 @@ def test_train_and_evaluate_sidecars_rerun_identically(tmp_path):
     first, second = _rerun_from_sidecar(tmp_path / "train", argv)
     _assert_same_traces(first / "traces", second / "traces")
     assert (first / "actor.ckpt").read_bytes() == (second / "actor.ckpt").read_bytes()
-    assert sorted(p.name for p in first.iterdir()) == sorted([*TRAIN_OUTPUTS, "traces"])
+    assert sorted(p.name for p in first.iterdir()) == sorted(n.rstrip("/") for n in TRAIN_OUTPUTS)
 
     argv = ["evaluate", "--checkpoint", str(first / "actor.ckpt"), "--repeats", "2"]
     first, second = _rerun_from_sidecar(tmp_path / "evaluate", argv)
@@ -846,6 +848,7 @@ def test_cli_bad_input_is_one_error_line(tmp_path, capsys, argv, config, checkpo
         (["simulate", "--baseline", "NoL_NoV", "--seeds", "0"], "traces", "file"),
         (["simulate", "--baseline", "NoL_NoV", "--seeds", "0"], "comparison.csv", "directory"),
         (["evaluate", "--repeats", "1"], "evaluation.json", "directory"),
+        (["evaluate", "--repeats", "1"], "resolved_config.json", "directory"),
         (["train", "--iterations", "40", "--seeds", "0"], "training_log.csv", "directory"),
         (["train", "--iterations", "40", "--seeds", "0"], "traces", "file"),
     ],
@@ -853,6 +856,7 @@ def test_cli_bad_input_is_one_error_line(tmp_path, capsys, argv, config, checkpo
         "simulate-traces-a-file",
         "simulate-comparison-a-directory",
         "evaluate-json-a-directory",
+        "evaluate-sidecar-a-directory",
         "train-log-a-directory",
         "train-traces-a-file",
     ],
@@ -878,9 +882,8 @@ def test_cli_unwritable_output_is_one_error_line(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert blocked in err[0], err
-    if argv[0] != "evaluate":  # their output names are checked before the first episode
-        assert episodes == []
-        assert sorted(p.name for p in out.iterdir()) == [blocked]
+    assert episodes == []
+    assert sorted(p.name for p in out.iterdir()) == [blocked]
 
 
 @pytest.mark.parametrize("threads", ["abc", "0", "-2", "1.5", ""])
