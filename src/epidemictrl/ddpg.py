@@ -74,14 +74,13 @@ class ActorCritic:
     """Actor and critic networks plus their optimizer states."""
 
     def __init__(self, obs_dim: int, action_dim: int, rng: np.random.Generator):
-        h1, h2 = HIDDEN
         # The output layer starts scaled down so the initial policy sits
         # near the center of the action box.
         self.actor = mlp_from_widths(
-            (obs_dim, h1, h2, action_dim), "relu", "tanh", rng, final_scale=0.1
+            (obs_dim, *HIDDEN, action_dim), "relu", "tanh", rng, final_scale=0.1
         )
         self.critic = mlp_from_widths(
-            (obs_dim + action_dim, h1, h2, 1), "relu", "identity", rng
+            (obs_dim + action_dim, *HIDDEN, 1), "relu", "identity", rng
         )
         self.actor_adam = Adam(self.actor)
         self.critic_adam = Adam(self.critic)

@@ -9,7 +9,7 @@ are bit-exact, and savings may go negative (debt).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,16 +29,9 @@ class EconomyConfig:
     poverty_line: float = 100.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "savings_mean",
-            "savings_sd",
-            "income_mean",
-            "income_sd",
-            "expense_per_person",
-            "poverty_line",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be nonnegative")
 
 
 def init_house_ledgers(

@@ -24,6 +24,7 @@ from .economy import (
     init_house_ledgers,
 )
 from .epidemic import (
+    TICKS_PER_DAY,
     Compartment,
     DiseaseParams,
     agent_transmissibility,
@@ -32,6 +33,7 @@ from .epidemic import (
     seed_initial_infections,
 )
 from .interventions import (
+    ACTION_DIM,
     InterventionSchedule,
     VaccinationPolicyConfig,
     decode_action,
@@ -41,7 +43,6 @@ from .interventions import (
 from .rng import RngStreams
 from .world import WorldConfig, apply_movement, synthesize_population
 
-ACTION_DIM = 8
 OBSERVATION_DIM = 6
 
 
@@ -152,7 +153,7 @@ def run_episode(
 
     for day in range(days):
         locked = lockdown_active(schedule, day)
-        for _ in range(2):
+        for _ in range(TICKS_PER_DAY):
             apply_movement(world, locked)
             exposure_step(world, config.disease, streams.disease)
             progression_step(world, config.disease, streams.disease)

@@ -30,7 +30,7 @@ if TYPE_CHECKING:
     from .world import WorldState
 
 TICKS_PER_DAY = 2
-TICK_DAYS = 0.5
+TICK_DAYS = 1 / TICKS_PER_DAY
 
 # Vaccination shifts the disease course: the asymptomatic branch widens by
 # 80% (capped at 1) and an infectious vaccinated agent sheds at 80% weight.

@@ -26,9 +26,8 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .ddpg import DdpgHyperParams, TrainLog, evaluate, train
+from .ddpg import EVAL_REPEATS, DdpgHyperParams, TrainLog, evaluate, train
 from .env import (
-    ACTION_DIM,
     OBSERVATION_DIM,
     EpidemicTask,
     EpisodeTrace,
@@ -39,6 +38,7 @@ from .env import (
     total_reward,
 )
 from .interventions import (
+    ACTION_DIM,
     AGE_STRATA,
     InterventionSchedule,
     VaccinationPolicyConfig,
@@ -150,7 +150,7 @@ def _read(tp, value, base, key: str):
         }
         try:
             return tp(**changes) if base is None else replace(base, **changes)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{key or 'config'}: {exc}") from exc
     if get_origin(tp) is tuple:
         if not isinstance(value, list):
@@ -253,7 +253,11 @@ def experiment_config(
             raise ConfigError(
                 f"invalid config: world.population_size must be at least 1, got {population}"
             )
-        config = from_dict(ExperimentConfig, file_cfg, table_config(population))
+        try:  # the table scales its dose rates by it through a float
+            table = table_config(population)
+        except OverflowError:
+            raise ConfigError("invalid config: world.population_size is too large") from None
+        config = from_dict(ExperimentConfig, file_cfg, table)
         config = replace(config, world=replace(config.world, population_size=population))
     except ConfigError:
         raise
@@ -398,11 +402,6 @@ def format_schedule(schedule: InterventionSchedule) -> str:
 # Episode fan-out and metrics.
 
 
-def _trace_job(args):
-    config, label, schedule, seed = args
-    return label, seed, run_episode(config, schedule, seed)
-
-
 def _worker_count(n_jobs: int) -> int:
     raw = os.environ.get("EPIDEMICTRL_THREADS", "1")
     try:
@@ -419,14 +418,17 @@ def run_traces(
 ) -> list[tuple[str, int, EpisodeTrace]]:
     """Run labeled (schedule, seed) episodes, optionally across processes."""
     workers = _worker_count(len(jobs))
-    packed = [(config, label, schedule, seed) for label, schedule, seed in jobs]
+    labels, schedules, seeds = zip(*jobs)
+    configs = [config] * len(jobs)
     if workers == 1:
-        return [_trace_job(p) for p in packed]
-    # Imported here: it loads about fifty modules a one-process run never uses.
-    from concurrent.futures import ProcessPoolExecutor
+        traces = map(run_episode, configs, schedules, seeds)
+    else:
+        # Imported here: it loads about fifty modules a one-process run never uses.
+        from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_trace_job, packed))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            traces = list(pool.map(run_episode, configs, schedules, seeds))
+    return list(zip(labels, seeds, traces))
 
 
 def trace_metrics(trace: EpisodeTrace, kappa: float) -> dict[str, float]:
@@ -618,7 +620,7 @@ def parse_seeds(text: str) -> list[int]:
             seeds = list(range(int(lo), int(hi) + 1))
         else:
             seeds = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
+    except (ValueError, OverflowError):  # OverflowError: a range too long to list
         seeds = []
     if not seeds or min(seeds) < 0:
         raise ConfigError(
@@ -659,14 +661,22 @@ def _make_out_dir(out: Path, names: tuple[str, ...]) -> Path:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse's own errors end in one `error:` line too
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="epidemictrl",
         description="Epidemic intervention simulator and policy optimizer",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_command(name, run, help):
+        """The subparser `name`, which calls `run(args)`, with the shared options."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--config", type=Path, default=None, help="JSON config file")
         p.add_argument("--experiment", type=int, default=1, choices=list(EXPERIMENT_TABLE))
         p.add_argument("--scenario", type=int, default=1, choices=list(SCENARIO_KAPPA))
@@ -676,25 +686,23 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             help=f"agents to simulate (default {WorldConfig.population_size})",
         )
+        return p
 
-    p = sub.add_parser("simulate", help="run a fixed baseline schedule")
-    add_common(p)
+    p = add_command("simulate", _cmd_simulate, "run a fixed baseline schedule")
     p.add_argument("--baseline", required=True, help=" | ".join(BASELINES))
     p.add_argument("--seeds", default=DEFAULT_SEEDS, help="seed list (default %(default)s)")
     p.add_argument("--out", type=Path, required=True)
 
-    p = sub.add_parser("train", help="optimize a schedule and compare to baselines")
-    add_common(p)
+    p = add_command("train", _cmd_train, "optimize a schedule and compare to baselines")
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--iterations", type=int, default=150)
-    p.add_argument("--seed", type=int, default=0, help="training seed")
+    p.add_argument("--iterations", type=int, default=DdpgHyperParams.train_iterations)
+    p.add_argument("--seed", type=int, default=DdpgHyperParams.seed, help="training seed")
     p.add_argument("--seeds", default=DEFAULT_SEEDS, help="comparison seeds (default %(default)s)")
 
-    p = sub.add_parser("evaluate", help="score a saved actor checkpoint")
-    add_common(p)
+    p = add_command("evaluate", _cmd_evaluate, "score a saved actor checkpoint")
     p.add_argument("--checkpoint", type=Path, required=True)
-    p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0, help="evaluation seed base")
+    p.add_argument("--repeats", type=int, default=EVAL_REPEATS)
+    p.add_argument("--seed", type=int, default=DdpgHyperParams.seed, help="evaluation seed base")
     p.add_argument("--out", type=Path, default=None)
     return parser
 
@@ -793,18 +801,12 @@ def _cmd_evaluate(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "train":
-            return _cmd_train(args)
-        if args.command == "evaluate":
-            return _cmd_evaluate(args)
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
     except (ConfigError, OSError) as exc:  # OSError: an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """Intervention schedules: lockdown windows and daily vaccine dispensing.
 
-A raw 8-component action in [-1, 1] decodes into four day windows: one
-lockdown window and one vaccination window per age stratum (0-17, 18-59,
-60-99). Each pair encodes (start, duration) so the end can never precede
-the start; windows are half-open [start, end).
+A raw `ACTION_DIM`-component action in [-1, 1] decodes into day windows:
+one lockdown window and one vaccination window per age stratum (0-17,
+18-59, 60-99). Each pair encodes (start, duration) so the end can never
+precede the start; windows are half-open [start, end).
 
 Two vaccine types are dispensed each day, the more effective one first,
 to a random sample of eligible agents, until a global coverage cap is
@@ -24,6 +24,9 @@ from .world import WorldState
 
 #: Inclusive age bounds of the three vaccination strata.
 AGE_STRATA = ((0, 17), (18, 59), (60, 99))
+
+#: A raw action's components: (start, duration) for lockdown, then per stratum.
+ACTION_DIM = 2 * (1 + len(AGE_STRATA))
 
 DayWindow = tuple[float, float]
 
@@ -76,26 +79,27 @@ class VaccinationPolicyConfig:
 def decode_action(
     raw: np.ndarray, horizon_days: float = 100.0
 ) -> InterventionSchedule:
-    """Map a raw 8-vector in [-1, 1] to day windows.
+    """Map a raw `ACTION_DIM`-vector in [-1, 1] to day windows.
 
-    Pairs are (start, duration) for lockdown then the three age strata;
-    each component maps linearly from [-1, 1] onto [0, horizon_days] and
-    the window end is clipped to the horizon. Out-of-range components are
-    clamped first, so any finite vector yields a valid schedule.
+    `ACTION_DIM` lives here, derived from `AGE_STRATA`: pairs are (start,
+    duration) for lockdown then the age strata; each component maps
+    linearly from [-1, 1] onto [0, horizon_days] and the window end is
+    clipped to the horizon. Out-of-range components are clamped first,
+    so any finite vector yields a valid schedule.
     """
     raw = np.asarray(raw, dtype=np.float64)
-    if raw.shape != (8,):
-        raise ValueError(f"expected an 8-component action, got shape {raw.shape}")
+    if raw.shape != (ACTION_DIM,):
+        raise ValueError(f"expected {ACTION_DIM} action components, got shape {raw.shape}")
     if not np.isfinite(raw).all():
         raise ValueError("action components must be finite")
     raw = np.clip(raw, -1.0, 1.0)
 
     windows = []
-    for k in range(4):
-        start = (raw[2 * k] + 1.0) / 2.0 * horizon_days
-        duration = (raw[2 * k + 1] + 1.0) / 2.0 * horizon_days
+    for k in range(0, ACTION_DIM, 2):
+        start = (raw[k] + 1.0) / 2.0 * horizon_days
+        duration = (raw[k + 1] + 1.0) / 2.0 * horizon_days
         windows.append((start, min(start + duration, horizon_days)))
-    return InterventionSchedule(windows[0], (windows[1], windows[2], windows[3]))
+    return InterventionSchedule(windows[0], tuple(windows[1:]))
 
 
 def window_active(window: DayWindow, day: int) -> bool:

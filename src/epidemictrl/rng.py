@@ -7,11 +7,9 @@ consumed by an unrelated subsystem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
-
-STREAM_NAMES = ("population", "disease", "economy", "vaccination")
 
 
 @dataclass
@@ -23,5 +21,5 @@ class RngStreams:
 
     @classmethod
     def from_seed(cls, seed: int) -> "RngStreams":
-        children = np.random.SeedSequence(seed).spawn(len(STREAM_NAMES))
+        children = np.random.SeedSequence(seed).spawn(len(fields(cls)))
         return cls(*(np.random.Generator(np.random.PCG64(c)) for c in children))

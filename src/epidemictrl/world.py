@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .epidemic import _SUSCEPTIBLE, DAY, LOCKDOWN_DAY, NIGHT, NOT_DUE, Compartment
+from .epidemic import _SUSCEPTIBLE, DAY, LOCKDOWN_DAY, NIGHT, NOT_DUE, TICKS_PER_DAY, Compartment
 from .rng import RngStreams
 
 EMPLOYMENT_AGE = 30  # strictly older than this means employed
@@ -237,11 +237,11 @@ def synthesize_population(config: WorldConfig, streams: RngStreams) -> WorldStat
 
 def apply_movement(world: WorldState, lockdown_active: bool = False) -> None:
     """Select the row of `place` that holds this tick's places."""
-    if world.tick >= 2 * world.config.episode_days:
+    if world.tick >= TICKS_PER_DAY * world.config.episode_days:
         raise ValueError(
             f"tick {world.tick} past the end of the {world.config.episode_days}-day episode"
         )
-    if world.tick % 2 == 0:
+    if world.tick % TICKS_PER_DAY == 0:
         world.row = NIGHT
     else:
         world.row = LOCKDOWN_DAY if lockdown_active else DAY

@@ -770,6 +770,43 @@ def _first_band(**changes) -> dict:
             None,
             "could overflow the int64 cents ledgers within 100 days",
         ),
+        (["train", "--iterations", "abc"], None, None, "argument --iterations: invalid int"),
+        (
+            ["simulate", "--baseline", "NoL_NoV", "--experiment", "7"],
+            None,
+            None,
+            "argument --experiment: invalid choice: 7",
+        ),
+        (
+            ["simulate", "--baseline", "NoL_NoV", "--bogus"],
+            None,
+            None,
+            "unrecognized arguments: --bogus",
+        ),
+        (
+            ["simulate", "--baseline", "NoL_NoV", "--population", str(10**400)],
+            None,
+            None,
+            "world.population_size is too large",
+        ),
+        (
+            ["simulate", "--baseline", "NoL_NoV"],
+            {"world": {"population_size": 10**400}},
+            None,
+            "world.population_size is too large",
+        ),
+        (
+            ["simulate", "--baseline", "NoL_NoV", "--seeds", f"0..{10**400}"],
+            None,
+            None,
+            "bad seed list",
+        ),
+        (
+            ["simulate", "--baseline", "NoL_NoV"],
+            {"world": {"episode_days": 10**400}},
+            None,
+            "int too large to convert to float",
+        ),
     ],
     ids=[
         "population-0",
@@ -817,6 +854,13 @@ def _first_band(**changes) -> dict:
         "exposed-mean-squared-to-zero",
         "savings-past-int64-cents",
         "income-past-int64-cents",
+        "iterations-not-an-int",
+        "experiment-not-a-choice",
+        "unknown-flag",
+        "population-past-the-float-range",
+        "config-population-past-the-float-range",
+        "seed-range-too-long-to-list",
+        "config-episode-days-past-the-float-range",
     ],
 )
 def test_cli_bad_input_is_one_error_line(tmp_path, capsys, argv, config, checkpoint, message):
@@ -840,6 +884,23 @@ def test_cli_bad_input_is_one_error_line(tmp_path, capsys, argv, config, checkpo
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert message in err[0], err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--baseline", "NoL_NoV"], "the following arguments are required: --out"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["out-missing", "command-missing"],
+)
+def test_cli_missing_argument_is_one_error_line(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert message in err[0], err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
