@@ -342,13 +342,9 @@ def _enter(
 
 
 def agent_transmissibility(world: "WorldState", params: DiseaseParams) -> np.ndarray:
-    """beta_base x band beta multiplier x vaccine susceptibility per agent,
-    multiplied in this order, as the bit-exact traces require."""
-    return (
-        params.beta_base
-        * params.band_beta_multiplier.take(world.age // 10)
-        * world.vax_susceptibility
-    )
+    """beta_base x band beta multiplier per agent, multiplied in this
+    order, as the bit-exact traces require."""
+    return params.beta_base * params.band_beta_multiplier.take(world.age // 10)
 
 
 def seed_initial_infections(

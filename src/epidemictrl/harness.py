@@ -738,6 +738,10 @@ def _cmd_train(args) -> int:
         hyper = DdpgHyperParams(seed=args.seed, train_iterations=args.iterations)
     except ValueError as exc:
         raise ConfigError(f"invalid training settings: {exc}") from exc
+    # the most rows numpy can index in the run's float64 action history
+    most = np.iinfo(np.intp).max // (ACTION_DIM * np.dtype(np.float64).itemsize)
+    if args.iterations > most:
+        raise ConfigError(f"--iterations must be at most {most}")
     seeds = parse_seeds(args.seeds)
     config = _experiment_config(args)
     report = run_experiment(
@@ -804,8 +808,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.run(args)
-    except (ConfigError, OSError) as exc:  # OSError: an output that cannot be written
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, OSError, MemoryError) as exc:  # an unwritable output, a run too big
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

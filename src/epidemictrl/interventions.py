@@ -114,20 +114,18 @@ def lockdown_active(schedule: InterventionSchedule, day: int) -> bool:
 def apply_vaccine_effects(
     world: WorldState, agent_ids: np.ndarray, effectiveness: float | np.ndarray
 ) -> None:
-    """Mark agents vaccinated and scale down their susceptibility and
-    their kept transmissibility.
+    """Mark agents vaccinated and scale their kept transmissibility by
+    1 - effectiveness.
 
     `effectiveness` is one vaccine's for every recipient, or an array
-    aligned with `agent_ids`. Unvaccinated, an agent's susceptibility is
-    1, so scaling its kept beta_base x multiplier gives the product in
-    `epidemic.agent_transmissibility`'s order.
+    aligned with `agent_ids`. An agent is vaccinated at most once, so its
+    `transmissibility` is beta_base x band multiplier x (1 - effectiveness),
+    multiplied in that order; no other array records the dose's effect.
     """
     if world.vaccinated[agent_ids].any():
         raise ValueError("agent already vaccinated")
     world.vaccinated[agent_ids] = True
-    susceptibility = 1.0 - effectiveness
-    world.vax_susceptibility[agent_ids] = susceptibility
-    world.transmissibility[agent_ids] *= susceptibility
+    world.transmissibility[agent_ids] *= 1.0 - effectiveness
 
 
 def vaccination_day_step(

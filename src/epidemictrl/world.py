@@ -80,10 +80,10 @@ class WorldState:
     `compartment_totals`, `live_members`, `is_source`, `occupancy` and
     `susceptible_ids`, and keeps them current per move.
     `interventions.apply_vaccine_effects` is the one writer of
-    `vaccinated` and `vax_susceptibility`, so `transmissibility` stays
-    current. `epidemic.exposure_step` and `economy.economy_day_step` work
-    in the `scratch_*` buffers, so a tick allocates nothing sized by the
-    population.
+    `vaccinated`, and scales each recipient's `transmissibility`, the one
+    record of its vaccine's effect. `epidemic.exposure_step` and
+    `economy.economy_day_step` work in the `scratch_*` buffers, so a tick
+    allocates nothing sized by the population.
     """
 
     config: WorldConfig
@@ -94,7 +94,6 @@ class WorldState:
     compartment: np.ndarray
     due_tick: np.ndarray
     vaccinated: np.ndarray
-    vax_susceptibility: np.ndarray
 
     house_head: np.ndarray  # intp, read-only
     head_commutes: np.ndarray  # per house, bool, read-only
@@ -121,8 +120,8 @@ class WorldState:
     # the susceptibles in ascending id, kept once they are a minority
     susceptible_ids: np.ndarray | None = field(default=None, repr=False)
 
-    # beta_base x band beta multiplier x vaccine susceptibility per agent,
-    # set by `env.run_episode` from `epidemic.agent_transmissibility`
+    # `epidemic.agent_transmissibility`, set by `env.run_episode`, times
+    # 1 - effectiveness once vaccinated
     transmissibility: np.ndarray | None = field(default=None, repr=False)
 
     # set by economy.init_house_ledgers
@@ -212,7 +211,6 @@ def synthesize_population(config: WorldConfig, streams: RngStreams) -> WorldStat
         compartment=np.full(n, Compartment.SUSCEPTIBLE, dtype=np.int8),
         due_tick=np.full(n, NOT_DUE, dtype=np.int32),
         vaccinated=np.zeros(n, dtype=bool),
-        vax_susceptibility=np.ones(n, dtype=np.float64),
         house_head=head,
         head_commutes=head_commutes,
         place=place,

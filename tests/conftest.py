@@ -26,8 +26,8 @@ def make_world(
     config = WorldConfig(population_size=population, **config_kwargs)
     streams = RngStreams.from_seed(seed)
     world = synthesize_population(config, streams)
-    # as `run_episode` derives it; a test with other params, ages or
-    # vaccine susceptibilities re-derives it
+    # as `run_episode` derives it; a test with other params or ages
+    # re-derives it, and vaccinates through `apply_vaccine_effects`
     world.transmissibility = agent_transmissibility(world, DiseaseParams())
     if with_ledgers:
         init_house_ledgers(world, EconomyConfig(), streams.economy)

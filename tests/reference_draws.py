@@ -71,12 +71,9 @@ def exposure_step_drawing_all(world, params, rng):
     if sus_ids.size == 0:
         return 0
     sus_loc = loc[sus_ids]
-    beta_agent = (
-        params.beta_base
-        * params.band_beta_multiplier[world.age[sus_ids] // 10]
-        * world.vax_susceptibility[sus_ids]
+    p = infection_probability(
+        world.transmissibility[sus_ids], weight_by_loc[sus_loc], count_by_loc[sus_loc]
     )
-    p = infection_probability(beta_agent, weight_by_loc[sus_loc], count_by_loc[sus_loc])
     newly = sus_ids[draws < p]
     if newly.size == 0:
         return 0

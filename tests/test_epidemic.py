@@ -25,10 +25,14 @@ from epidemictrl.epidemic import (
     sample_duration_ticks,
     seed_initial_infections,
 )
-from epidemictrl import env
+from epidemictrl import env, interventions
 from epidemictrl.env import run_episode
 from epidemictrl.harness import baseline_schedule, experiment_config, parse_baseline
-from epidemictrl.interventions import InterventionSchedule, vaccination_day_step
+from epidemictrl.interventions import (
+    InterventionSchedule,
+    apply_vaccine_effects,
+    vaccination_day_step,
+)
 from epidemictrl.world import apply_movement
 
 from conftest import house_id, make_world, move_to, occupant_counts, rng
@@ -256,16 +260,16 @@ def _assert_draws_then_incubations(world, loaded):
     """One tick of exposure at home draws one uniform for each of
     `loaded`, in order, then one incubation per new exposure."""
     world.vaccinated[12] = True
-    world.vax_susceptibility[3] = 0.2
     world.tick = 6
     apply_movement(world)
     params = DiseaseParams(beta_base=3.0)
     world.transmissibility = agent_transmissibility(world, params)
+    apply_vaccine_effects(world, np.array([3]), 0.8)
     weight = np.where(loaded < 12, 1.0, VACCINATED_SOURCE_WEIGHT)
     beta_agent = (
         params.beta_base
         * params.band_beta_multiplier[world.age[loaded] // 10]
-        * world.vax_susceptibility[loaded]
+        * np.where(loaded == 3, 1.0 - 0.8, 1.0)
     )
     p = infection_probability(beta_agent, weight, 6)
 
@@ -456,16 +460,30 @@ def test_duration_oracle_day_draws_match_table():
 # State the engine keeps current, and what a tick allocates.
 
 
-def _derived_transmissibility(world, params):
-    """The product by elementwise indexing, not `agent_transmissibility`."""
-    return (
-        params.beta_base
-        * params.band_beta_multiplier[world.age // 10]
-        * world.vax_susceptibility
-    )
+def _recorded_doses(monkeypatch):
+    """Each dose's (ids, effectiveness), recorded as
+    `interventions.apply_vaccine_effects` is called."""
+    doses = []
+    apply = interventions.apply_vaccine_effects
+
+    def record(world, agent_ids, effectiveness):
+        doses.append((agent_ids.copy(), effectiveness))
+        apply(world, agent_ids, effectiveness)
+
+    monkeypatch.setattr(interventions, "apply_vaccine_effects", record)
+    return doses
 
 
-def _assert_kept_state(world, params):
+def _derived_transmissibility(world, params, doses):
+    """The product by elementwise indexing, not `agent_transmissibility`,
+    with each recorded dose's 1 - effectiveness."""
+    factor = np.ones(world.population)
+    for ids, effectiveness in doses:
+        factor[ids] = 1.0 - effectiveness
+    return params.beta_base * params.band_beta_multiplier[world.age // 10] * factor
+
+
+def _assert_kept_state(world, params, doses):
     comp = world.compartment
     recount = np.bincount(comp, minlength=len(Compartment))
     assert np.array_equal(world.compartment_counts(), recount)
@@ -480,7 +498,7 @@ def _assert_kept_state(world, params):
     # The rows of `place`: night, day, and day under lockdown.
     for row, (tick, lockdown) in enumerate(((0, False), (1, False), (1, True))):
         assert np.array_equal(world.occupancy[row], occupant_counts(world, tick, lockdown)), row
-    assert np.array_equal(world.transmissibility, _derived_transmissibility(world, params))
+    assert np.array_equal(world.transmissibility, _derived_transmissibility(world, params, doses))
     listed = world.susceptible_ids
     assert listed is None or np.array_equal(listed, (comp == Compartment.SUSCEPTIBLE).nonzero()[0])
 
@@ -493,16 +511,17 @@ def test_kept_state_matches_a_recount_after_every_tick(monkeypatch, experiment, 
     days = config.world.episode_days
     schedule = baseline_schedule(parse_baseline(baseline), days)
     ticks, listed = [], []
+    doses = _recorded_doses(monkeypatch)
 
     def progress(world, params, rng):
         progression_step(world, params, rng)
-        _assert_kept_state(world, params)
+        _assert_kept_state(world, params, doses)
         ticks.append(world.tick)
         listed.append(world.susceptible_ids is not None)
 
     def vaccinate(world, schedule, policy, day, rng):
         given = vaccination_day_step(world, schedule, policy, day, rng)
-        _assert_kept_state(world, config.disease)
+        _assert_kept_state(world, config.disease, doses)
         return given
 
     monkeypatch.setattr(env, "progression_step", progress)
@@ -543,10 +562,11 @@ def test_episode_derives_transmissibility_from_its_own_params(monkeypatch):
     full = (0.0, 30.0)
     schedule = InterventionSchedule((0.0, 0.0), (full, full, full))
     checked = []
+    doses = _recorded_doses(monkeypatch)
 
     def vaccinate(world, schedule, policy, day, rng):
         given = vaccination_day_step(world, schedule, policy, day, rng)
-        _assert_kept_state(world, config.disease)
+        _assert_kept_state(world, config.disease, doses)
         checked.append(given)
         return given
 

@@ -807,6 +807,14 @@ def _first_band(**changes) -> dict:
             None,
             "int too large to convert to float",
         ),
+        # numpy indexes at most (2**63 - 1) // 64 rows of 8 float64 actions
+        (["train", "--iterations", str(10**400)], None, None, "--iterations must be at most"),
+        (
+            ["train", "--iterations", str(2**57)],
+            None,
+            None,
+            f"--iterations must be at most {2**57 - 1}",
+        ),
     ],
     ids=[
         "population-0",
@@ -861,6 +869,8 @@ def _first_band(**changes) -> dict:
         "config-population-past-the-float-range",
         "seed-range-too-long-to-list",
         "config-episode-days-past-the-float-range",
+        "iterations-past-the-float-range",
+        "iterations-one-past-numpy-s-history-rows",
     ],
 )
 def test_cli_bad_input_is_one_error_line(tmp_path, capsys, argv, config, checkpoint, message):
@@ -884,6 +894,29 @@ def test_cli_bad_input_is_one_error_line(tmp_path, capsys, argv, config, checkpo
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert message in err[0], err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (
+            MemoryError("Unable to allocate 728. TiB for an array with shape (10**14,)"),
+            "error: Unable to allocate 728. TiB for an array with shape (10**14,)",
+        ),
+        (MemoryError(), "error: out of memory"),
+    ],
+    ids=["numpy-message", "bare"],
+)
+def test_cli_memory_error_is_one_error_line(tmp_path, capsys, monkeypatch, exc, line):
+    # The allocation is refused by a stand-in: a test allocates nothing oversized.
+    def refuse(*args):
+        raise exc
+
+    monkeypatch.delenv("EPIDEMICTRL_THREADS", raising=False)  # episodes run in this process
+    monkeypatch.setattr(env, "synthesize_population", refuse)
+    argv = ["simulate", "--baseline", "NoL_NoV", "--seeds", "0", "--population", "100"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [line]
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency, chisquare
 
-from epidemictrl.epidemic import DEFAULT_AGE_BANDS, AgeBandRates, Compartment, DiseaseParams
+from epidemictrl.epidemic import (
+    DEFAULT_AGE_BANDS,
+    AgeBandRates,
+    Compartment,
+    DiseaseParams,
+    agent_transmissibility,
+)
 from epidemictrl.env import ExperimentConfig, run_episode
 from epidemictrl.interventions import (
     InterventionSchedule,
@@ -87,6 +93,12 @@ def _world_for_vax(population=40, seed=0):
     return world
 
 
+def _unvaccinated(world):
+    """Each agent's transmissibility before any dose, as `make_world`
+    derives it."""
+    return agent_transmissibility(world, DiseaseParams())
+
+
 def _full_windows():
     return InterventionSchedule((0.0, 0.0), ((0.0, 100.0), (0.0, 100.0), (0.0, 100.0)))
 
@@ -110,8 +122,9 @@ def test_small_pool_gets_vaccine_one_first():
     given = vaccination_day_step(world, _full_windows(), policy, day=0, rng=rng(1))
     assert given == 10
     assert world.vaccinated.all()
-    assert (world.vax_susceptibility == 1.0 - policy.specs[0].effectiveness).all()
-    assert np.allclose(world.vax_susceptibility, 0.2)
+    unvaccinated = _unvaccinated(world)
+    assert (world.transmissibility == unvaccinated * (1.0 - policy.specs[0].effectiveness)).all()
+    assert np.allclose(world.transmissibility, unvaccinated * 0.2)
 
 
 def test_vaccine_two_used_after_vaccine_one():
@@ -120,9 +133,10 @@ def test_vaccine_two_used_after_vaccine_one():
     given = vaccination_day_step(world, _full_windows(), policy, day=0, rng=rng(2))
     assert given == 20
     # the vaccines' distinct effectiveness tells their recipients apart
-    susceptibility = world.vax_susceptibility[world.vaccinated]
-    assert np.count_nonzero(susceptibility == 1.0 - policy.specs[0].effectiveness) == 10
-    assert np.count_nonzero(np.isclose(susceptibility, 0.4)) == 10
+    kept = world.transmissibility[world.vaccinated]
+    unvaccinated = _unvaccinated(world)[world.vaccinated]
+    assert np.count_nonzero(kept == unvaccinated * (1.0 - policy.specs[0].effectiveness)) == 10
+    assert np.count_nonzero(np.isclose(kept, unvaccinated * 0.4)) == 10
 
 
 def mask_vaccination_day_step(world, schedule, policy, day, rng):
@@ -155,7 +169,7 @@ def test_vaccination_matches_mask_oracle_for_every_open_subset(open_strata):
             mask_vaccination_day_step(slow, schedule, policy, day, g_slow)
         )
         assert np.array_equal(fast.vaccinated, slow.vaccinated)
-        assert np.array_equal(fast.vax_susceptibility, slow.vax_susceptibility)
+        assert np.array_equal(fast.transmissibility, slow.transmissibility)
         assert g_fast.bit_generator.state == g_slow.bit_generator.state
     assert fast.vaccinated[80:].any() == (open_strata != 0)
 
@@ -175,15 +189,16 @@ def test_day_sample_includes_each_eligible_id_uniformly_with_vaccine_one_first()
         specs=(VaccineSpec(0.8, 7), VaccineSpec(0.6, 5)), coverage_cap=1.0
     )
     world = _sampler_world()
-    start = (world.vaccinated.copy(), world.vax_susceptibility.copy())
+    start = (world.vaccinated.copy(), world.transmissibility.copy())
+    unvaccinated = _unvaccinated(world)
     eligible = np.arange(16, 60)
     budget, seeds = 12, 3000
     counts = np.zeros((2, world.population), dtype=np.int64)  # per vaccine
     for seed in range(seeds):
-        world.vaccinated[:], world.vax_susceptibility[:] = start
+        world.vaccinated[:], world.transmissibility[:] = start
         assert vaccination_day_step(world, _full_windows(), policy, 0, rng(seed)) == budget
         for k, spec in enumerate(policy.specs):
-            counts[k] += world.vax_susceptibility == 1.0 - spec.effectiveness
+            counts[k] += world.transmissibility == unvaccinated * (1.0 - spec.effectiveness)
     counts[1, 12:16] -= seeds  # the four vaccinated beforehand
     assert counts[:, :16].sum() == 0
 
@@ -270,9 +285,8 @@ def test_per_recipient_effectiveness():
     world = _world_for_vax(population=10)
     apply_vaccine_effects(world, np.array([3, 1, 7]), np.array([0.8, 0.6, 0.6]))
     assert np.array_equal(world.vaccinated.nonzero()[0], [1, 3, 7])
-    assert world.vax_susceptibility.tolist() == [
-        1.0, 1.0 - 0.6, 1.0, 1.0 - 0.8, 1.0, 1.0, 1.0, 1.0 - 0.6, 1.0, 1.0
-    ]
+    factor = [1.0, 1.0 - 0.6, 1.0, 1.0 - 0.8, 1.0, 1.0, 1.0, 1.0 - 0.6, 1.0, 1.0]
+    assert world.transmissibility.tolist() == (_unvaccinated(world) * factor).tolist()
 
 
 def test_gamma_boost_cap():

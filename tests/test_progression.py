@@ -83,12 +83,9 @@ def countdown_exposure_step(world, ticks, params, rng):
     if sus_ids.size == 0:
         return 0
     sus_loc = loc[sus_ids]
-    beta_agent = (
-        params.beta_base
-        * params.band_beta_multiplier[world.age[sus_ids] // 10]
-        * world.vax_susceptibility[sus_ids]
+    p = infection_probability(
+        world.transmissibility[sus_ids], weight_by_loc[sus_loc], count_by_loc[sus_loc]
     )
-    p = infection_probability(beta_agent, weight_by_loc[sus_loc], count_by_loc[sus_loc])
     # Only susceptibles in a place with an infectious occupant draw.
     at_risk = weight_by_loc[sus_loc] > 0
     newly = sus_ids[at_risk][rng.random(np.count_nonzero(at_risk)) < p[at_risk]]

@@ -1,12 +1,14 @@
-"""Each piece of kept agent state has one writer in the package.
+"""Each piece of kept agent state has its named writers in the package.
 
 The engine keeps tallies (`compartment_totals`, `live_members`,
-`occupancy`), the source mask, the susceptible list and the per-agent
-`transmissibility` current as it writes compartments and vaccines. Code that wrote
-`compartment` or the vaccine state anywhere else would leave them stale
-without a word. `place`, `house_head` and `head_commutes` are built and
-frozen by synthesis, and the per-move and per-day steps read them as
-fixed. So this walks the package's source and finds every write
+`occupancy`), the source mask and the susceptible list current as it
+writes compartments. `transmissibility` is derived once per episode and
+is the only record of each dose's effect, and the house ledgers are
+posted only by the economy. Code that wrote any of them anywhere else
+would leave them stale or wrong without a word. `place`, `house_head`
+and `head_commutes` are built and frozen by synthesis, and the per-move
+and per-day steps read them as fixed. So this walks the package's source
+and finds every write
 to those attributes: an assignment, whole or subscripted, plain or
 augmented, numpy's in-place writes through a call (`out=`, `np.copyto`,
 a ufunc's `.at`, `.fill`, `.put`, `.sort`), also into a view made by a
@@ -21,20 +23,22 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "epidemictrl"
 
-#: Kept attribute -> the only function (module.qualname) that may write it.
+#: Kept attribute -> the only functions (module.qualname) that may write it.
 WRITERS = {
-    "compartment": "epidemic._enter",
-    "due_tick": "epidemic._enter",
-    "compartment_totals": "epidemic._enter",
-    "live_members": "epidemic._enter",
-    "is_source": "epidemic._enter",
-    "occupancy": "epidemic._enter",
-    "susceptible_ids": "epidemic._enter",
-    "place": "world.synthesize_population",
-    "house_head": "world.synthesize_population",
-    "head_commutes": "world.synthesize_population",
-    "vaccinated": "interventions.apply_vaccine_effects",
-    "vax_susceptibility": "interventions.apply_vaccine_effects",
+    "compartment": {"epidemic._enter"},
+    "due_tick": {"epidemic._enter"},
+    "compartment_totals": {"epidemic._enter"},
+    "live_members": {"epidemic._enter"},
+    "is_source": {"epidemic._enter"},
+    "occupancy": {"epidemic._enter"},
+    "susceptible_ids": {"epidemic._enter"},
+    "place": {"world.synthesize_population"},
+    "house_head": {"world.synthesize_population"},
+    "head_commutes": {"world.synthesize_population"},
+    "vaccinated": {"interventions.apply_vaccine_effects"},
+    "transmissibility": {"env.run_episode", "interventions.apply_vaccine_effects"},
+    "savings_cents": {"economy.init_house_ledgers", "economy.economy_day_step"},
+    "income_cents": {"economy.init_house_ledgers"},
 }
 
 
@@ -100,8 +104,8 @@ def test_kept_agent_state_has_one_writer():
         for attr, scope in attribute_writes(path.read_text(), path.stem):
             if attr in WRITERS:
                 writers[attr].add(scope)
-    # every kept attribute is written, and only by its writer
-    assert dict(writers) == {attr: {writer} for attr, writer in WRITERS.items()}
+    # every kept attribute is written, and only by its writers
+    assert dict(writers) == WRITERS
 
 
 def test_writes_are_found_in_every_form_and_scope():
@@ -124,7 +128,7 @@ def step(world, ids):
 
 class Holder:
     def reset(self):
-        self.vax_susceptibility: object = None
+        self.income_cents: object = None
         self.compartment.put(ids, 0)
         self.age.take(ids, out=self.compartment)
 """
@@ -135,6 +139,7 @@ class Holder:
         ("compartment_totals", "m.step.inner"),
         ("due_tick", "m.step"),
         ("due_tick", "m.step.inner"),
+        ("income_cents", "m.Holder.reset"),
         ("live_members", "m.step"),
         ("live_members", "m.step.inner"),
         ("occupancy", "m.step.inner"),
@@ -142,5 +147,4 @@ class Holder:
         ("scratch_masks", "m.step"),
         ("transmissibility", "m.step"),
         ("vaccinated", "m.step"),
-        ("vax_susceptibility", "m.Holder.reset"),
     ]
