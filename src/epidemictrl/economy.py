@@ -52,8 +52,6 @@ def economy_day_step(world: WorldState, config: EconomyConfig, lockdown_active: 
     no lockdown applies or they commute under it (`world.head_commutes`:
     essential workers and violators). Expenses are charged per living
     member (`world.live_members`). Call exactly once per simulated day.
-    Each posting goes through a per-house scratch buffer, so a day
-    allocates no house-sized ledger array.
     """
     head_comp = world.compartment.take(world.house_head)
 
@@ -63,9 +61,8 @@ def economy_day_step(world: WorldState, config: EconomyConfig, lockdown_active: 
         earning &= world.head_commutes
 
     expense_cents = int(round(config.expense_per_person * CENTS))
-    posting = world.scratch_values[0, : world.n_houses].view(np.int64)
-    world.savings_cents += np.multiply(world.income_cents, earning, out=posting)
-    world.savings_cents -= np.multiply(world.live_members, expense_cents, out=posting)
+    world.savings_cents += world.income_cents * earning
+    world.savings_cents -= world.live_members * expense_cents
 
 
 def below_poverty_count(world: WorldState, config: EconomyConfig) -> int:

@@ -380,39 +380,28 @@ def exposure_step(
     Until `world.susceptible_ids` exists, the loaded susceptibles come
     from a scan of the population; after that, from a gather over the
     list alone.
-
-    Every population-sized intermediate goes into the world's scratch
-    buffers. `take` writes there with mode="clip", since the default mode
-    copies `out` first; the indices are in range either way.
     """
     sources = world.is_source.nonzero()[0]
     if sources.size == 0 or params.beta_base == 0.0:
         return 0
     comp = world.compartment
-    mask, other = world.scratch_masks
-    ids, values = world.scratch_ids, world.scratch_values
     row = world.row
     place = world.place[row]
 
-    k = sources.size
     if row != NIGHT:
         # By day InfectedMild and InfectedSevere sources stay home: they
-        # read their place from row NIGHT (0) of the flattened `place`. The
-        # flat indices borrow the second value row, unused until the gathers.
-        well = np.less(comp.take(sources), _INFECTED_MILD, out=mask[:k])
-        flat = np.multiply(well, row * world.population, out=values[1, :k].view(np.int64))
+        # read their place from row NIGHT (0) of the flattened `place`.
+        flat = (comp.take(sources) < _INFECTED_MILD) * (row * world.population)
         flat += sources
-        source_place = world.place.ravel().take(flat, out=ids[:k], mode="clip")
+        source_place = world.place.ravel().take(flat)
     else:
-        source_place = place.take(sources, out=ids[:k], mode="clip")
+        source_place = place.take(sources)
     # Weights come scaled by -tick_days, so the rates below come out as
     # -rate * tick_days, ready for expm1. Scaling by a power of two
     # commutes with rounding, so the probabilities are those of scaling
     # the rate last.
-    weight = values[0, :k]
-    weight.fill(-TICK_DAYS)
-    vaccinated = world.vaccinated.take(sources, out=mask[:k], mode="clip")
-    np.copyto(weight, _VACCINATED_TICK_WEIGHT, where=vaccinated)
+    weight = np.full(sources.size, -TICK_DAYS)
+    np.copyto(weight, _VACCINATED_TICK_WEIGHT, where=world.vaccinated.take(sources))
     weight_by_loc = np.bincount(
         source_place, weights=weight, minlength=world.occupancy.shape[1]
     )
@@ -420,16 +409,15 @@ def exposure_step(
     is_loaded = weight_by_loc < 0
     listed = world.susceptible_ids
     if listed is None:
-        in_loaded = is_loaded.take(place, out=mask, mode="clip")
-        in_loaded &= np.equal(comp, _SUSCEPTIBLE, out=other)
+        in_loaded = is_loaded.take(place)
+        in_loaded &= comp == _SUSCEPTIBLE
         loaded = in_loaded.nonzero()[0]
-        sus_place = place.take(loaded, out=ids[: loaded.size], mode="clip")
+        sus_place = place.take(loaded)
     else:
         # Two takes at the loaded positions: a boolean index over the list
         # is several times slower when about half of it is loaded.
-        k = listed.size
-        listed_place = place.take(listed, out=ids[:k], mode="clip")
-        at = is_loaded.take(listed_place, out=mask[:k], mode="clip").nonzero()[0]
+        listed_place = place.take(listed)
+        at = is_loaded.take(listed_place).nonzero()[0]
         loaded = listed.take(at)
         sus_place = listed_place.take(at)
     if loaded.size == 0:
@@ -437,13 +425,12 @@ def exposure_step(
 
     # Infectious weight per occupant; every gathered place holds at least
     # the susceptible itself.
-    k = loaded.size
-    rate = weight_by_loc.take(sus_place, out=values[0, :k], mode="clip")
+    rate = weight_by_loc.take(sus_place)
     rate /= world.occupancy[row].take(sus_place)
-    rate *= world.transmissibility.take(loaded, out=values[1, :k], mode="clip")
+    rate *= world.transmissibility.take(loaded)
     np.expm1(rate, out=rate)
     p = np.negative(rate, out=rate)  # 1 - exp(-rate * tick_days)
-    hit = np.less(rng.random(out=values[1, :k]), p, out=mask[:k])
+    hit = rng.random(loaded.size) < p
     newly = loaded[hit]
     if newly.size == 0:
         return 0

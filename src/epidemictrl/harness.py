@@ -709,7 +709,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _experiment_config(args) -> ExperimentConfig:
     file_cfg = load_config_file(args.config) if args.config else None
-    return experiment_config(args.experiment, args.scenario, args.population, file_cfg=file_cfg)
+    config = experiment_config(args.experiment, args.scenario, args.population, file_cfg=file_cfg)
+    # A world whose frozen (3, population) intp `place` alone outgrows the
+    # machine's memory fails here, before `--out` is made.
+    place_bytes = 3 * config.world.population_size * np.dtype(np.intp).itemsize
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # the platform cannot report it
+        memory = 0
+    if 0 < memory < place_bytes:
+        raise ConfigError(
+            f"invalid config: world.population_size {config.world.population_size} needs "
+            f"{place_bytes} bytes for its places alone, more than the {memory} bytes "
+            "of memory on this machine"
+        )
+    return config
 
 
 def _cmd_simulate(args) -> int:

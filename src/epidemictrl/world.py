@@ -81,9 +81,7 @@ class WorldState:
     `susceptible_ids`, and keeps them current per move.
     `interventions.apply_vaccine_effects` is the one writer of
     `vaccinated`, and scales each recipient's `transmissibility`, the one
-    record of its vaccine's effect. `epidemic.exposure_step` and
-    `economy.economy_day_step` work in the `scratch_*` buffers, so a tick
-    allocates nothing sized by the population.
+    record of its vaccine's effect.
     """
 
     config: WorldConfig
@@ -113,9 +111,6 @@ class WorldState:
     # day-under-lockdown, day, day-under-lockdown rows as (4, 1).
     row_offsets: np.ndarray = field(repr=False)
     day_home_offsets: np.ndarray = field(repr=False)
-    scratch_masks: np.ndarray = field(repr=False)  # (2, population) bool
-    scratch_ids: np.ndarray = field(repr=False)  # intp
-    scratch_values: np.ndarray = field(repr=False)  # (2, population) float64
 
     # the susceptibles in ascending id, kept once they are a minority
     susceptible_ids: np.ndarray | None = field(default=None, repr=False)
@@ -222,9 +217,6 @@ def synthesize_population(config: WorldConfig, streams: RngStreams) -> WorldStat
         is_source=np.zeros(n, dtype=bool),
         row_offsets=row_offsets,
         day_home_offsets=row_offsets[[DAY, LOCKDOWN_DAY, DAY, LOCKDOWN_DAY]],
-        scratch_masks=np.empty((2, n), dtype=bool),
-        scratch_ids=np.empty(n, dtype=np.intp),
-        scratch_values=np.empty((2, n), dtype=np.float64),
     )
     # places, heads and who of them commutes are fixed from here on
     world.place.flags.writeable = False

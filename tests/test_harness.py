@@ -796,6 +796,12 @@ def _first_band(**changes) -> dict:
             "world.population_size is too large",
         ),
         (
+            ["simulate", "--baseline", "NoL_NoV", "--population", str(10**14)],
+            None,
+            None,
+            "bytes for its places alone",
+        ),
+        (
             ["simulate", "--baseline", "NoL_NoV", "--seeds", f"0..{10**400}"],
             None,
             None,
@@ -867,6 +873,7 @@ def _first_band(**changes) -> dict:
         "unknown-flag",
         "population-past-the-float-range",
         "config-population-past-the-float-range",
+        "population-past-physical-memory",
         "seed-range-too-long-to-list",
         "config-episode-days-past-the-float-range",
         "iterations-past-the-float-range",
