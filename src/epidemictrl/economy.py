@@ -55,7 +55,7 @@ def economy_day_step(world: WorldState, config: EconomyConfig, lockdown_active: 
     """
     head_comp = world.compartment.take(world.house_head)
 
-    # Too sick to earn: InfectedMild to Hospitalized, or Deceased.
+    # The head earns while `epidemic._SEAT` sits it at its well places.
     earning = (head_comp < _INFECTED_MILD) | (head_comp == _RECOVERED)
     if lockdown_active:
         earning &= world.head_commutes

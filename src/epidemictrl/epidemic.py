@@ -89,9 +89,10 @@ MAX_DWELL_TICKS = 2**30
 # The rows of `WorldState.place` (see there).
 NIGHT, DAY, LOCKDOWN_DAY = 0, 1, 2
 
-# The rows of `place` that give a mildly ill agent's seats by day: the two
-# day rows, then the night row (the house) once for each.
-_DAY_THEN_HOME = np.array([DAY, LOCKDOWN_DAY, NIGHT, NIGHT])
+# Where each compartment's agents sit on all three rows, in `Compartment`
+# order: at their well places, at home (the `NIGHT` row) or nowhere.
+_WELL, _HOME, _NOWHERE = 0, 1, 2
+_SEAT = (_WELL, _WELL, _WELL, _WELL, _HOME, _HOME, _NOWHERE, _WELL, _NOWHERE)
 
 # `progression_step`'s stages in the order it handles them, as (stage,
 # taken, other): a stage with no other always moves to `taken`.
@@ -279,13 +280,12 @@ def _enter(
     `subtract.at`, not a subscripted `-=`, so that two deaths in one house
     on one tick both count.
 
-    Four moves change the occupancy (see `WorldState`; the `NIGHT` row of
-    `place` holds the houses): PS->IM and IM->R move an agent between its
-    day places and its house on the two day rows, IS->H takes it out of
-    its house on all three rows, and H->R puts it back at its well places.
-    Each gathers its slots as flat occupancy indices and counts them with
-    `subtract.at` / `add.at` on 1-D indices: a `ufunc.at` given a 2-D
-    index and broadcast values has written garbage (numpy 2.4.6).
+    A move between compartments that sit differently (`_SEAT`) takes its
+    agents' seats on all three rows out of `occupancy`, if they had any,
+    and adds their new ones. The seats are gathered as flat occupancy
+    indices and counted with `subtract.at` / `add.at` on 1-D indices: a
+    `ufunc.at` given a 2-D index and broadcast values has written garbage
+    (numpy 2.4.6).
 
     The first S->E move that leaves fewer than half the agents susceptible
     lists the susceptibles with one scan; later S->E moves drop their ids
@@ -316,29 +316,23 @@ def _enter(
     if target == _RECOVERED or target == _DECEASED:
         world.due_tick[ids] = NOT_DUE
         if target == _DECEASED:
-            np.subtract.at(world.live_members, world.place[NIGHT].take(ids) - 1, 1)
+            np.subtract.at(world.live_members, world.place[NIGHT].take(ids), 1)
     else:
         start = world.tick - 1 if target == _EXPOSED else world.tick
         world.due_tick[ids] = start + sample_duration_ticks(
             target, rng, size=ids.size, params=params
         )
 
-    if target == _INFECTED_MILD or (source == _INFECTED_MILD and target == _RECOVERED):
-        # By day the mildly ill sit at home: their seats on the two day
-        # rows, then their house's seats (night row) on the same rows.
-        seats = world.place.take(ids, axis=1).take(_DAY_THEN_HOME, axis=0)
-        seats += world.day_home_offsets
-        day, home = seats[:2], seats[2:]
-        left, entered = (day, home) if target == _INFECTED_MILD else (home, day)
-        np.subtract.at(world.occupancy.ravel(), left.ravel(), 1)
-        np.add.at(world.occupancy.ravel(), entered.ravel(), 1)
-    elif target == _HOSPITALIZED:
-        home = world.place[NIGHT].take(ids) + world.row_offsets
-        np.subtract.at(world.occupancy.ravel(), home.ravel(), 1)
-    elif source == _HOSPITALIZED and target == _RECOVERED:
-        well = world.place.take(ids, axis=1)
-        well += world.row_offsets
-        np.add.at(world.occupancy.ravel(), well.ravel(), 1)
+    left, entered = _SEAT[source], _SEAT[target]
+    if left != entered:
+        # The agents' seats on all three rows as flat `occupancy` indices,
+        # in `_SEAT` order: their well places, their house.
+        seats = world.place.take(ids, axis=1), world.place[NIGHT].take(ids)
+        seats = [(s + world.row_offsets).ravel() for s in seats]
+        if left != _NOWHERE:
+            np.subtract.at(world.occupancy.ravel(), seats[left], 1)
+        if entered != _NOWHERE:
+            np.add.at(world.occupancy.ravel(), seats[entered], 1)
 
 
 def agent_transmissibility(world: "WorldState", params: DiseaseParams) -> np.ndarray:
@@ -389,8 +383,8 @@ def exposure_step(
     place = world.place[row]
 
     if row != NIGHT:
-        # By day InfectedMild and InfectedSevere sources stay home: they
-        # read their place from row NIGHT (0) of the flattened `place`.
+        # By day `_SEAT` sits InfectedMild and InfectedSevere sources at
+        # home: they read their place from row NIGHT (0) of the flat `place`.
         flat = (comp.take(sources) < _INFECTED_MILD) * (row * world.population)
         flat += sources
         source_place = world.place.ravel().take(flat)

@@ -196,6 +196,8 @@ def load_config_file(path) -> dict:
         raise
     except ValueError as exc:  # also bytes that are not UTF-8, an int past the digit limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {path} nests too deeply to read") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
     from_dict(ExperimentConfig, data, ExperimentConfig())  # fail before any run

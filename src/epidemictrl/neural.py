@@ -168,7 +168,10 @@ def load_mlp(path) -> tuple[Mlp, dict]:
     with open(path, "rb") as fh:
         raw = fh.read()
     newline = raw.find(b"\n")
-    header = json.loads(raw[:newline].decode("utf-8")) if newline >= 0 else None
+    try:
+        header = json.loads(raw[:newline].decode("utf-8")) if newline >= 0 else None
+    except RecursionError as exc:
+        raise ValueError(f"{path}: checkpoint header nests too deeply to read") from exc
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a recognized checkpoint")
     layers = header.get("layers")

@@ -55,11 +55,11 @@ class WorldConfig:
 class WorldState:
     """One world's agents, houses and clock, as flat per-agent arrays.
 
-    `place` (3, population) holds each agent's place while well, as intp
-    location + 1, in three rows: `NIGHT` (the house), `DAY` (the office
-    or school) and `LOCKDOWN_DAY` (the workplace for essential workers and
-    violators, else the house). `synthesize_population` builds it and
-    freezes it; `apply_movement` only sets `row`, the row of this tick.
+    `place` (3, population) holds each agent's intp location id while
+    well, in three rows: `NIGHT` (the house), `DAY` (the office or school)
+    and `LOCKDOWN_DAY` (the workplace for essential workers and violators,
+    else the house). `synthesize_population` builds it and freezes it;
+    `apply_movement` only sets `row`, the row of this tick.
     It also builds and freezes `house_head`, each house's oldest member,
     and `head_commutes`, whether that head works under lockdown: exactly
     when its lockdown row of `place` differs from its night row.
@@ -67,9 +67,9 @@ class WorldState:
     home on every row, and the Hospitalized (isolated) and the deceased
     sit nowhere.
 
-    `occupancy` (3, n_locations + 1) counts, per row, the agents sitting
-    in each house, office and school, the sick overrides included; slot 0
-    stays 0. `is_source` marks the infectious agents, Asymptomatic to
+    `occupancy` (3, n_locations) counts, per row, the agents sitting in
+    each house, office and school, the sick overrides included.
+    `is_source` marks the infectious agents, Asymptomatic to
     InfectedSevere. `due_tick` (int32) holds, for each agent in a timed
     compartment, the absolute tick whose progression step moves it on; it
     is -1 for every other agent. `susceptible_ids` is None until fewer
@@ -100,17 +100,15 @@ class WorldState:
 
     n_houses: int
 
-    # agents per compartment, living members per house, agents per slot
-    # and row, and the infectious
+    # agents per compartment, living members per house, agents per
+    # location and row, and the infectious
     compartment_totals: np.ndarray
     live_members: np.ndarray
     occupancy: np.ndarray
     is_source: np.ndarray
-    # Where each row starts in the flattened `occupancy` (slot s of row r
-    # is r * (n_locations + 1) + s), as (3, 1), and for the day,
-    # day-under-lockdown, day, day-under-lockdown rows as (4, 1).
+    # Where each row starts in the flattened `occupancy` (location l of
+    # row r is r * n_locations + l), as (3, 1).
     row_offsets: np.ndarray = field(repr=False)
-    day_home_offsets: np.ndarray = field(repr=False)
 
     # the susceptibles in ascending id, kept once they are a minority
     susceptible_ids: np.ndarray | None = field(default=None, repr=False)
@@ -129,7 +127,7 @@ class WorldState:
 
     @property
     def n_locations(self) -> int:
-        return self.occupancy.shape[1] - 1
+        return self.occupancy.shape[1]
 
     def compartment_counts(self) -> np.ndarray:
         return self.compartment_totals.copy()
@@ -178,21 +176,19 @@ def synthesize_population(config: WorldConfig, streams: RngStreams) -> WorldStat
     stu_ids = np.flatnonzero(~employed)
     n_offices = math.ceil(emp_ids.size / config.office_capacity)
     n_schools = math.ceil(stu_ids.size / config.school_capacity)
-    n_slots = n_houses + n_offices + n_schools + 1
+    n_locations = n_houses + n_offices + n_schools
 
-    # Location + 1 per row; offices follow the houses, then the schools.
-    office_slot = n_houses + 1
-    school_slot = office_slot + n_offices
+    # Offices follow the houses, then the schools.
+    first_school = n_houses + n_offices
     place = np.empty((3, n), dtype=np.intp)
     np.floor_divide(np.arange(n), hs, out=place[NIGHT])  # houses are id blocks
-    place[NIGHT] += 1
-    place[DAY, emp_ids] = office_slot + np.arange(emp_ids.size) // config.office_capacity
-    place[DAY, stu_ids] = school_slot + np.arange(stu_ids.size) // config.school_capacity
+    place[DAY, emp_ids] = n_houses + np.arange(emp_ids.size) // config.office_capacity
+    place[DAY, stu_ids] = first_school + np.arange(stu_ids.size) // config.school_capacity
     np.copyto(place[LOCKDOWN_DAY], place[NIGHT])
     np.copyto(place[LOCKDOWN_DAY], place[DAY], where=commutes)
     head = house_heads(age, hs)
     head_commutes = place[LOCKDOWN_DAY].take(head) != place[NIGHT].take(head)
-    row_offsets = np.arange(3, dtype=np.intp).reshape(3, 1) * n_slots
+    row_offsets = np.arange(3, dtype=np.intp).reshape(3, 1) * n_locations
 
     totals = np.zeros(len(Compartment), dtype=np.int64)
     totals[_SUSCEPTIBLE] = n
@@ -213,10 +209,9 @@ def synthesize_population(config: WorldConfig, streams: RngStreams) -> WorldStat
         n_houses=n_houses,
         compartment_totals=totals,
         live_members=live_members,
-        occupancy=np.stack([np.bincount(places, minlength=n_slots) for places in place]),
+        occupancy=np.stack([np.bincount(places, minlength=n_locations) for places in place]),
         is_source=np.zeros(n, dtype=bool),
         row_offsets=row_offsets,
-        day_home_offsets=row_offsets[[DAY, LOCKDOWN_DAY, DAY, LOCKDOWN_DAY]],
     )
     # places, heads and who of them commutes are fixed from here on
     world.place.flags.writeable = False

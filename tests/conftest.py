@@ -8,6 +8,7 @@ from epidemictrl.epidemic import Compartment, DiseaseParams, _enter, agent_trans
 from epidemictrl.interventions import InterventionSchedule
 from epidemictrl.rng import RngStreams
 from epidemictrl.world import (
+    DAY,
     EMPLOYMENT_AGE,
     LOCKDOWN_DAY,
     NIGHT,
@@ -114,7 +115,7 @@ def scheduled_locations(world: WorldState, tick: int, lockdown_active: bool) -> 
         commutes = (comp != Compartment.INFECTED_MILD) & (comp != Compartment.INFECTED_SEVERE)
         if lockdown_active:
             commutes &= world.place[LOCKDOWN_DAY] != world.place[NIGHT]
-        loc = np.where(commutes, world.place[1] - 1, home)
+        loc = np.where(commutes, world.place[DAY], home)
     else:
         loc = home
     loc[(comp == Compartment.HOSPITALIZED) | (comp == Compartment.DECEASED)] = -1
@@ -122,14 +123,11 @@ def scheduled_locations(world: WorldState, tick: int, lockdown_active: bool) -> 
 
 
 def occupant_counts(world: WorldState, tick: int, lockdown_active: bool) -> np.ndarray:
-    """Agents per slot (location + 1) by `scheduled_locations`, as the
-    engine keeps them in a row of `occupancy`: slot 0 (the Hospitalized
-    and the deceased) is not counted."""
-    counts = np.bincount(
-        scheduled_locations(world, tick, lockdown_active) + 1, minlength=world.n_locations + 1
-    )
-    counts[0] = 0
-    return counts
+    """Agents per location by `scheduled_locations`, as the engine keeps
+    them in a row of `occupancy`: the Hospitalized and the deceased (-1)
+    are not counted."""
+    loc = scheduled_locations(world, tick, lockdown_active)
+    return np.bincount(loc[loc >= 0], minlength=world.n_locations)
 
 
 def current_locations(world: WorldState) -> np.ndarray:

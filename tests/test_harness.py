@@ -821,6 +821,19 @@ def _first_band(**changes) -> dict:
             None,
             f"--iterations must be at most {2**57 - 1}",
         ),
+        # nesting past json's recursion limit
+        (
+            ["simulate", "--baseline", "NoL_NoV"],
+            '{"world": ' + "[" * 200_000 + "]" * 200_000 + "}",
+            None,
+            "nests too deeply to read",
+        ),
+        (
+            ["evaluate"],
+            None,
+            b'{"format": ' + b"[" * 200_000 + b"]" * 200_000 + b"}\n" + bytes(8 * 56),
+            "checkpoint header nests too deeply to read",
+        ),
     ],
     ids=[
         "population-0",
@@ -878,6 +891,8 @@ def _first_band(**changes) -> dict:
         "config-episode-days-past-the-float-range",
         "iterations-past-the-float-range",
         "iterations-one-past-numpy-s-history-rows",
+        "config-nested-too-deeply",
+        "checkpoint-header-nested-too-deeply",
     ],
 )
 def test_cli_bad_input_is_one_error_line(tmp_path, capsys, argv, config, checkpoint, message):

@@ -71,7 +71,7 @@ def house_members(world: WorldState, house: int) -> np.ndarray:
 
 def workplace(world: WorldState) -> np.ndarray:
     """Each agent's office or school, from the day row of `place`."""
-    return world.place[DAY] - 1
+    return world.place[DAY]
 
 
 SYMPTOMATIC_COMPARTMENTS = (Compartment.INFECTED_MILD, Compartment.INFECTED_SEVERE)
@@ -185,7 +185,7 @@ def test_everyone_starts_at_home():
     world = make_world(population=100, with_ledgers=False)
     assert world.tick == 0
     assert world.row == NIGHT
-    assert np.array_equal(world.place[NIGHT] - 1, house_id(world))
+    assert np.array_equal(world.place[NIGHT], house_id(world))
 
 
 def test_lockdown_row_keeps_only_essential_workers_and_violators_away():
@@ -224,7 +224,7 @@ def test_places_are_fixed_and_counted():
         with pytest.raises(ValueError):
             frozen[0] = 1
     for row in (NIGHT, DAY, LOCKDOWN_DAY):
-        recount = np.bincount(world.place[row], minlength=world.n_locations + 1)
+        recount = np.bincount(world.place[row], minlength=world.n_locations)
         assert np.array_equal(world.occupancy[row], recount)
 
 
@@ -306,24 +306,41 @@ def test_home_phase_everyone_home():
     world = make_world(population=200, with_ledgers=False)
     apply_movement(world, lockdown_active=False)  # tick 0 is a home phase
     assert world.row == NIGHT
-    at_home = world.place[world.row] - 1 < world.n_houses
+    at_home = world.place[world.row] < world.n_houses
     assert at_home.all()
 
 
+_C = Compartment
+# Four courses from Susceptible that between them take the engine's ten
+# moves: S->E, E->A, E->PS, A->R, PS->IM, IM->IS, IM->R, IS->H, H->R, H->D.
+ENGINE_COURSES = (
+    (_C.SUSCEPTIBLE, _C.EXPOSED, _C.ASYMPTOMATIC, _C.RECOVERED),
+    (_C.SUSCEPTIBLE, _C.EXPOSED, _C.PRE_SYMPTOMATIC, _C.INFECTED_MILD, _C.RECOVERED),
+    (_C.SUSCEPTIBLE, _C.EXPOSED, _C.PRE_SYMPTOMATIC, _C.INFECTED_MILD, _C.INFECTED_SEVERE,
+     _C.HOSPITALIZED, _C.RECOVERED),
+    (_C.SUSCEPTIBLE, _C.EXPOSED, _C.PRE_SYMPTOMATIC, _C.INFECTED_MILD, _C.INFECTED_SEVERE,
+     _C.HOSPITALIZED, _C.DECEASED),
+)
+
+
 def test_partition_invariant_across_states():
+    # Agent k walks course k one engine move at a time; after each move all
+    # three kept rows match the movement rules, so a wrong seat names its
+    # move.
     world = make_world(population=60, with_ledgers=False)
-    move_to(world, 0, Compartment.DECEASED)
-    move_to(world, 1, Compartment.HOSPITALIZED)
-    move_to(world, 2, Compartment.INFECTED_SEVERE)
-    for tick in (0, 1):
-        world.tick = tick
-        apply_movement(world, lockdown_active=True)
-        occupancy = world.occupancy[world.row]
-        # all but the deceased and the hospitalized, who sit in no house,
-        # office or school
-        assert occupancy.sum() == 58
-        assert occupancy[0] == 0
-        assert occupancy.size == sum(kind_sizes(world)) + 1
+    moves = set()
+    for agent, course in enumerate(ENGINE_COURSES):
+        for source, target in zip(course, course[1:]):
+            move_to(world, agent, target)
+            moves.add((source, target))
+            # The rows of `place`: night, day, and day under lockdown.
+            for row, (tick, lockdown) in enumerate(((0, False), (1, False), (1, True))):
+                recount = occupant_counts(world, tick, lockdown)
+                assert np.array_equal(world.occupancy[row], recount), (source, target, row)
+    assert len(moves) == 10
+    # every row seats all but the one deceased in a house, office or school
+    assert world.occupancy.shape == (3, sum(kind_sizes(world)))
+    assert (world.occupancy.sum(axis=1) == 59).all()
 
 
 def test_scalar_and_vector_movement_agree():
@@ -348,7 +365,7 @@ def test_scalar_and_vector_movement_agree():
             # place, and the kept counts match the rule's
             world.tick = tick
             apply_movement(world, lockdown)
-            assert np.array_equal(world.place[world.row][well] - 1, vec[well])
+            assert np.array_equal(world.place[world.row][well], vec[well])
             recount = occupant_counts(world, tick, lockdown)
             assert np.array_equal(world.occupancy[world.row], recount)
 
